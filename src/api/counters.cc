@@ -15,16 +15,22 @@ Counters& Counters::operator=(const Counters& other) {
   return *this;
 }
 
-void Counters::Increment(const std::string& group, const std::string& name,
+void Counters::Increment(std::string_view group, std::string_view name,
                          int64_t delta) {
+  const std::pair<std::string_view, std::string_view> key(group, name);
   std::lock_guard<std::mutex> lock(mu_);
-  values_[{group, name}] += delta;
+  auto it = values_.lower_bound(key);
+  if (it == values_.end() || KeyLess()(key, it->first)) {
+    it = values_.emplace_hint(
+        it, std::pair<std::string, std::string>(group, name), 0);
+  }
+  it->second += delta;
 }
 
-int64_t Counters::Get(const std::string& group,
-                      const std::string& name) const {
+int64_t Counters::Get(std::string_view group, std::string_view name) const {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = values_.find({group, name});
+  auto it = values_.find(std::pair<std::string_view, std::string_view>(
+      group, name));
   return it == values_.end() ? 0 : it->second;
 }
 
@@ -34,8 +40,7 @@ void Counters::MergeFrom(const Counters& other) {
   for (const auto& [k, v] : snapshot) values_[k] += v;
 }
 
-std::map<std::pair<std::string, std::string>, int64_t> Counters::Snapshot()
-    const {
+Counters::Map Counters::Snapshot() const {
   std::lock_guard<std::mutex> lock(mu_);
   return values_;
 }

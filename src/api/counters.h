@@ -5,6 +5,8 @@
 #include <map>
 #include <mutex>
 #include <string>
+#include <string_view>
+#include <utility>
 
 namespace m3r::api {
 
@@ -14,22 +16,37 @@ namespace m3r::api {
 /// counters updated (paper §5.3).
 class Counters {
  public:
+  /// (group, name) order that also compares against string_view pairs, so
+  /// a lookup builds no std::string.
+  struct KeyLess {
+    using is_transparent = void;
+    template <typename A, typename B>
+    bool operator()(const A& a, const B& b) const {
+      return std::pair<std::string_view, std::string_view>(a.first,
+                                                           a.second) <
+             std::pair<std::string_view, std::string_view>(b.first,
+                                                           b.second);
+    }
+  };
+  using Map =
+      std::map<std::pair<std::string, std::string>, int64_t, KeyLess>;
+
   Counters() = default;
   Counters(const Counters& other);
   Counters& operator=(const Counters& other);
 
-  void Increment(const std::string& group, const std::string& name,
+  void Increment(std::string_view group, std::string_view name,
                  int64_t delta);
-  int64_t Get(const std::string& group, const std::string& name) const;
+  int64_t Get(std::string_view group, std::string_view name) const;
 
   void MergeFrom(const Counters& other);
 
-  std::map<std::pair<std::string, std::string>, int64_t> Snapshot() const;
+  Map Snapshot() const;
   std::string ToString() const;
 
  private:
   mutable std::mutex mu_;
-  std::map<std::pair<std::string, std::string>, int64_t> values_;
+  Map values_;
 };
 
 /// Standard system counter group/name constants kept by both engines.

@@ -24,14 +24,14 @@ uint64_t HashBytes(std::string_view bytes) {
 
 /// GroupSource presenting exactly one group: a deserialized key plus its
 /// pending serialized values, deserialized lazily as the combiner pulls.
+/// Objects are fresh instances of the collector's resolved prototypes.
 class SingleGroupSource : public GroupSource {
  public:
-  SingleGroupSource(const std::string& key_type,
-                    const std::string& value_type,
-                    const std::string& key_bytes,
+  SingleGroupSource(const Writable& key_proto, const Writable& value_proto,
+                    std::string_view key_bytes,
                     const std::vector<std::string>* values)
-      : value_type_(value_type), values_(values) {
-    key_ = serialize::WritableRegistry::Instance().Create(key_type);
+      : value_proto_(value_proto), values_(values) {
+    key_ = key_proto.NewInstance();
     serialize::DeserializeFromString(key_bytes, key_.get());
   }
 
@@ -50,8 +50,7 @@ class SingleGroupSource : public GroupSource {
     bool HasNext() override { return pos_ < src_->values_->size(); }
     WritablePtr Next() override {
       M3R_CHECK(HasNext()) << "values iterator exhausted";
-      auto value = serialize::WritableRegistry::Instance().Create(
-          src_->value_type_);
+      WritablePtr value = src_->value_proto_.NewInstance();
       serialize::DeserializeFromString((*src_->values_)[pos_++],
                                        value.get());
       return value;
@@ -62,7 +61,7 @@ class SingleGroupSource : public GroupSource {
     size_t pos_ = 0;
   };
 
-  std::string value_type_;
+  const Writable& value_proto_;
   const std::vector<std::string>* values_;
   WritablePtr key_;
   bool consumed_ = false;
@@ -104,13 +103,14 @@ HashCombineCollector::HashCombineCollector(const JobConf& conf,
       downstream_(downstream),
       reporter_(reporter),
       memory_gauge_(memory_gauge),
-      key_type_(conf.MapOutputKeyClass()),
-      value_type_(conf.MapOutputValueClass()),
       budget_bytes_(static_cast<size_t>(
           conf.GetDouble(conf::kMapHashCombineMemoryMb, 64.0) *
           static_cast<double>(size_t{1} << 20))),
       slots_(64, -1) {
   M3R_CHECK(Eligible(conf)) << "hash combine on an ineligible job";
+  auto& registry = serialize::WritableRegistry::Instance();
+  key_proto_ = registry.Create(conf.MapOutputKeyClass());
+  value_proto_ = registry.Create(conf.MapOutputValueClass());
 }
 
 HashCombineCollector::~HashCombineCollector() {
@@ -198,7 +198,7 @@ void HashCombineCollector::FoldEntry(Entry* entry) {
   for (const std::string& v : entry->values) {
     old_bytes += v.size() + kValueOverhead;
   }
-  SingleGroupSource group(key_type_, value_type_, entry->key_bytes,
+  SingleGroupSource group(*key_proto_, *value_proto_, entry->key_bytes,
                           &entry->values);
   std::vector<std::pair<std::string, std::string>> combined;
   CaptureCollector capture(&combined);
@@ -235,11 +235,11 @@ void HashCombineCollector::FoldEntry(Entry* entry) {
   disabled_ = true;
 }
 
-void HashCombineCollector::EmitSerialized(const std::string& key_bytes,
-                                          const std::string& value_bytes) {
-  auto key = serialize::WritableRegistry::Instance().Create(key_type_);
+void HashCombineCollector::EmitSerialized(std::string_view key_bytes,
+                                          std::string_view value_bytes) {
+  WritablePtr key = key_proto_->NewInstance();
   serialize::DeserializeFromString(key_bytes, key.get());
-  auto value = serialize::WritableRegistry::Instance().Create(value_type_);
+  WritablePtr value = value_proto_->NewInstance();
   serialize::DeserializeFromString(value_bytes, value.get());
   ++emitted_;
   downstream_->Collect(key, value);

@@ -103,8 +103,8 @@ class HashCombineCollector : public OutputCollector {
   /// Emits every entry downstream (folding multi-value entries first) in
   /// insertion order, then resets the table.
   void DrainTable();
-  void EmitSerialized(const std::string& key_bytes,
-                      const std::string& value_bytes);
+  void EmitSerialized(std::string_view key_bytes,
+                      std::string_view value_bytes);
   void Rehash(size_t new_slot_count);
   /// Pushes the change in bytes_ since the last report into memory_gauge_.
   void ReportGauge();
@@ -114,8 +114,10 @@ class HashCombineCollector : public OutputCollector {
   Reporter* reporter_;
   std::atomic<int64_t>* memory_gauge_;
   int64_t gauge_reported_ = 0;
-  std::string key_type_;
-  std::string value_type_;
+  /// Map-output key/value prototypes, resolved from the registry once;
+  /// every forwarded or combined object is a NewInstance() of these.
+  WritablePtr key_proto_;
+  WritablePtr value_proto_;
   size_t budget_bytes_;
 
   /// Open-addressing index: slot -> entry index, -1 empty. Linear probing.

@@ -109,6 +109,27 @@ bool ReduceOutputImmutable(const JobConf& conf) {
   return api::IsImmutableOutput(reducer.get());
 }
 
+/// One engine-internal record counter, tallied locally and posted to the
+/// reporter once, when the owning task object goes away, instead of taking
+/// the counters lock per record.
+class TaskCounter {
+ public:
+  TaskCounter(api::Reporter* reporter, const char* group, const char* name)
+      : reporter_(reporter), group_(group), name_(name) {}
+  TaskCounter(const TaskCounter&) = delete;
+  TaskCounter& operator=(const TaskCounter&) = delete;
+  ~TaskCounter() {
+    if (count_ != 0) reporter_->IncrCounter(group_, name_, count_);
+  }
+  void Add() { ++count_; }
+
+ private:
+  api::Reporter* reporter_;
+  const char* group_;
+  const char* name_;
+  int64_t count_ = 0;
+};
+
 /// New-API MapContext over a cached pair sequence: keys/values are served
 /// as aliases of the cached objects — the zero-copy path.
 class SeqMapContext : public api::mapreduce::MapContext {
@@ -116,15 +137,16 @@ class SeqMapContext : public api::mapreduce::MapContext {
   SeqMapContext(const JobConf& conf, const KVSeq& pairs,
                 api::OutputCollector& collector, api::Reporter& reporter)
       : conf_(conf), pairs_(pairs), collector_(collector),
-        reporter_(reporter) {}
+        reporter_(reporter),
+        input_records_(&reporter, api::counters::kTaskGroup,
+                       api::counters::kMapInputRecords) {}
 
   bool NextKeyValue() override {
     if (index_ >= pairs_.size()) return false;
     key_ = pairs_[index_].first;
     value_ = pairs_[index_].second;
     ++index_;
-    reporter_.IncrCounter(api::counters::kTaskGroup,
-                          api::counters::kMapInputRecords, 1);
+    input_records_.Add();
     return true;
   }
   const WritablePtr& CurrentKey() const override { return key_; }
@@ -143,6 +165,7 @@ class SeqMapContext : public api::mapreduce::MapContext {
   const KVSeq& pairs_;
   api::OutputCollector& collector_;
   api::Reporter& reporter_;
+  TaskCounter input_records_;
   size_t index_ = 0;
   WritablePtr key_;
   WritablePtr value_;
@@ -178,10 +201,13 @@ Status FeedMapper(const JobConf& conf, const KVSeq& pairs,
   auto mapper = api::ObjectRegistry<api::mapred::Mapper>::Instance().Create(
       conf.Get(api::conf::kMapredMapper));
   mapper->Configure(conf);
-  for (const auto& [k, v] : pairs) {
-    reporter.IncrCounter(api::counters::kTaskGroup,
-                         api::counters::kMapInputRecords, 1);
-    mapper->Map(k, v, collector, reporter);
+  {
+    TaskCounter input_records(&reporter, api::counters::kTaskGroup,
+                              api::counters::kMapInputRecords);
+    for (const auto& [k, v] : pairs) {
+      input_records.Add();
+      mapper->Map(k, v, collector, reporter);
+    }
   }
   mapper->Close();
   return Status::OK();
@@ -204,6 +230,10 @@ class CombiningShuffleCollector : public api::OutputCollector {
         num_partitions_(num_partitions),
         mapper_immutable_(mapper_immutable),
         combiner_immutable_(combiner_immutable), reporter_(reporter),
+        cloned_pairs_(reporter, api::counters::kM3rGroup,
+                      api::counters::kClonedPairs),
+        output_records_(reporter, api::counters::kTaskGroup,
+                        api::counters::kMapOutputRecords),
         buffered_(static_cast<size_t>(num_partitions)) {}
 
   void Collect(const WritablePtr& key, const WritablePtr& value) override {
@@ -213,14 +243,10 @@ class CombiningShuffleCollector : public api::OutputCollector {
     api::KeyedPair kp;
     kp.key = mapper_immutable_ ? key : key->Clone();
     kp.value = mapper_immutable_ ? value : value->Clone();
-    if (!mapper_immutable_) {
-      reporter_->IncrCounter(api::counters::kM3rGroup,
-                             api::counters::kClonedPairs, 1);
-    }
+    if (!mapper_immutable_) cloned_pairs_.Add();
     kp.key_bytes = serialize::SerializeToString(*kp.key);
     buffered_[static_cast<size_t>(partition)].push_back(std::move(kp));
-    reporter_->IncrCounter(api::counters::kTaskGroup,
-                           api::counters::kMapOutputRecords, 1);
+    output_records_.Add();
   }
 
   /// Runs the combiner over every buffered partition and emits the results.
@@ -270,6 +296,8 @@ class CombiningShuffleCollector : public api::OutputCollector {
   bool mapper_immutable_;
   bool combiner_immutable_;
   api::Reporter* reporter_;
+  TaskCounter cloned_pairs_;
+  TaskCounter output_records_;
   std::vector<std::vector<api::KeyedPair>> buffered_;
 };
 
@@ -281,15 +309,16 @@ class ShuffleCollector : public api::OutputCollector {
                    bool immutable, api::Reporter* reporter)
       : shuffle_(shuffle), partitioner_(partitioner), src_place_(src_place),
         worker_lane_(worker_lane), num_partitions_(num_partitions),
-        immutable_(immutable), reporter_(reporter) {}
+        immutable_(immutable),
+        output_records_(reporter, api::counters::kTaskGroup,
+                        api::counters::kMapOutputRecords) {}
 
   void Collect(const WritablePtr& key, const WritablePtr& value) override {
     int partition =
         partitioner_->GetPartition(*key, *value, num_partitions_);
     shuffle_->Emit(src_place_, partition, key, value, immutable_,
                    worker_lane_);
-    reporter_->IncrCounter(api::counters::kTaskGroup,
-                           api::counters::kMapOutputRecords, 1);
+    output_records_.Add();
   }
 
  private:
@@ -299,7 +328,7 @@ class ShuffleCollector : public api::OutputCollector {
   int worker_lane_;
   int num_partitions_;
   bool immutable_;
-  api::Reporter* reporter_;
+  TaskCounter output_records_;
 };
 
 /// Collects final output: into a cache sequence (alias or clone per the
@@ -309,8 +338,8 @@ class OutputSeqCollector : public api::OutputCollector {
  public:
   OutputSeqCollector(bool immutable, api::RecordWriter* writer,
                      api::Reporter* reporter, const char* records_counter)
-      : immutable_(immutable), writer_(writer), reporter_(reporter),
-        records_counter_(records_counter) {}
+      : immutable_(immutable), writer_(writer),
+        records_(reporter, api::counters::kTaskGroup, records_counter) {}
 
   void Collect(const WritablePtr& key, const WritablePtr& value) override {
     WritablePtr k = immutable_ ? key : key->Clone();
@@ -318,7 +347,7 @@ class OutputSeqCollector : public api::OutputCollector {
     bytes_ += k->SerializedSize() + v->SerializedSize();
     if (writer_ != nullptr) M3R_CHECK_OK(writer_->Write(*k, *v));
     seq_.emplace_back(std::move(k), std::move(v));
-    reporter_->IncrCounter(api::counters::kTaskGroup, records_counter_, 1);
+    records_.Add();
   }
 
   KVSeq TakeSeq() { return std::move(seq_); }
@@ -327,8 +356,7 @@ class OutputSeqCollector : public api::OutputCollector {
  private:
   bool immutable_;
   api::RecordWriter* writer_;
-  api::Reporter* reporter_;
-  const char* records_counter_;
+  TaskCounter records_;
   KVSeq seq_;
   uint64_t bytes_ = 0;
 };
@@ -1835,9 +1863,11 @@ api::JobResult M3REngine::SubmitImpl(const api::JobConf& submitted_conf) {
         // round gets fresh tables, so a recovered job may carry more than
         // one partial aggregate per key — the combiner contract (run 0+
         // times over any subset) already promises that is legal.
+        // The reporter is declared first: the sink posts its record count
+        // to it on destruction.
+        std::unique_ptr<api::CountersReporter> lane_reporter;
         std::shared_ptr<api::Partitioner> lane_partitioner;
         std::unique_ptr<ShuffleCollector> lane_sink;
-        std::unique_ptr<api::CountersReporter> lane_reporter;
         std::unique_ptr<api::HashCombineCollector> lane_hasher;
         if (lane_hash_combine) {
           lane_partitioner = api::MakePartitioner(conf);
@@ -2350,14 +2380,23 @@ api::JobResult M3REngine::SubmitImpl(const api::JobConf& submitted_conf) {
               remote_records += run.records;
               ins.emplace_back(std::string_view(run.bytes));
             }
-            std::unordered_map<uint64_t, const SortedRun*> run_of;
-            run_of.reserve(runs.size());
+            // Each run's record types are resolved once; every record is
+            // then built straight from its span, one Writable per field.
+            struct RunTypes {
+              WritablePtr key;
+              WritablePtr value;
+            };
+            std::unordered_map<uint64_t, RunTypes> types_of;
+            types_of.reserve(runs.size());
+            auto& registry = serialize::WritableRegistry::Instance();
             for (size_t i = 0; i < runs.size(); ++i) {
               serialize::DataInput* in = &ins[i];
               const uint64_t ord = RunOrdinal(runs[i].src_place,
                                               runs[i].worker_lane,
                                               runs[i].seq);
-              run_of.emplace(ord, &runs[i]);
+              types_of.emplace(ord,
+                               RunTypes{registry.Create(runs[i].key_type),
+                                        registry.Create(runs[i].value_type)});
               merger.AddRun(
                   [in](std::string_view* k, std::string_view* v) {
                     if (in->AtEnd()) return false;
@@ -2377,18 +2416,13 @@ api::JobResult M3REngine::SubmitImpl(const api::JobConf& submitted_conf) {
                 merged.push_back(std::move(pairs[consumed++]));
                 continue;
               }
-              const SortedRun* run = run_of.find(ord)->second;
+              const RunTypes& types = types_of.find(ord)->second;
               api::KeyedPair kp;
               kp.key_bytes.assign(mk.data(), mk.size());
-              kp.key =
-                  serialize::WritableRegistry::Instance().Create(
-                      run->key_type);
-              serialize::DeserializeFromString(kp.key_bytes, kp.key.get());
-              kp.value =
-                  serialize::WritableRegistry::Instance().Create(
-                      run->value_type);
-              serialize::DeserializeFromString(
-                  std::string(mv.data(), mv.size()), kp.value.get());
+              kp.key = types.key->NewInstance();
+              serialize::DeserializeFromString(mk, kp.key.get());
+              kp.value = types.value->NewInstance();
+              serialize::DeserializeFromString(mv, kp.value.get());
               merged.push_back(std::move(kp));
             }
             pairs = std::move(merged);

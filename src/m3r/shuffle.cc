@@ -390,7 +390,7 @@ void ShuffleExchange::DecodeLane(Lane* lane, const std::string& lane_key,
                                          4)
                       : std::min<size_t>(
                             8, static_cast<size_t>(num_partitions_)));
-  serialize::DedupInputStream in(*served);
+  serialize::DedupInputStream in{std::string_view(*served)};
   while (!in.AtEnd()) {
     int partition = static_cast<int>(in.ReadControl());
     serialize::WritablePtr key = in.ReadObject();
@@ -633,21 +633,26 @@ void ShuffleExchange::FlushLane(Lane* lane, const std::string& lane_key,
     return;
   }
 
-  // Decode in emission order, bucketed per partition; record bytes keep
-  // their serialized form so the run can merge, spill, and reload without
-  // touching the object layer again.
+  // Decode in emission order, bucketed per partition, as (key, value) spans
+  // of the sender's own field bytes: no record is materialized as a
+  // Writable between emit and reduce, and a back-reference span repeats the
+  // bytes of the object it names. The spans point into the served frame,
+  // so it stays alive (and out of the pool) until every run is cut.
   struct Bucket {
-    std::vector<std::string> keys;
-    std::vector<std::string> values;
-    std::string key_type;
-    std::string value_type;
+    std::vector<std::string_view> keys;
+    std::vector<std::string_view> values;
+    uint32_t key_type = 0;
+    uint32_t value_type = 0;
   };
   std::map<int, Bucket> buckets;
-  serialize::DedupInputStream in(*served);
+  serialize::DedupInputStream in{std::string_view(*served)};
+  std::string_view key, value;
+  uint32_t key_type = 0, value_type = 0;
   while (!in.AtEnd()) {
     int partition = static_cast<int>(in.ReadControl());
-    serialize::WritablePtr key = in.ReadObject();
-    serialize::WritablePtr value = in.ReadObject();
+    M3R_CHECK(in.ReadObjectBytes(&key, &key_type) &&
+              in.ReadObjectBytes(&value, &value_type))
+        << "truncated shuffle record";
     M3R_CHECK(partition >= 0 && partition < num_partitions_);
     if (orphan) {
       M3R_CHECK(dead_.empty() ||
@@ -657,24 +662,22 @@ void ShuffleExchange::FlushLane(Lane* lane, const std::string& lane_key,
     }
     Bucket& b = buckets[partition];
     if (b.keys.empty()) {
-      b.key_type = key->TypeName();
-      b.value_type = value->TypeName();
+      b.key_type = key_type;
+      b.value_type = value_type;
     }
-    b.keys.push_back(serialize::SerializeToString(*key));
-    b.values.push_back(serialize::SerializeToString(*value));
+    b.keys.push_back(key);
+    b.values.push_back(value);
   }
-  recycle();
 
-  // Seal one sorted run per partition touched: sortkit prefix sort over
-  // the serialized keys (the custom comparator only when the job overrides
-  // byte order), then re-encode in sorted order.
+  // Seal one sorted run per partition touched: sortkit prefix sort over the
+  // key spans (the custom comparator only when the job overrides byte
+  // order), then copy the records out in sorted order.
   const uint64_t version = map_.version();
   for (auto& [partition, b] : buckets) {
-    std::vector<std::string_view> views(b.keys.begin(), b.keys.end());
     sortkit::SortOptions sort_options;
     sort_options.comparator = run_comparator_;
     std::vector<uint32_t> perm =
-        sortkit::StableSortPermutation(views, sort_options);
+        sortkit::StableSortPermutation(b.keys, sort_options);
     serialize::DataOutput out;
     for (uint32_t i : perm) {
       out.WriteString(b.keys[i]);
@@ -688,10 +691,11 @@ void ShuffleExchange::FlushLane(Lane* lane, const std::string& lane_key,
     run.map_version = version;
     run.records = b.keys.size();
     run.bytes = out.Take();
-    run.key_type = std::move(b.key_type);
-    run.value_type = std::move(b.value_type);
+    run.key_type = in.TypeName(b.key_type);
+    run.value_type = in.TypeName(b.value_type);
     AppendRun(partition, std::move(run));
   }
+  recycle();
   runs_shipped_.fetch_add(1, std::memory_order_relaxed);
   record_cpu();
 }

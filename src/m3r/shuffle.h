@@ -283,8 +283,9 @@ class ShuffleExchange {
   void DecodeLane(Lane* lane, const std::string& lane_key, int dst_place,
                   bool orphan, double* cpu_seconds);
   /// Pipelined counterpart of DecodeLane: seals the lane segment, ships it
-  /// (fault + CRC checks at send time), decodes it and appends one sorted
-  /// run per partition touched. `barrier` marks the final residual drain;
+  /// (fault + CRC checks at send time), splits it into (key, value) byte
+  /// spans of the frame and appends one sorted run per partition touched;
+  /// no Writable is built. `barrier` marks the final residual drain;
   /// early flushes recreate the lane stream and recycle the wire buffer
   /// per run. Null `cpu_seconds` leaves the cost on the caller's clock
   /// (an emit-time flush runs inside the map task's stopwatch).

@@ -6,16 +6,67 @@ namespace {
 constexpr uint8_t kNew = 0;
 constexpr uint8_t kRef = 1;
 constexpr uint8_t kNewType = 2;  // kNew + first occurrence of the type name
+
+constexpr size_t kInitialSeenSlots = 64;
+
+/// Fibonacci hash of an object address; heap pointers share their low
+/// alignment bits, so the multiply spreads the high ones.
+size_t SlotOf(const Writable* obj, size_t mask) {
+  const uint64_t h =
+      (static_cast<uint64_t>(reinterpret_cast<uintptr_t>(obj)) >> 4) *
+      0x9e3779b97f4a7c15ull;
+  return static_cast<size_t>(h >> 32) & mask;
+}
 }  // namespace
+
+const uint64_t* DedupOutputStream::FindSeen(const Writable* obj) const {
+  if (seen_.empty()) return nullptr;
+  const size_t mask = seen_.size() - 1;
+  for (size_t slot = SlotOf(obj, mask);; slot = (slot + 1) & mask) {
+    const Slot& s = seen_[slot];
+    if (s.obj == obj) return &s.index;
+    if (s.obj == nullptr) return nullptr;
+  }
+}
+
+void DedupOutputStream::InsertSeen(const Writable* obj, uint64_t index) {
+  if ((seen_count_ + 1) * 4 > seen_.size() * 3) {
+    std::vector<Slot> old = std::move(seen_);
+    seen_.assign(old.empty() ? kInitialSeenSlots : old.size() * 2, Slot());
+    const size_t mask = seen_.size() - 1;
+    for (const Slot& s : old) {
+      if (s.obj == nullptr) continue;
+      size_t slot = SlotOf(s.obj, mask);
+      while (seen_[slot].obj != nullptr) slot = (slot + 1) & mask;
+      seen_[slot] = s;
+    }
+  }
+  const size_t mask = seen_.size() - 1;
+  size_t slot = SlotOf(obj, mask);
+  while (seen_[slot].obj != nullptr) slot = (slot + 1) & mask;
+  seen_[slot] = Slot{obj, index};
+  ++seen_count_;
+}
+
+uint32_t DedupOutputStream::TypeIdFor(const char* name, bool* first) {
+  *first = false;
+  for (const auto& [ptr, id] : type_ptrs_) {
+    if (ptr == name) return id;
+  }
+  auto [it, inserted] = type_ids_.emplace(
+      name, static_cast<uint32_t>(type_ids_.size()));
+  *first = inserted;
+  type_ptrs_.emplace_back(name, it->second);
+  return it->second;
+}
 
 void DedupOutputStream::WriteObject(const WritablePtr& obj) {
   ++objects_written_;
   if (mode_ != DedupMode::kOff) {
     if (mode_ == DedupMode::kFull) {
-      auto it = seen_.find(obj.get());
-      if (it != seen_.end()) {
+      if (const uint64_t* index = FindSeen(obj.get())) {
         out_.WriteByte(kRef);
-        out_.WriteVarU64(it->second);
+        out_.WriteVarU64(*index);
         ++objects_deduped_;
         bytes_saved_ += obj->SerializedSize();
         return;
@@ -37,21 +88,20 @@ void DedupOutputStream::WriteObject(const WritablePtr& obj) {
     }
   }
 
-  std::string type = obj->TypeName();
-  auto tid = type_ids_.find(type);
-  if (tid == type_ids_.end()) {
-    uint32_t id = static_cast<uint32_t>(type_ids_.size());
-    type_ids_.emplace(type, id);
+  const char* type = obj->TypeName();
+  bool first = false;
+  const uint32_t tid = TypeIdFor(type, &first);
+  if (first) {
     out_.WriteByte(kNewType);
     out_.WriteString(type);
   } else {
     out_.WriteByte(kNew);
-    out_.WriteVarU64(tid->second);
+    out_.WriteVarU64(tid);
   }
   obj->Write(out_);
 
   if (mode_ == DedupMode::kFull) {
-    seen_.emplace(obj.get(), next_index_);
+    InsertSeen(obj.get(), next_index_);
     pinned_.push_back(obj);
   } else if (mode_ == DedupMode::kConsecutive) {
     recent_[recent_pos_] = {obj, next_index_};
@@ -61,30 +111,62 @@ void DedupOutputStream::WriteObject(const WritablePtr& obj) {
 }
 
 DedupInputStream::DedupInputStream(std::string buffer)
-    : buffer_(std::move(buffer)), in_(buffer_) {}
+    : owned_(std::move(buffer)), view_(owned_), in_(view_) {}
+
+DedupInputStream::DedupInputStream(std::string_view buffer)
+    : view_(buffer), in_(view_) {}
+
+uint32_t DedupInputStream::ReadTypeHeader(uint8_t tag) {
+  if (tag == kNewType) {
+    types_.push_back(in_.ReadString());
+    return static_cast<uint32_t>(types_.size() - 1);
+  }
+  M3R_CHECK(tag == kNew) << "bad stream tag " << int(tag);
+  uint64_t tid = in_.ReadVarU64();
+  M3R_CHECK(tid < types_.size()) << "bad type id";
+  return static_cast<uint32_t>(tid);
+}
 
 WritablePtr DedupInputStream::ReadObject() {
   if (in_.AtEnd()) return nullptr;
+  M3R_CHECK(spans_.empty()) << "object read on a byte-span stream";
   uint8_t tag = in_.ReadByte();
   if (tag == kRef) {
     uint64_t index = in_.ReadVarU64();
     M3R_CHECK(index < objects_.size()) << "bad back-reference";
     return objects_[index];
   }
-  std::string type;
-  if (tag == kNewType) {
-    type = in_.ReadString();
-    types_.push_back(type);
-  } else {
-    M3R_CHECK(tag == kNew) << "bad stream tag " << int(tag);
-    uint64_t tid = in_.ReadVarU64();
-    M3R_CHECK(tid < types_.size()) << "bad type id";
-    type = types_[tid];
-  }
-  WritablePtr obj = WritableRegistry::Instance().Create(type);
+  const uint32_t tid = ReadTypeHeader(tag);
+  WritablePtr obj = WritableRegistry::Instance().Create(types_[tid]);
   obj->ReadFields(in_);
   objects_.push_back(obj);
   return obj;
+}
+
+bool DedupInputStream::ReadObjectBytes(std::string_view* bytes,
+                                       uint32_t* type_id) {
+  if (in_.AtEnd()) return false;
+  M3R_CHECK(objects_.empty()) << "byte-span read on an object stream";
+  uint8_t tag = in_.ReadByte();
+  if (tag == kRef) {
+    uint64_t index = in_.ReadVarU64();
+    M3R_CHECK(index < spans_.size()) << "bad back-reference";
+    *bytes = spans_[index].bytes;
+    *type_id = spans_[index].type_id;
+    return true;
+  }
+  const uint32_t tid = ReadTypeHeader(tag);
+  if (scratch_.size() <= tid) scratch_.resize(tid + 1);
+  WritablePtr& scratch = scratch_[tid];
+  if (scratch == nullptr) {
+    scratch = WritableRegistry::Instance().Create(types_[tid]);
+  }
+  const size_t start = in_.position();
+  scratch->ReadFields(in_);
+  *bytes = view_.substr(start, in_.position() - start);
+  *type_id = tid;
+  spans_.push_back(Span{*bytes, tid});
+  return true;
 }
 
 }  // namespace m3r::serialize

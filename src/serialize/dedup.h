@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -65,9 +66,28 @@ class DedupOutputStream {
   uint64_t bytes_saved() const { return bytes_saved_; }
 
  private:
+  struct Slot {
+    const Writable* obj = nullptr;  // null: empty slot
+    uint64_t index = 0;
+  };
+
+  /// kFull identity table lookup: the stream index `obj` was written at,
+  /// or null when it was never written.
+  const uint64_t* FindSeen(const Writable* obj) const;
+  void InsertSeen(const Writable* obj, uint64_t index);
+  /// Stream type id for `name`; `*first` is set on the name's first use.
+  uint32_t TypeIdFor(const char* name, bool* first);
+
   DedupMode mode_;
   DataOutput out_;
-  std::unordered_map<const Writable*, uint64_t> seen_;
+  /// kFull: open-addressed (linear probing) identity table. Capacity is a
+  /// power of two, kept at most three quarters full, so a lane's table is
+  /// no larger than the node-based map it replaces.
+  std::vector<Slot> seen_;
+  size_t seen_count_ = 0;
+  /// Type ids by TypeName() pointer (the common case, no string built),
+  /// backed by the name map for distinct pointers to equal names.
+  std::vector<std::pair<const char*, uint32_t>> type_ptrs_;
   std::unordered_map<std::string, uint32_t> type_ids_;
   std::vector<WritablePtr> pinned_;  // keeps deduped objects alive (kFull)
   /// kConsecutive look-back window: (object, stream index) of the last
@@ -85,12 +105,35 @@ class DedupOutputStream {
 /// *aliases*: the same shared_ptr is returned for each repeat, exactly as
 /// X10 deserialization produces multiple aliases of one copy (paper
 /// §3.2.2.3).
+///
+/// One stream is read either as objects (ReadObject) or as byte spans
+/// (ReadObjectBytes), not both: back-reference indices count whichever
+/// reader the stream started with.
 class DedupInputStream {
  public:
+  /// Owns `buffer`.
   explicit DedupInputStream(std::string buffer);
+  /// Reads `buffer` in place; it must outlive this stream and every span
+  /// ReadObjectBytes returns.
+  explicit DedupInputStream(std::string_view buffer);
+  DedupInputStream(const DedupInputStream&) = delete;
+  DedupInputStream& operator=(const DedupInputStream&) = delete;
 
   /// Reads the next object, or nullptr at end of stream.
   WritablePtr ReadObject();
+
+  /// Reads the next object's field bytes without materializing it: `*bytes`
+  /// is the sender's own serialization (a view into the buffer) and
+  /// `*type_id` indexes TypeName(). The extent is found by reading the
+  /// fields into one scratch instance per type id; a back-reference
+  /// returns the span recorded for the referenced object. Returns false at
+  /// end of stream.
+  bool ReadObjectBytes(std::string_view* bytes, uint32_t* type_id);
+
+  /// Registry name of a type id seen so far in this stream.
+  const std::string& TypeName(uint32_t type_id) const {
+    return types_[type_id];
+  }
 
   /// Reads a control varint written by WriteControl().
   uint64_t ReadControl() { return in_.ReadVarU64(); }
@@ -98,10 +141,21 @@ class DedupInputStream {
   bool AtEnd() const { return in_.AtEnd(); }
 
  private:
-  std::string buffer_;
+  /// Reads a full object's type header; returns its type id.
+  uint32_t ReadTypeHeader(uint8_t tag);
+
+  struct Span {
+    std::string_view bytes;
+    uint32_t type_id = 0;
+  };
+
+  std::string owned_;
+  std::string_view view_;
   DataInput in_;
   std::vector<WritablePtr> objects_;
+  std::vector<Span> spans_;
   std::vector<std::string> types_;
+  std::vector<WritablePtr> scratch_;  // per type id, ReadObjectBytes only
 };
 
 }  // namespace m3r::serialize

@@ -44,7 +44,7 @@ std::string SerializeToString(const Writable& w) {
   return out.Take();
 }
 
-void DeserializeFromString(const std::string& bytes, Writable* w) {
+void DeserializeFromString(std::string_view bytes, Writable* w) {
   DataInput in(bytes);
   w->ReadFields(in);
   M3R_CHECK(in.AtEnd()) << "trailing bytes deserializing " << w->TypeName();

@@ -3,6 +3,7 @@
 
 #include <memory>
 #include <string>
+#include <string_view>
 
 #include "serialize/io.h"
 
@@ -28,7 +29,8 @@ class Writable {
   virtual void ReadFields(DataInput& in) = 0;
 
   /// Stable registry name; must match the name this type was registered
-  /// under (see registry.h). Used in self-describing streams.
+  /// under (see registry.h). Used in self-describing streams, which cache
+  /// type ids by this pointer, so it must stay valid for the program's life.
   virtual const char* TypeName() const = 0;
 
   /// Fresh default-constructed instance of the dynamic type.
@@ -72,7 +74,7 @@ class WritableBase : public Writable {
 std::string SerializeToString(const Writable& w);
 
 /// Deserializes fields into `w` from `bytes` (must consume exactly all).
-void DeserializeFromString(const std::string& bytes, Writable* w);
+void DeserializeFromString(std::string_view bytes, Writable* w);
 
 }  // namespace m3r::serialize
 

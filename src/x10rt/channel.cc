@@ -29,7 +29,7 @@ Result<Channel::Wire> Channel::Finish(const IntegrityContext* integrity,
 }
 
 std::vector<serialize::WritablePtr> Channel::Decode(const std::string& bytes) {
-  serialize::DedupInputStream in(bytes);
+  serialize::DedupInputStream in{std::string_view(bytes)};
   std::vector<serialize::WritablePtr> out;
   while (!in.AtEnd()) {
     out.push_back(in.ReadObject());

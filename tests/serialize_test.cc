@@ -1,5 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <map>
+#include <set>
+#include <string>
+#include <string_view>
+#include <vector>
+
 #include "serialize/basic_writables.h"
 #include "serialize/comparators.h"
 #include "serialize/dedup.h"
@@ -196,6 +202,173 @@ TEST(DedupTest, ControlVarintsInterleave) {
   EXPECT_EQ(in.ReadControl(), 9u);
   EXPECT_EQ(static_cast<IntWritable&>(*in.ReadObject()).Get(), 2);
   EXPECT_TRUE(in.AtEnd());
+}
+
+TEST(DedupTest, LiteralWireBytes) {
+  auto one = std::make_shared<IntWritable>(1);
+  DedupOutputStream out(DedupMode::kFull);
+  out.WriteObject(one);
+  out.WriteObject(std::make_shared<IntWritable>(2));
+  out.WriteObject(one);
+  static constexpr char kExpected[] =
+      "\x02\x0bIntWritable\x80\x00\x00\x01"  // kNewType, name, fields
+      "\x00\x00\x80\x00\x00\x02"              // kNew, type id 0, fields
+      "\x01\x00";                                // kRef to object 0
+  EXPECT_EQ(out.buffer(), std::string(kExpected, sizeof(kExpected) - 1));
+  EXPECT_EQ(out.bytes_saved(), 4u);
+}
+
+/// Reference encoder for the kFull wire format, independent of the
+/// stream's identity table: what DedupOutputStream must produce.
+class ReferenceFullEncoder {
+ public:
+  void Write(const WritablePtr& obj) {
+    auto seen = seen_.find(obj.get());
+    if (seen != seen_.end()) {
+      out_.WriteByte(1);  // kRef
+      out_.WriteVarU64(seen->second);
+      return;
+    }
+    auto type = types_.find(obj->TypeName());
+    if (type == types_.end()) {
+      const uint32_t id = static_cast<uint32_t>(types_.size());
+      types_.emplace(obj->TypeName(), id);
+      out_.WriteByte(2);  // kNewType
+      out_.WriteString(obj->TypeName());
+    } else {
+      out_.WriteByte(0);  // kNew
+      out_.WriteVarU64(type->second);
+    }
+    obj->Write(out_);
+    seen_.emplace(obj.get(), seen_.size());
+  }
+  const std::string& buffer() const { return out_.buffer(); }
+
+ private:
+  DataOutput out_;
+  std::map<const Writable*, uint64_t> seen_;
+  std::map<std::string, uint32_t> types_;
+};
+
+TEST(DedupTest, FullModeWireBytesStableAcrossTableGrowth) {
+  // 6000 writes: fresh Text and LongWritable objects interleaved with
+  // repeats of objects written long before, so back-references are
+  // resolved across many growths of the identity table.
+  std::vector<WritablePtr> fresh;
+  std::vector<WritablePtr> sequence;
+  DedupOutputStream out(DedupMode::kFull);
+  ReferenceFullEncoder reference;
+  uint64_t repeats = 0;
+  for (size_t i = 0; i < 6000; ++i) {
+    WritablePtr obj;
+    if (i % 3 == 2) {
+      obj = fresh[(i * 7919) % fresh.size()];
+      ++repeats;
+    } else {
+      obj = i % 2 == 0 ? WritablePtr(std::make_shared<Text>(
+                             "t" + std::to_string(i)))
+                       : WritablePtr(std::make_shared<LongWritable>(i));
+      fresh.push_back(obj);
+    }
+    sequence.push_back(obj);
+    out.WriteObject(obj);
+    reference.Write(obj);
+  }
+  EXPECT_EQ(out.objects_written(), 6000u);
+  EXPECT_EQ(out.objects_deduped(), repeats);
+  ASSERT_EQ(out.buffer(), reference.buffer());
+
+  // Both readers agree with the sender after the growth: the object graph
+  // decodes isomorphically (a repeat is an alias of the copy it names),
+  // and the span reader sees exactly two types.
+  DedupInputStream objects{std::string_view(out.buffer())};
+  DedupInputStream spans{std::string_view(out.buffer())};
+  std::map<const Writable*, const Writable*> decoded_of;
+  std::set<const Writable*> decoded_objects;
+  for (const WritablePtr& sent : sequence) {
+    WritablePtr decoded = objects.ReadObject();
+    std::string_view bytes;
+    uint32_t type_id = 0;
+    ASSERT_TRUE(spans.ReadObjectBytes(&bytes, &type_id));
+    EXPECT_LT(type_id, 2u);
+    EXPECT_EQ(spans.TypeName(type_id), sent->TypeName());
+    EXPECT_EQ(std::string(bytes), SerializeToString(*sent));
+    EXPECT_EQ(SerializeToString(*decoded), bytes);
+    auto [it, first] = decoded_of.emplace(sent.get(), decoded.get());
+    EXPECT_EQ(it->second, decoded.get());
+    // A first sighting decodes to a new object, never an alias.
+    EXPECT_EQ(decoded_objects.insert(decoded.get()).second, first);
+  }
+  EXPECT_TRUE(objects.AtEnd());
+  EXPECT_TRUE(spans.AtEnd());
+}
+
+TEST(DedupTest, ObjectBytesMatchReserializedObjectsForEveryType) {
+  for (const std::string& name : WritableRegistry::Instance().Names()) {
+    WritablePtr obj =
+        name == GenericWritable::kTypeName
+            ? std::make_shared<GenericWritable>(std::make_shared<Text>("x"))
+            : WritableRegistry::Instance().Create(name);
+    DedupOutputStream out(DedupMode::kFull);
+    out.WriteObject(obj);
+    out.WriteObject(obj);  // back-reference
+    const std::string wire = out.TakeBuffer();
+
+    DedupInputStream objects{std::string_view(wire)};
+    DedupInputStream spans{std::string_view(wire)};
+    for (int i = 0; i < 2; ++i) {
+      std::string_view bytes;
+      uint32_t type_id = 99;
+      ASSERT_TRUE(spans.ReadObjectBytes(&bytes, &type_id)) << name;
+      EXPECT_EQ(spans.TypeName(type_id), name);
+      EXPECT_EQ(std::string(bytes), SerializeToString(*objects.ReadObject()))
+          << name;
+    }
+    EXPECT_TRUE(spans.AtEnd()) << name;
+  }
+}
+
+TEST(DedupTest, ObjectBytesFollowMixedTypeBackReferences) {
+  auto text = std::make_shared<Text>("shared text");
+  auto pair = std::make_shared<PairIntWritable>(3, -4);
+  auto array = std::make_shared<DoubleArrayWritable>(
+      std::vector<double>{1.5, -2.0, 3.25});
+  auto generic = std::make_shared<GenericWritable>(
+      std::make_shared<LongWritable>(77));
+  DedupOutputStream out(DedupMode::kFull);
+  std::vector<WritablePtr> sent = {
+      text, pair, std::make_shared<IntWritable>(5), array, text,
+      generic, pair, std::make_shared<Text>("fresh"), array, generic,
+      text, std::make_shared<IntWritable>(6)};
+  for (int i = 0; i < 4; ++i) {
+    out.WriteControl(static_cast<uint64_t>(i));
+    for (const WritablePtr& w : sent) out.WriteObject(w);
+  }
+  EXPECT_GT(out.objects_deduped(), 0u);
+  const std::string wire = out.TakeBuffer();
+
+  DedupInputStream objects{std::string_view(wire)};
+  DedupInputStream spans{std::string_view(wire)};
+  for (int i = 0; i < 4; ++i) {
+    EXPECT_EQ(objects.ReadControl(), static_cast<uint64_t>(i));
+    EXPECT_EQ(spans.ReadControl(), static_cast<uint64_t>(i));
+    for (const WritablePtr& w : sent) {
+      std::string_view bytes;
+      uint32_t type_id = 0;
+      ASSERT_TRUE(spans.ReadObjectBytes(&bytes, &type_id));
+      WritablePtr decoded = objects.ReadObject();
+      EXPECT_EQ(std::string(bytes), SerializeToString(*decoded));
+      EXPECT_EQ(std::string(bytes), SerializeToString(*w));
+      EXPECT_EQ(spans.TypeName(type_id), w->TypeName());
+      // A span points into the frame itself: no copy was made.
+      EXPECT_GE(bytes.data(), wire.data());
+      EXPECT_LE(bytes.data() + bytes.size(), wire.data() + wire.size());
+    }
+  }
+  EXPECT_TRUE(spans.AtEnd());
+  std::string_view bytes;
+  uint32_t type_id = 0;
+  EXPECT_FALSE(spans.ReadObjectBytes(&bytes, &type_id));
 }
 
 TEST(ComparatorTest, RegistryAndDeserializing) {

@@ -346,6 +346,10 @@ struct TaskFaultCase {
   const char* failure_metric;
 };
 
+// Without this, gtest prints the raw pointer bytes, so the listed test name
+// would change with every address-space layout.
+void PrintTo(const TaskFaultCase& c, std::ostream* os) { *os << c.site; }
+
 class HadoopTaskFaultTest : public ::testing::TestWithParam<TaskFaultCase> {};
 
 TEST_P(HadoopTaskFaultTest, RetriesSurviveInjectedFailures) {

@@ -29,8 +29,12 @@ class SimDfsWriter : public FileWriter {
   Status Close() override {
     if (closed_) return Status::OK();
     closed_ = true;
+    // Checksum before taking the namespace lock: stamping is most of a
+    // commit's CPU, and no other DFS call should wait behind it.
+    std::vector<uint32_t> block_crcs = fs_->StampBlocks(buffer_);
     std::lock_guard<std::mutex> lock(fs_->mu_);
-    fs_->CommitLocked(path_, std::move(buffer_), preferred_node_);
+    fs_->CommitLocked(path_, std::move(buffer_), std::move(block_crcs),
+                      preferred_node_);
     return Status::OK();
   }
 
@@ -70,28 +74,34 @@ Result<std::unique_ptr<FileWriter>> SimDfs::Create(const std::string& path,
       new SimDfsWriter(this, p, opts.preferred_node));
 }
 
-void SimDfs::CommitLocked(const std::string& path, std::string data,
-                          int preferred_node) {
-  Inode& node = inodes_[path];
-  node.is_directory = false;
-  uint64_t size = data.size();
-  node.content = std::make_shared<const std::string>(std::move(data));
-  node.block_nodes.clear();
-  node.block_crcs.clear();
-  uint64_t num_blocks = size == 0 ? 0 : (size + block_size_ - 1) / block_size_;
+std::vector<uint32_t> SimDfs::StampBlocks(const std::string& data) {
   // Per-block CRC32C, stamped unconditionally like HDFS datanode block
   // metadata (verification is what m3r.integrity.mode gates). The stamping
   // CPU is charged to the writing job only when a context is installed.
-  auto ctx = integrity();
-  for (uint64_t b = 0; b < num_blocks; ++b) {
-    uint64_t off = b * block_size_;
+  uint64_t size = data.size();
+  std::vector<uint32_t> block_crcs;
+  block_crcs.reserve((size + block_size_ - 1) / block_size_);
+  for (uint64_t off = 0; off < size; off += block_size_) {
     uint64_t len = std::min(block_size_, size - off);
-    node.block_crcs.push_back(crc32c::Crc32c(node.content->data() + off, len));
+    block_crcs.push_back(crc32c::Crc32c(data.data() + off, len));
   }
+  auto ctx = integrity();
   if (ctx != nullptr && ctx->enabled()) {
     ctx->counters->bytes_checksummed.fetch_add(static_cast<int64_t>(size),
                                                std::memory_order_relaxed);
   }
+  return block_crcs;
+}
+
+void SimDfs::CommitLocked(const std::string& path, std::string data,
+                          std::vector<uint32_t> block_crcs,
+                          int preferred_node) {
+  Inode& node = inodes_[path];
+  node.is_directory = false;
+  uint64_t num_blocks = block_crcs.size();
+  node.content = std::make_shared<const std::string>(std::move(data));
+  node.block_nodes.clear();
+  node.block_crcs = std::move(block_crcs);
   for (uint64_t b = 0; b < num_blocks; ++b) {
     std::vector<int> replicas;
     // Preferred nodes wrap: callers may pass a partition index directly.

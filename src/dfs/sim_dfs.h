@@ -51,10 +51,13 @@ class SimDfs : public FileSystem {
     int64_t mtime = 0;
   };
 
-  /// Commits a finished writer's buffer under `path`. Called with lock held
-  /// by the writer's Close().
+  /// Per-block CRC32Cs of a finished writer's buffer, charged to the
+  /// installed integrity context. Called without the lock.
+  std::vector<uint32_t> StampBlocks(const std::string& data);
+  /// Commits a finished writer's buffer and its StampBlocks CRCs under
+  /// `path`. Called with lock held by the writer's Close().
   void CommitLocked(const std::string& path, std::string data,
-                    int preferred_node);
+                    std::vector<uint32_t> block_crcs, int preferred_node);
   /// Ensures all ancestor directories of `path` exist (lock held).
   Status MkdirsLocked(const std::string& path);
 

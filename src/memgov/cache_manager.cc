@@ -61,14 +61,16 @@ void CacheManager::StopBackground() {
 
 void CacheManager::Configure(EvictionPolicy policy, double high_watermark,
                              double low_watermark) {
+  bool wake = false;
   {
     std::lock_guard<std::mutex> lock(mu_);
     policy_ = policy;
     high_watermark_ = std::clamp(high_watermark, 0.0, 1.0);
     low_watermark_ = std::clamp(low_watermark, 0.0, high_watermark_);
+    // A lower watermark may put the cache over the trigger retroactively.
+    wake = EligibilityEventLocked();
   }
-  // A lower watermark may put the cache over the trigger retroactively.
-  evict_cv_.notify_one();
+  if (wake) evict_cv_.notify_one();
 }
 
 EvictionPolicy CacheManager::policy() const {
@@ -125,13 +127,18 @@ CacheManager::ReadLease CacheManager::AcquireRead(const std::string& path) {
 }
 
 void CacheManager::ReleaseRead(const std::string& path) {
+  bool wake = false;
   {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = leases_.find(path);
-    if (it != leases_.end() && --it->second <= 0) leases_.erase(it);
+    if (it != leases_.end() && --it->second <= 0) {
+      leases_.erase(it);
+      wake = EligibilityEventLocked();
+    }
     if (leases_active_ > 0) leases_active_ -= 1;
   }
   evict_done_cv_.notify_all();
+  if (wake) evict_cv_.notify_one();
 }
 
 void CacheManager::ReadLease::Release() {
@@ -153,13 +160,18 @@ void CacheManager::BeginFill(const std::string& path) {
 }
 
 void CacheManager::EndFill(const std::string& path) {
+  bool wake = false;
   {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = fills_.find(path);
-    if (it != fills_.end() && --it->second <= 0) fills_.erase(it);
+    if (it != fills_.end() && --it->second <= 0) {
+      fills_.erase(it);
+      wake = EligibilityEventLocked();
+    }
     if (leases_active_ > 0) leases_active_ -= 1;
   }
   evict_done_cv_.notify_all();
+  if (wake) evict_cv_.notify_one();
 }
 
 uint64_t CacheManager::LeasesActive() const {
@@ -170,6 +182,21 @@ uint64_t CacheManager::LeasesActive() const {
 uint64_t CacheManager::EvictorInflight() const {
   std::lock_guard<std::mutex> lock(mu_);
   return evictor_inflight_;
+}
+
+bool CacheManager::OverHighWatermarkLocked() const {
+  uint64_t cache_budget = governor_->ConsumerBudget(kConsumer);
+  if (!governor_->governed() ||
+      cache_budget == std::numeric_limits<uint64_t>::max()) {
+    return false;
+  }
+  return static_cast<double>(resident_bytes_) >
+         high_watermark_ * static_cast<double>(cache_budget);
+}
+
+bool CacheManager::EligibilityEventLocked() {
+  eligibility_gen_ += 1;
+  return OverHighWatermarkLocked();
 }
 
 uint64_t CacheManager::OverageLocked(uint64_t add_bytes) const {
@@ -262,6 +289,7 @@ bool CacheManager::EvictOneVictim(std::vector<std::string>* skip) {
   uint64_t claim_epoch = 0;
   {
     std::lock_guard<std::mutex> lock(mu_);
+    counters_.victim_scans += 1;
     victim = PickVictimLocked(*skip);
     if (victim.empty()) return false;
     Entry& e = entries_[victim];
@@ -279,15 +307,19 @@ bool CacheManager::EvictOneVictim(std::vector<std::string>* skip) {
   bool need_spill = false;
   Status preserved = PreserveVictim(victim, backed, &need_spill);
   if (!preserved.ok()) {
+    bool wake = false;
     {
       std::lock_guard<std::mutex> lock(mu_);
       auto it = entries_.find(victim);
       if (it != entries_.end()) it->second.evicting = false;
       skip->push_back(victim);  // unevictable this round, try the next one
       if (evictor_inflight_ > 0) evictor_inflight_ -= 1;
+      // The released claim is claimable again by any other evicting thread.
+      wake = EligibilityEventLocked();
     }
     --evictor_depth_;
     evict_done_cv_.notify_all();
+    if (wake) evict_cv_.notify_one();
     return true;
   }
   // Revalidate the claim before publishing the eviction: the preserve step
@@ -297,6 +329,7 @@ bool CacheManager::EvictOneVictim(std::vector<std::string>* skip) {
   // deleting anyway is exactly the lost-block race behind the historical
   // bench_cache SpMV divergence.
   bool valid = false;
+  bool wake = false;
   {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = entries_.find(victim);
@@ -307,6 +340,7 @@ bool CacheManager::EvictOneVictim(std::vector<std::string>* skip) {
       skip->push_back(victim);
       counters_.aborted_evictions += 1;
       if (evictor_inflight_ > 0) evictor_inflight_ -= 1;
+      wake = EligibilityEventLocked();
     }
   }
   if (!valid) {
@@ -315,6 +349,7 @@ bool CacheManager::EvictOneVictim(std::vector<std::string>* skip) {
     OnEvictionAborted(victim);
     --evictor_depth_;
     evict_done_cv_.notify_all();
+    if (wake) evict_cv_.notify_one();
     return true;
   }
   if (hooks_.evict) (void)hooks_.evict(victim);
@@ -402,12 +437,7 @@ void CacheManager::OnFill(const std::string& path, uint64_t add_bytes,
     e.fill_epoch += 1;
     resident_bytes_ += add_bytes;
     governor_->AddUsage(kConsumer, static_cast<int64_t>(add_bytes));
-    uint64_t cache_budget = governor_->ConsumerBudget(kConsumer);
-    if (governor_->governed() &&
-        cache_budget != std::numeric_limits<uint64_t>::max()) {
-      over_high = static_cast<double>(resident_bytes_) >
-                  high_watermark_ * static_cast<double>(cache_budget);
-    }
+    over_high = EligibilityEventLocked();
   }
   if (over_high) evict_cv_.notify_one();
 }
@@ -436,6 +466,8 @@ void CacheManager::OnRename(const std::string& src, const std::string& dst) {
   }
   for (auto& [path, entry] : moved) entries_[path] = std::move(entry);
   InvalidateReuseLocked(src);
+  // Moved entries may have left a pinned or leased subtree.
+  if (!moved.empty() && EligibilityEventLocked()) evict_cv_.notify_one();
 }
 
 void CacheManager::Pin(const std::string& path) {
@@ -451,10 +483,17 @@ void CacheManager::Pin(const std::string& path) {
 }
 
 void CacheManager::Unpin(const std::string& path) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = pins_.find(path);
-  if (it == pins_.end()) return;
-  if (--it->second <= 0) pins_.erase(it);
+  bool wake = false;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    auto it = pins_.find(path);
+    if (it == pins_.end()) return;
+    if (--it->second <= 0) {
+      pins_.erase(it);
+      wake = EligibilityEventLocked();
+    }
+  }
+  if (wake) evict_cv_.notify_one();
 }
 
 bool CacheManager::IsPinned(const std::string& path) const {
@@ -557,32 +596,40 @@ void CacheManager::InvalidateReuseLocked(const std::string& path) {
 }
 
 void CacheManager::BackgroundLoop() {
+  // After a round whose last pick found nothing claimable, the loop sleeps
+  // until an eligibility event moves the generation past `idle_gen`, the
+  // value read under the lock that preceded that pick — so an event that
+  // lands between the pick and the sleep still wakes it.
+  bool idle = false;
+  uint64_t idle_gen = 0;
   for (;;) {
     uint64_t target = 0;
     {
       std::unique_lock<std::mutex> lock(mu_);
-      evict_cv_.wait(lock, [this] {
+      evict_cv_.wait(lock, [&] {
         if (stop_) return true;
-        uint64_t cache_budget = governor_->ConsumerBudget(kConsumer);
-        if (!governor_->governed() ||
-            cache_budget == std::numeric_limits<uint64_t>::max()) {
-          return false;
-        }
-        return static_cast<double>(resident_bytes_) >
-               high_watermark_ * static_cast<double>(cache_budget);
+        if (!OverHighWatermarkLocked()) return false;
+        return !idle || eligibility_gen_ != idle_gen;
       });
       if (stop_) return;
       uint64_t cache_budget = governor_->ConsumerBudget(kConsumer);
       target = static_cast<uint64_t>(
           low_watermark_ * static_cast<double>(cache_budget));
     }
+    idle = false;
     std::vector<std::string> skip;
     for (;;) {
+      uint64_t gen = 0;
       {
         std::lock_guard<std::mutex> lock(mu_);
         if (stop_ || resident_bytes_ <= target) break;
+        gen = eligibility_gen_;
       }
-      if (!EvictOneVictim(&skip)) break;
+      if (!EvictOneVictim(&skip)) {
+        idle = true;
+        idle_gen = gen;
+        break;
+      }
     }
   }
 }

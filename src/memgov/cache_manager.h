@@ -69,6 +69,10 @@ class CacheManager {
     /// revalidation found the victim pinned, leased, or refilled — the
     /// lease/epoch protocol turning a would-be lost block into a no-op.
     uint64_t aborted_evictions = 0;
+    /// Victim scans (passes over the entry table looking for a claimable
+    /// entry) by any evicting thread. Tests use it to check that an idle
+    /// background evictor does not rescan an unchanged table.
+    uint64_t victim_scans = 0;
   };
 
   CacheManager(MemoryGovernor* governor, Hooks hooks);
@@ -138,7 +142,11 @@ class CacheManager {
 
   /// (Re)configures policy and watermarks; called per job submission. The
   /// watermarks are fractions of the cache's consumer budget: crossing
-  /// `high` wakes the background evictor, which evicts down to `low`.
+  /// `high` wakes the background evictor, which evicts down to `low`. A
+  /// round that runs out of claimable victims first puts the evictor to
+  /// sleep until an entry may have become claimable (an eligibility
+  /// event: last unpin, last lease release, EndFill, a fill, a rename,
+  /// an aborted eviction, or Configure).
   void Configure(EvictionPolicy policy, double high_watermark,
                  double low_watermark);
   EvictionPolicy policy() const;
@@ -271,6 +279,13 @@ class CacheManager {
   bool EvictOneVictim(std::vector<std::string>* skip);
   void EraseSubtreeLocked(const std::string& path);
   void InvalidateReuseLocked(const std::string& path);
+  /// True when resident bytes exceed the high watermark of a finite cache
+  /// budget — the background evictor's trigger.
+  bool OverHighWatermarkLocked() const;
+  /// Records an eligibility event: some entry may have become claimable.
+  /// Returns true when the caller should notify evict_cv_ (the cache is
+  /// over its high watermark, so an idle evictor has work to retry).
+  bool EligibilityEventLocked();
   void BackgroundLoop();
 
   MemoryGovernor* const governor_;
@@ -278,6 +293,9 @@ class CacheManager {
 
   mutable std::mutex mu_;
   std::condition_variable evict_cv_;
+  /// Bumped on every eligibility event. After a round that found nothing
+  /// claimable, the background evictor sleeps until this moves.
+  uint64_t eligibility_gen_ = 0;
   /// Signalled whenever an in-flight eviction completes (or backs off), so
   /// a concurrent EvictUntilFits can wait instead of giving up early.
   std::condition_variable evict_done_cv_;

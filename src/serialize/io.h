@@ -1,6 +1,7 @@
 #ifndef M3R_SERIALIZE_IO_H_
 #define M3R_SERIALIZE_IO_H_
 
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <string>
@@ -9,6 +10,20 @@
 #include "common/logging.h"
 
 namespace m3r::serialize {
+
+/// Converts between host order and the big-endian wire order (an
+/// involution, so it also converts back).
+template <typename T>
+inline T ToBigEndian(T v) {
+  static_assert(sizeof(T) == 4 || sizeof(T) == 8);
+  if constexpr (std::endian::native == std::endian::big) {
+    return v;
+  } else if constexpr (sizeof(T) == 4) {
+    return __builtin_bswap32(v);
+  } else {
+    return __builtin_bswap64(v);
+  }
+}
 
 /// Append-only binary output buffer with Hadoop DataOutput-style primitives.
 /// Multi-byte integers are written big-endian, matching Hadoop's wire format
@@ -26,13 +41,12 @@ class DataOutput {
     Buf().append(b, 2);
   }
   void WriteU32(uint32_t v) {
-    char b[4] = {static_cast<char>(v >> 24), static_cast<char>(v >> 16),
-                 static_cast<char>(v >> 8), static_cast<char>(v)};
-    Buf().append(b, 4);
+    v = ToBigEndian(v);
+    Buf().append(reinterpret_cast<const char*>(&v), 4);
   }
   void WriteU64(uint64_t v) {
-    WriteU32(static_cast<uint32_t>(v >> 32));
-    WriteU32(static_cast<uint32_t>(v));
+    v = ToBigEndian(v);
+    Buf().append(reinterpret_cast<const char*>(&v), 8);
   }
   void WriteI32(int32_t v) { WriteU32(static_cast<uint32_t>(v)); }
   void WriteI64(int64_t v) { WriteU64(static_cast<uint64_t>(v)); }
@@ -50,11 +64,14 @@ class DataOutput {
 
   /// Variable-length unsigned int, LEB128-style (1 byte for values < 128).
   void WriteVarU64(uint64_t v) {
+    char b[10];  // ceil(64 / 7) groups
+    size_t n = 0;
     while (v >= 0x80) {
-      WriteByte(static_cast<uint8_t>(v) | 0x80);
+      b[n++] = static_cast<char>(static_cast<uint8_t>(v) | 0x80);
       v >>= 7;
     }
-    WriteByte(static_cast<uint8_t>(v));
+    b[n++] = static_cast<char>(v);
+    Buf().append(b, n);
   }
   /// Zig-zag encoded signed variant.
   void WriteVarI64(int64_t v) {
@@ -111,13 +128,14 @@ class DataInput {
     return static_cast<uint16_t>((hi << 8) | ReadByte());
   }
   uint32_t ReadU32() {
-    uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) v = (v << 8) | ReadByte();
-    return v;
+    uint32_t v;
+    std::memcpy(&v, Consume(4), 4);
+    return ToBigEndian(v);
   }
   uint64_t ReadU64() {
-    uint64_t hi = ReadU32();
-    return (hi << 32) | ReadU32();
+    uint64_t v;
+    std::memcpy(&v, Consume(8), 8);
+    return ToBigEndian(v);
   }
   int32_t ReadI32() { return static_cast<int32_t>(ReadU32()); }
   int64_t ReadI64() { return static_cast<int64_t>(ReadU64()); }
@@ -136,6 +154,10 @@ class DataInput {
   }
 
   uint64_t ReadVarU64() {
+    // Most varints are lengths and small ids: one byte, one check.
+    if (pos_ < size_ && !(data_[pos_] & 0x80)) {
+      return static_cast<uint8_t>(data_[pos_++]);
+    }
     uint64_t v = 0;
     int shift = 0;
     for (;;) {
@@ -176,6 +198,14 @@ class DataInput {
   size_t remaining() const { return size_ - pos_; }
 
  private:
+  /// Claims the next `n` bytes: one bounds check per primitive.
+  const char* Consume(size_t n) {
+    M3R_CHECK(n <= size_ - pos_) << "DataInput overrun";
+    const char* p = data_ + pos_;
+    pos_ += n;
+    return p;
+  }
+
   const char* data_;
   size_t size_;
   size_t pos_ = 0;

@@ -32,7 +32,8 @@ struct ClusterSpec {
   int dfs_replication = 3;
 
   /// CRC32C throughput for the integrity layer (slice-by-8 on one core,
-  /// comfortably memory-bound on the paper's blades).
+  /// comfortably memory-bound on the paper's blades). Models the paper's
+  /// cluster, so it does not follow the host's CRC32C kernel.
   double checksum_bandwidth_bytes_per_s = 3e9;
 
   /// Streaming copy bandwidth within a place's memory — the cost of

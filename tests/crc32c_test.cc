@@ -42,6 +42,43 @@ TEST(Crc32cTest, ChunkedExtendMatchesOneShot) {
   }
 }
 
+std::string Pattern(size_t n) {
+  std::string data(n, '\0');
+  uint32_t x = 0x9E3779B9u;
+  for (size_t i = 0; i < n; ++i) {
+    x = x * 1664525u + 1013904223u;
+    data[i] = static_cast<char>(x >> 24);
+  }
+  return data;
+}
+
+TEST(Crc32cTest, DispatchedKernelMatchesPortableAtEveryLengthAndAlignment) {
+  // Extend uses the hardware instruction where the host has it; the
+  // portable slice-by-8 kernel must produce the same value everywhere.
+  const std::string data = Pattern(300 + 8);
+  for (size_t start = 0; start < 8; ++start) {
+    for (size_t len = 0; len <= 300; ++len) {
+      const char* p = data.data() + start;
+      ASSERT_EQ(crc32c::Extend(0, p, len), crc32c::ExtendPortable(0, p, len))
+          << "start " << start << " len " << len;
+      ASSERT_EQ(crc32c::Extend(0xDEADBEEFu, p, len),
+                crc32c::ExtendPortable(0xDEADBEEFu, p, len))
+          << "seeded, start " << start << " len " << len;
+    }
+  }
+}
+
+TEST(Crc32cTest, DispatchedKernelMatchesPortableOnOneDfsBlock) {
+  // One 64 KiB DFS block plus an unaligned 7-byte tail.
+  const std::string data = Pattern((64 << 10) + 7 + 8);
+  for (size_t start : {size_t{0}, size_t{3}, size_t{8}}) {
+    const char* p = data.data() + start;
+    const size_t len = (64 << 10) + 7;
+    EXPECT_EQ(crc32c::Extend(0, p, len), crc32c::ExtendPortable(0, p, len))
+        << "start " << start;
+  }
+}
+
 TEST(Crc32cTest, EverySingleBitFlipIsDetected) {
   const std::string data = "the quick brown fox jumps over the lazy dog";
   const uint32_t clean = crc32c::Crc32c(data);

@@ -6,6 +6,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <mutex>
@@ -332,6 +333,72 @@ TEST(CacheManager, BackgroundEvictorHonorsWatermarks) {
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
   EXPECT_LE(h.mgr->ResidentBytes(), 50u);
+}
+
+/// Fills /w/a and /w/b (40 bytes each of a 100-byte budget), lets `shield`
+/// make both unclaimable, then tightens the watermarks so the cache sits
+/// over the trigger (80 > 60) with nothing the evictor may take.
+void FillShieldedOverHighWatermark(Harness& h,
+                                   const std::function<void()>& shield) {
+  shield();
+  for (const char* p : {"/w/a", "/w/b"}) {
+    ASSERT_TRUE(h.mgr->AdmitFill(p, 40, false));
+    h.mgr->OnFill(p, 40, 0.1);
+    h.Insert(p);
+  }
+  h.mgr->Configure(EvictionPolicy::kLru, 0.6, 0.5);
+  // Give the evictor time for its fruitless round.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  ASSERT_EQ(h.mgr->ResidentBytes(), 80u);
+  ASSERT_TRUE(h.Evicted().empty());
+}
+
+/// Polls until the idle background evictor reaches the low watermark (50).
+void ExpectEvictorReachesLowWatermark(Harness& h) {
+  for (int i = 0; i < 500 && h.mgr->ResidentBytes() > 50; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_LE(h.mgr->ResidentBytes(), 50u);
+  EXPECT_FALSE(h.Evicted().empty());
+}
+
+TEST(CacheManager, IdleEvictorDoesNotRescanPinnedEntries) {
+  Harness h(100);
+  FillShieldedOverHighWatermark(h, [&] { h.mgr->Pin("/w"); });
+  // Every entry is pinned above the high watermark: after its fruitless
+  // round the evictor must sleep, not rescan the table in a loop.
+  uint64_t before = h.mgr->counters().victim_scans;
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  uint64_t after = h.mgr->counters().victim_scans;
+  EXPECT_LE(after - before, 2u);
+  EXPECT_EQ(h.mgr->ResidentBytes(), 80u);
+}
+
+TEST(CacheManager, UnpinWakesIdleEvictor) {
+  Harness h(100);
+  FillShieldedOverHighWatermark(h, [&] { h.mgr->Pin("/w"); });
+  h.mgr->Unpin("/w");
+  ExpectEvictorReachesLowWatermark(h);
+}
+
+TEST(CacheManager, LeaseReleaseWakesIdleEvictor) {
+  Harness h(100);
+  CacheManager::ReadLease lease;
+  FillShieldedOverHighWatermark(h,
+                                [&] { lease = h.mgr->AcquireRead("/w"); });
+  lease.Release();
+  ExpectEvictorReachesLowWatermark(h);
+}
+
+TEST(CacheManager, EndFillWakesIdleEvictor) {
+  Harness h(100);
+  FillShieldedOverHighWatermark(h, [&] {
+    h.mgr->BeginFill("/w/a");
+    h.mgr->BeginFill("/w/b");
+  });
+  h.mgr->EndFill("/w/a");
+  h.mgr->EndFill("/w/b");
+  ExpectEvictorReachesLowWatermark(h);
 }
 
 /// Scripted trace: a hot file re-touched every round through a stream of

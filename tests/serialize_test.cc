@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <initializer_list>
 #include <map>
 #include <set>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "serialize/basic_writables.h"
@@ -42,14 +44,82 @@ TEST(DataIoTest, PrimitivesRoundTrip) {
   EXPECT_TRUE(in.AtEnd());
 }
 
+std::string Bytes(std::initializer_list<int> bytes) {
+  std::string s;
+  for (int b : bytes) s.push_back(static_cast<char>(b));
+  return s;
+}
+
 TEST(DataIoTest, VarintBoundaries) {
-  for (uint64_t v : {0ull, 1ull, 127ull, 128ull, 16383ull, 16384ull,
-                     ~0ull, 1ull << 63}) {
+  // LEB128: seven payload bits per byte, low group first, high bit set on
+  // every byte but the last.
+  const std::vector<std::pair<uint64_t, std::string>> cases = {
+      {0, Bytes({0x00})},
+      {1, Bytes({0x01})},
+      {127, Bytes({0x7f})},
+      {128, Bytes({0x80, 0x01})},
+      {16383, Bytes({0xff, 0x7f})},
+      {16384, Bytes({0x80, 0x80, 0x01})},
+      {1ull << 35, Bytes({0x80, 0x80, 0x80, 0x80, 0x80, 0x01})},
+      {1ull << 63,
+       Bytes({0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01})},
+      {~0ull,
+       Bytes({0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01})},
+  };
+  for (const auto& [v, bytes] : cases) {
     DataOutput out;
     out.WriteVarU64(v);
-    DataInput in(out.buffer());
+    EXPECT_EQ(out.buffer(), bytes) << v;
+    DataInput in(bytes);
     EXPECT_EQ(in.ReadVarU64(), v);
+    EXPECT_TRUE(in.AtEnd()) << v;
   }
+}
+
+TEST(DataIoTest, FixedWidthLiteralBytesAreBigEndian) {
+  DataOutput out;
+  out.WriteU32(0x01020304u);
+  out.WriteU64(0x0102030405060708ull);
+  out.WriteDouble(-2.25);  // sign 1, exponent 0x400, fraction 1/8
+  out.WriteI32(-2);
+  EXPECT_EQ(out.buffer(),
+            Bytes({0x01, 0x02, 0x03, 0x04,                          //
+                   0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07, 0x08,  //
+                   0xc0, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  //
+                   0xff, 0xff, 0xff, 0xfe}));
+  DataInput in(out.buffer());
+  EXPECT_EQ(in.ReadU32(), 0x01020304u);
+  EXPECT_EQ(in.ReadU64(), 0x0102030405060708ull);
+  EXPECT_EQ(in.ReadDouble(), -2.25);
+  EXPECT_EQ(in.ReadI32(), -2);
+  EXPECT_TRUE(in.AtEnd());
+}
+
+/// Encodes `write` into a buffer, drops its last byte, and runs `read`.
+template <typename Write, typename Read>
+void ReadTruncatedByOne(Write write, Read read) {
+  DataOutput out;
+  write(out);
+  std::string bytes = out.Take();
+  bytes.pop_back();
+  DataInput in(bytes);
+  read(in);
+}
+
+TEST(DataIoDeathTest, TruncatedPrimitivesAbort) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_DEATH(ReadTruncatedByOne([](DataOutput& o) { o.WriteU32(7); },
+                                  [](DataInput& i) { i.ReadU32(); }),
+               "DataInput overrun");
+  EXPECT_DEATH(ReadTruncatedByOne([](DataOutput& o) { o.WriteU64(7); },
+                                  [](DataInput& i) { i.ReadU64(); }),
+               "DataInput overrun");
+  EXPECT_DEATH(ReadTruncatedByOne([](DataOutput& o) { o.WriteDouble(0.5); },
+                                  [](DataInput& i) { i.ReadDouble(); }),
+               "DataInput overrun");
+  EXPECT_DEATH(ReadTruncatedByOne([](DataOutput& o) { o.WriteVarU64(16384); },
+                                  [](DataInput& i) { i.ReadVarU64(); }),
+               "DataInput overrun");
 }
 
 TEST(WritableTest, IntOrderMatchesByteOrder) {

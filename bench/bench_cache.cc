@@ -17,7 +17,6 @@
 #include <fstream>
 #include <functional>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -42,48 +41,7 @@ double WallSeconds(const std::function<void()>& body) {
       .count();
 }
 
-/// One benchmark run, rendered as one JSON object (same schema as
-/// run_bench so downstream tooling reads every BENCH_*.json alike).
-struct Record {
-  std::string bench;
-  std::string config;
-  double wall_seconds = 0;
-  double sim_seconds = 0;
-  int64_t wire_bytes = 0;
-  std::vector<std::pair<std::string, int64_t>> counters;
-};
-
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  for (char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  return out;
-}
-
-std::string ToJson(const std::vector<Record>& records) {
-  std::ostringstream os;
-  os << "[\n";
-  for (size_t i = 0; i < records.size(); ++i) {
-    const Record& r = records[i];
-    char nums[128];
-    std::snprintf(nums, sizeof(nums),
-                  "\"wall_seconds\": %.6f, \"sim_seconds\": %.3f, "
-                  "\"wire_bytes\": %lld",
-                  r.wall_seconds, r.sim_seconds,
-                  static_cast<long long>(r.wire_bytes));
-    os << "  {\"bench\": \"" << JsonEscape(r.bench) << "\", \"config\": \""
-       << JsonEscape(r.config) << "\", " << nums << ", \"counters\": {";
-    for (size_t c = 0; c < r.counters.size(); ++c) {
-      os << (c ? ", " : "") << "\"" << JsonEscape(r.counters[c].first)
-         << "\": " << r.counters[c].second;
-    }
-    os << "}}" << (i + 1 < records.size() ? "," : "") << "\n";
-  }
-  os << "]\n";
-  return os.str();
-}
+using bench::Record;
 
 workloads::SpmvDataParams SweepParams() {
   workloads::SpmvDataParams params;
@@ -303,10 +261,11 @@ L2ArmResult RunL2Arm(int64_t budget_mb, double l2_share,
     const std::string out = "/out-p" + std::to_string(pass);
     api::JobConf job = workloads::MakeWordCountJob("/in", out, 3, true);
     job.SetInt(api::conf::kMemoryBudgetMb, budget_mb);
-    // Barrier shuffle: the pipelined overlap credit depends on wall-clock
-    // run timing, and that jitter would drown the tier's read savings in
-    // a cross-arm sim comparison. The barrier charge is deterministic.
-    job.Set(api::conf::kShufflePipeline, "off");
+    // Barrier shuffle (flush threshold 0): the pipelined overlap credit
+    // depends on wall-clock run timing, and that jitter would drown the
+    // tier's read savings in a cross-arm sim comparison. The barrier charge
+    // is deterministic.
+    job.Set(api::conf::kShuffleFlushBytes, "0");
     if (l2_share > 0) {
       char share[32];
       std::snprintf(share, sizeof(share), "%g", l2_share);
@@ -478,13 +437,13 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  std::vector<m3r::Record> records;
+  std::vector<m3r::bench::Record> records;
   m3r::RunBudgetSweep(&records);
   m3r::RunL2TierSweep(&records);
   m3r::RunReuseResubmit(&records);
   const std::string path = out_dir + "/BENCH_cache" + suffix + ".json";
   std::ofstream outf(path);
-  outf << m3r::ToJson(records);
+  outf << m3r::bench::ToJson(records);
   outf.close();
   std::printf("wrote %s (%zu records)\n", path.c_str(), records.size());
   return 0;

@@ -1,8 +1,8 @@
 // Mid-job place-failure recovery bench (DESIGN.md §14): what does a place
 // crash halfway through the map phase cost under bounded task replay
-// (m3r.place.recovery=replay, the default) versus the pre-recovery
-// contract of failing the whole job and resubmitting from scratch
-// (m3r.place.recovery=off)? Three arms, each on a fresh engine + DFS so
+// (the default crash budget) versus the pre-recovery contract of failing
+// the whole job and resubmitting from scratch
+// (m3r.place.recovery.max.crashes=0)? Three arms, each on a fresh engine + DFS so
 // cache state and the scripted crash arm identically:
 //
 //   baseline   crash-free WordCount — the floor.
@@ -28,7 +28,6 @@
 #include <fstream>
 #include <functional>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -60,48 +59,7 @@ double WallSeconds(const std::function<void()>& body) {
       .count();
 }
 
-/// One benchmark run, rendered as one JSON object (same schema as
-/// run_bench so downstream tooling reads every BENCH_*.json alike).
-struct Record {
-  std::string bench;
-  std::string config;
-  double wall_seconds = 0;
-  double sim_seconds = 0;
-  int64_t wire_bytes = 0;
-  std::vector<std::pair<std::string, int64_t>> counters;
-};
-
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  for (char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  return out;
-}
-
-std::string ToJson(const std::vector<Record>& records) {
-  std::ostringstream os;
-  os << "[\n";
-  for (size_t i = 0; i < records.size(); ++i) {
-    const Record& r = records[i];
-    char nums[128];
-    std::snprintf(nums, sizeof(nums),
-                  "\"wall_seconds\": %.6f, \"sim_seconds\": %.3f, "
-                  "\"wire_bytes\": %lld",
-                  r.wall_seconds, r.sim_seconds,
-                  static_cast<long long>(r.wire_bytes));
-    os << "  {\"bench\": \"" << JsonEscape(r.bench) << "\", \"config\": \""
-       << JsonEscape(r.config) << "\", " << nums << ", \"counters\": {";
-    for (size_t c = 0; c < r.counters.size(); ++c) {
-      os << (c ? ", " : "") << "\"" << JsonEscape(r.counters[c].first)
-         << "\": " << r.counters[c].second;
-    }
-    os << "}}" << (i + 1 < records.size() ? "," : "") << "\n";
-  }
-  os << "]\n";
-  return os.str();
-}
+using bench::Record;
 
 /// One arm's isolated world: its own DFS with the shared corpus and its
 /// own long-lived engine (cold caches, fresh membership view, the
@@ -193,7 +151,7 @@ void RunRecoveryVsRetry(std::vector<Record>* out) {
   api::JobConf fj = workloads::MakeWordCountJob("/in", "/out", kReducers,
                                                 /*immutable_output=*/true);
   fj.Set(api::conf::kPlaceCrashAt, kCrashScript);
-  fj.Set(api::conf::kPlaceRecovery, "off");
+  fj.Set(api::conf::kPlaceRecoveryMaxCrashes, "0");
   api::JobResult fr;
   double retry_wall = WallSeconds([&] { fr = ret.engine->Submit(fj); });
   M3R_CHECK(!fr.ok()) << "recovery=off arm was expected to fail";
@@ -282,11 +240,11 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  std::vector<m3r::Record> records;
+  std::vector<m3r::bench::Record> records;
   m3r::RunRecoveryVsRetry(&records);
   const std::string path = out_dir + "/BENCH_recovery" + suffix + ".json";
   std::ofstream outf(path);
-  outf << m3r::ToJson(records);
+  outf << m3r::bench::ToJson(records);
   outf.close();
   std::printf("wrote %s (%zu records)\n", path.c_str(), records.size());
   return 0;

@@ -21,7 +21,6 @@
 #include <fstream>
 #include <map>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -38,48 +37,7 @@
 namespace m3r {
 namespace {
 
-/// One benchmark run, rendered as one JSON object (same schema as
-/// run_bench so downstream tooling reads every BENCH_*.json alike).
-struct Record {
-  std::string bench;
-  std::string config;
-  double wall_seconds = 0;
-  double sim_seconds = 0;
-  int64_t wire_bytes = 0;
-  std::vector<std::pair<std::string, int64_t>> counters;
-};
-
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  for (char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  return out;
-}
-
-std::string ToJson(const std::vector<Record>& records) {
-  std::ostringstream os;
-  os << "[\n";
-  for (size_t i = 0; i < records.size(); ++i) {
-    const Record& r = records[i];
-    char nums[128];
-    std::snprintf(nums, sizeof(nums),
-                  "\"wall_seconds\": %.6f, \"sim_seconds\": %.3f, "
-                  "\"wire_bytes\": %lld",
-                  r.wall_seconds, r.sim_seconds,
-                  static_cast<long long>(r.wire_bytes));
-    os << "  {\"bench\": \"" << JsonEscape(r.bench) << "\", \"config\": \""
-       << JsonEscape(r.config) << "\", " << nums << ", \"counters\": {";
-    for (size_t c = 0; c < r.counters.size(); ++c) {
-      os << (c ? ", " : "") << "\"" << JsonEscape(r.counters[c].first)
-         << "\": " << r.counters[c].second;
-    }
-    os << "}}" << (i + 1 < records.size() ? "," : "") << "\n";
-  }
-  os << "]\n";
-  return os.str();
-}
+using bench::Record;
 
 /// One submission of the replayed trace.
 struct TraceJob {
@@ -271,7 +229,7 @@ int main(int argc, char** argv) {
 
   std::string path = out_dir + "/BENCH_sched" + suffix + ".json";
   std::ofstream out(path);
-  out << ToJson(records);
+  out << bench::ToJson(records);
   out.close();
   std::printf("wrote %s\n", path.c_str());
   return 0;

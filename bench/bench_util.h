@@ -1,9 +1,12 @@
 #ifndef M3R_BENCH_BENCH_UTIL_H_
 #define M3R_BENCH_BENCH_UTIL_H_
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "dfs/local_fs.h"
@@ -80,6 +83,49 @@ class Table {
 
 inline void Banner(const std::string& title) {
   std::printf("\n=== %s ===\n", title.c_str());
+}
+
+/// One benchmark run, rendered as one JSON object. Every BENCH_*.json
+/// shares this schema so downstream tooling reads them alike.
+struct Record {
+  std::string bench;
+  std::string config;
+  double wall_seconds = 0;
+  double sim_seconds = 0;
+  int64_t wire_bytes = 0;
+  std::vector<std::pair<std::string, int64_t>> counters;
+};
+
+inline std::string JsonEscape(const std::string& s) {
+  std::string out;
+  for (char c : s) {
+    if (c == '"' || c == '\\') out.push_back('\\');
+    out.push_back(c);
+  }
+  return out;
+}
+
+inline std::string ToJson(const std::vector<Record>& records) {
+  std::ostringstream os;
+  os << "[\n";
+  for (size_t i = 0; i < records.size(); ++i) {
+    const Record& r = records[i];
+    char nums[128];
+    std::snprintf(nums, sizeof(nums),
+                  "\"wall_seconds\": %.6f, \"sim_seconds\": %.3f, "
+                  "\"wire_bytes\": %lld",
+                  r.wall_seconds, r.sim_seconds,
+                  static_cast<long long>(r.wire_bytes));
+    os << "  {\"bench\": \"" << JsonEscape(r.bench) << "\", \"config\": \""
+       << JsonEscape(r.config) << "\", " << nums << ", \"counters\": {";
+    for (size_t c = 0; c < r.counters.size(); ++c) {
+      os << (c ? ", " : "") << "\"" << JsonEscape(r.counters[c].first)
+         << "\": " << r.counters[c].second;
+    }
+    os << "}}" << (i + 1 < records.size() ? "," : "") << "\n";
+  }
+  os << "]\n";
+  return os.str();
 }
 
 }  // namespace m3r::bench

@@ -86,11 +86,10 @@ void RunM3R(double ratios[], int num_ratios, const char* pipeline) {
       api::JobConf job = workloads::MakeMicroJob(
           input, output, kPartitions, ratios[r],
           static_cast<uint64_t>(it + 1));
-      job.Set(api::conf::kShufflePipeline, pipeline);
-      // Small enough that every lane ships several runs at this scale.
-      if (std::string(pipeline) == "on") {
-        job.Set(api::conf::kShuffleFlushBytes, "16384");
-      }
+      // "off" is the barrier exchange (threshold 0); "on" is small enough
+      // that every lane ships several runs at this scale.
+      job.Set(api::conf::kShuffleFlushBytes,
+              std::string(pipeline) == "on" ? "16384" : "0");
       api::JobResult result = engine.Submit(job);
       M3R_CHECK(result.ok()) << result.status.ToString();
       row.push_back(result.sim_seconds);

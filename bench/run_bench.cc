@@ -46,47 +46,7 @@ double WallSeconds(const std::function<void()>& body) {
       .count();
 }
 
-/// One benchmark run, rendered as one JSON object.
-struct Record {
-  std::string bench;
-  std::string config;
-  double wall_seconds = 0;
-  double sim_seconds = 0;
-  int64_t wire_bytes = 0;
-  std::vector<std::pair<std::string, int64_t>> counters;
-};
-
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  for (char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  return out;
-}
-
-std::string ToJson(const std::vector<Record>& records) {
-  std::ostringstream os;
-  os << "[\n";
-  for (size_t i = 0; i < records.size(); ++i) {
-    const Record& r = records[i];
-    char nums[128];
-    std::snprintf(nums, sizeof(nums),
-                  "\"wall_seconds\": %.6f, \"sim_seconds\": %.3f, "
-                  "\"wire_bytes\": %lld",
-                  r.wall_seconds, r.sim_seconds,
-                  static_cast<long long>(r.wire_bytes));
-    os << "  {\"bench\": \"" << JsonEscape(r.bench) << "\", \"config\": \""
-       << JsonEscape(r.config) << "\", " << nums << ", \"counters\": {";
-    for (size_t c = 0; c < r.counters.size(); ++c) {
-      os << (c ? ", " : "") << "\"" << JsonEscape(r.counters[c].first)
-         << "\": " << r.counters[c].second;
-    }
-    os << "}}" << (i + 1 < records.size() ? "," : "") << "\n";
-  }
-  os << "]\n";
-  return os.str();
-}
+using bench::Record;
 
 /// Minimal structural validation of an emitted file: balanced
 /// brackets/braces outside strings and every required schema key present.
@@ -250,10 +210,11 @@ void RunShuffleMicro(std::vector<Record>* out) {
     const bool pipelined =
         arm.pipeline != nullptr && std::string(arm.pipeline) == "on";
     if (arm.pipeline != nullptr) {
-      job.Set(api::conf::kShufflePipeline, arm.pipeline);
-      // A flush threshold small enough that every lane streams several
-      // runs at this scale — the overlap the figure is about.
-      if (pipelined) job.Set(api::conf::kShuffleFlushBytes, "16384");
+      // "off" is the barrier exchange (threshold 0: nothing ships before
+      // the barrier); "on" is a threshold small enough that every lane
+      // streams several runs at this scale — the overlap the figure is
+      // about.
+      job.Set(api::conf::kShuffleFlushBytes, pipelined ? "16384" : "0");
     }
     api::JobResult result;
     double wall = WallSeconds([&] { result = engine->Submit(job); });
@@ -343,11 +304,8 @@ void RunShuffleOverflow(std::vector<Record>* out) {
     engine::M3REngine engine(fs, bench::M3ROpts());
     api::JobConf job = workloads::MakeMicroJob("/micro/in", "/micro/out",
                                                kPartitions, 1.0, 1);
-    job.Set(api::conf::kShufflePipeline, pipeline);
-    if (pipelined) {
-      job.Set(api::conf::kShuffleFlushBytes, "16384");
-      job.Set(api::conf::kShufflePartitionBudgetMb, "1");
-    }
+    job.Set(api::conf::kShuffleFlushBytes, pipelined ? "16384" : "0");
+    if (pipelined) job.Set(api::conf::kShufflePartitionBudgetMb, "1");
     api::JobResult result;
     double wall = WallSeconds([&] { result = engine.Submit(job); });
     M3R_CHECK(result.ok()) << result.status.ToString();
@@ -468,10 +426,8 @@ void RunWordCount(std::vector<Record>* out) {
     job.Set(api::conf::kPlaceWorkers, "1");
     if (run.hash_combine) job.Set(api::conf::kMapHashCombine, "true");
     if (run.pipeline != nullptr) {
-      job.Set(api::conf::kShufflePipeline, run.pipeline);
-      if (std::string(run.pipeline) == "on") {
-        job.Set(api::conf::kShuffleFlushBytes, "16384");
-      }
+      job.Set(api::conf::kShuffleFlushBytes,
+              std::string(run.pipeline) == "on" ? "16384" : "0");
     }
     if (run.repair) {
       job.Set(api::conf::kIntegrityMode, "repair");
@@ -567,11 +523,11 @@ int main(int argc, char** argv) {
   }
   std::printf("M3R perf trajectory — sort kernel + fig6 + fig8 smoke\n");
 
-  std::vector<m3r::Record> shuffle_records;
+  std::vector<m3r::bench::Record> shuffle_records;
   m3r::RunSortMicro(&shuffle_records);
   m3r::RunShuffleMicro(&shuffle_records);
   m3r::RunShuffleOverflow(&shuffle_records);
-  std::vector<m3r::Record> wordcount_records;
+  std::vector<m3r::bench::Record> wordcount_records;
   m3r::RunWordCount(&wordcount_records);
 
   const std::string shuffle_path =
@@ -579,13 +535,13 @@ int main(int argc, char** argv) {
   const std::string wordcount_path =
       out_dir + "/BENCH_wordcount" + suffix + ".json";
   auto emit = [](const std::string& path,
-                 const std::vector<m3r::Record>& records) {
+                 const std::vector<m3r::bench::Record>& records) {
     std::ofstream out(path);
     if (!out) {
       std::fprintf(stderr, "cannot write %s\n", path.c_str());
       return false;
     }
-    out << m3r::ToJson(records);
+    out << m3r::bench::ToJson(records);
     out.close();
     if (!m3r::ValidateJsonFile(path, records.size())) {
       std::fprintf(stderr, "emitted invalid JSON: %s\n", path.c_str());

@@ -78,9 +78,11 @@ inline constexpr char kDedupedObjects[] = "DEDUPED_OBJECTS";
 inline constexpr char kDedupSavedBytes[] = "DEDUP_SAVED_BYTES";
 inline constexpr char kClonedPairs[] = "CLONED_PAIRS";
 inline constexpr char kAliasedPairs[] = "ALIASED_PAIRS";
-// Pipelined shuffle (m3r.shuffle.pipeline=on): lane segments sealed as
-// sorted runs and shipped before the map barrier, and whole runs spilled
-// through the checkpoint path when a partition crossed its resident budget.
+// Shuffle runs (DESIGN.md §15): lane segments sealed as sorted runs and
+// shipped, early flushes and barrier drains alike (with
+// m3r.shuffle.flush.bytes=0, one run per non-empty lane at the barrier),
+// and whole runs spilled through the checkpoint path when a partition
+// crossed its resident budget.
 inline constexpr char kShuffleRunsShipped[] = "SHUFFLE_RUNS_SHIPPED";
 inline constexpr char kShuffleOverflowSpills[] = "SHUFFLE_OVERFLOW_SPILLS";
 // Memory governance (src/memgov): per-job deltas except BYTES_RESIDENT,

@@ -124,18 +124,10 @@ std::vector<std::string> Engine::Notifications() const {
   return notifications_;
 }
 
-void Engine::SetProgressCallback(ProgressCallback callback) {
-  std::lock_guard<std::mutex> lock(notify_mu_);
-  progress_callback_ = std::move(callback);
-}
-
-void Engine::ReportProgress(const JobConf& conf, double progress,
-                            const Counters* live) const {
-  ProgressCallback cb;
+void Engine::ReportProgress(double progress, const Counters* live) const {
   std::shared_ptr<JobHandle::State> async;
   {
     std::lock_guard<std::mutex> lock(notify_mu_);
-    cb = progress_callback_;
     async = active_async_;
   }
   if (async != nullptr) {
@@ -143,10 +135,11 @@ void Engine::ReportProgress(const JobConf& conf, double progress,
     // Counters' copy goes through its own lock, so the live snapshot is
     // safe against concurrent task increments.
     std::lock_guard<std::mutex> lock(async->mu);
-    async->progress = progress;
+    // Task strands report concurrently, so a smaller fraction can land
+    // after a larger one; the handle only moves forward.
+    async->progress = std::max(async->progress, progress);
     if (live != nullptr) async->live = *live;
   }
-  if (cb) cb(conf.JobName(), progress, live);
 }
 
 bool Engine::CancelRequested() const {

@@ -64,7 +64,8 @@ class JobHandle {
   /// job that already completed is unaffected.
   void Cancel();
 
-  /// Last reported progress fraction in [0, 1].
+  /// Highest progress fraction reported so far, in [0, 1]; never
+  /// decreases.
   double Progress() const;
 
   /// Snapshot of the job's counters as of the last progress report (the
@@ -112,21 +113,11 @@ class Engine {
   /// submission order — models Hadoop's job.end.notification.url support.
   std::vector<std::string> Notifications() const;
 
-  /// Asynchronous progress and counter updates (paper §5.3): while a job
-  /// runs, the engine invokes the callback with the job name, a fraction
-  /// in [0,1], and a live view of the job's counters (thread-safe to read
-  /// through Counters' own locking). Kept for callers that want a push
-  /// feed; new code should poll the JobHandle instead.
-  using ProgressCallback = std::function<void(
-      const std::string& job_name, double progress, const Counters* live)>;
-  void SetProgressCallback(ProgressCallback callback);
-
  protected:
   /// Called by implementations at the end of Submit.
   void NotifyJobEnd(const JobConf& conf, const JobResult& result);
   /// Called by implementations at task/phase milestones.
-  void ReportProgress(const JobConf& conf, double progress,
-                      const Counters* live) const;
+  void ReportProgress(double progress, const Counters* live) const;
   /// True when the running async job's handle requested cancellation.
   /// Engines poll this at task boundaries; synchronous Submit calls (no
   /// handle) always see false.
@@ -135,7 +126,6 @@ class Engine {
  private:
   mutable std::mutex notify_mu_;
   std::vector<std::string> notifications_;
-  ProgressCallback progress_callback_;
   /// The state of the currently running async job, fed by ReportProgress.
   std::shared_ptr<JobHandle::State> active_async_;
   /// Serializes async submissions: engines are stateful and Submit is not

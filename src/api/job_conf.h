@@ -74,13 +74,15 @@ inline constexpr char kMapHashCombineMemoryMb[] =
 /// (parallel sorted runs + pairwise merges).
 inline constexpr char kSortParallelThreshold[] =
     "m3r.sort.parallel.threshold";
-/// Pipelined shuffle: "on" (default) streams map output to reducer places
-/// as sorted runs whenever a lane crosses the flush threshold, so wire time
-/// and run sorting overlap map compute and the post-barrier shuffle span
-/// only pays the residual; "off" restores the barrier-batch exchange.
+/// Removed: the shuffle always streams. Kept so existing confs that set the
+/// former default "on" still compile and run; any other value fails the
+/// job (use kShuffleFlushBytes = 0 for a barrier exchange).
 inline constexpr char kShufflePipeline[] = "m3r.shuffle.pipeline";
 /// Buffered bytes per shuffle lane before the lane segment is sealed as a
-/// sorted run and shipped (pipelined mode only; default 262144).
+/// sorted run and shipped to its reducer place, so wire time and run
+/// sorting overlap map compute and the post-barrier shuffle span only pays
+/// the residual (default 262144). 0 = never flush before the barrier: the
+/// paper's barrier exchange (§5.1), every lane shipped whole at DeliverTo.
 inline constexpr char kShuffleFlushBytes[] = "m3r.shuffle.flush.bytes";
 /// Resident-run budget per reduce partition in MiB; crossing it spills
 /// whole sorted runs through the checkpoint path, to be merged back lazily
@@ -108,16 +110,14 @@ inline constexpr char kSpeculativeSlowTaskThreshold[] =
 /// M3R checkpoint policy: "off" (default), "tempout" (spill cache-only
 /// temporary outputs to the DFS in the background), or "all".
 inline constexpr char kCacheCheckpoint[] = "m3r.cache.checkpoint";
-/// M3R mid-job place-failure recovery (DESIGN.md §14): "replay" (default —
-/// quiesce the map phase, re-home the dead place's partitions onto
-/// survivors, replay only the lost map tasks, continue into reduce) or
-/// "off" (the paper's behavior: any place crash fails the whole job with a
-/// retriable Unavailable). Crashes past the recovery horizon — during the
-/// reduce phase, or beyond the crash budget — always fall back to the
-/// whole-job failure.
-inline constexpr char kPlaceRecovery[] = "m3r.place.recovery";
-/// Crash budget for m3r.place.recovery=replay: total dead places tolerated
-/// per job before recovery gives up and fails the job (default 2).
+/// M3R mid-job place-failure recovery (DESIGN.md §14): the crash budget,
+/// total dead places tolerated per job (default 2). Within it the engine
+/// quiesces the map phase, re-homes the dead place's partitions onto
+/// survivors, replays only the lost map tasks and continues into reduce.
+/// 0 turns recovery off (the paper's behavior: any place crash fails the
+/// whole job with a retriable Unavailable). Crashes past the recovery
+/// horizon — during the reduce phase, or beyond the budget — always fall
+/// back to the whole-job failure.
 inline constexpr char kPlaceRecoveryMaxCrashes[] =
     "m3r.place.recovery.max.crashes";
 /// Scripted mid-map crash points, "P:N[,P:N...]": place P crashes when it

@@ -130,23 +130,22 @@ std::vector<std::pair<std::string, std::string>> ChaosSchedule::JobOverrides(
       out.emplace_back("m3r.place.crash.at", script);
       const uint64_t mode = Mix(job, 9) % 6;
       if (mode == 0) {
-        out.emplace_back("m3r.place.recovery", "off");
+        out.emplace_back("m3r.place.recovery.max.crashes", "0");
       } else if (mode == 1) {
         out.emplace_back("m3r.place.recovery.max.crashes", "1");
       }
     }
   }
 
-  // Pipelined-shuffle knobs (DESIGN.md §15): most jobs stream with a flush
-  // threshold small enough that runs actually ship mid-map (so crashes and
-  // channel faults land between flushes), some pin the barrier batch so
-  // both modes keep soaking, and an occasional one-MB partition budget
-  // drives whole runs through the overflow spill path under chaos.
+  // Shuffle knobs (DESIGN.md §15): most jobs stream with a flush threshold
+  // small enough that runs actually ship mid-map (so crashes and channel
+  // faults land between flushes), some pin the barrier exchange (threshold
+  // 0) so both shapes keep soaking, and an occasional one-MB partition
+  // budget drives whole runs through the overflow spill path under chaos.
   if (Mix(job, 40) % 4 == 0) {
-    out.emplace_back("m3r.shuffle.pipeline", "off");
+    out.emplace_back("m3r.shuffle.flush.bytes", "0");
   } else {
     static const char* const kFlushBytes[] = {"1024", "8192", "65536"};
-    out.emplace_back("m3r.shuffle.pipeline", "on");
     out.emplace_back("m3r.shuffle.flush.bytes", kFlushBytes[Mix(job, 41) % 3]);
     if (Mix(job, 42) % 3 == 0) {
       out.emplace_back("m3r.shuffle.partition.budget.mb", "1");

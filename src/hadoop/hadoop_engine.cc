@@ -166,7 +166,7 @@ api::JobResult HadoopEngine::Submit(const api::JobConf& submitted_conf) {
     return static_cast<int>(h % static_cast<uint64_t>(spec.num_nodes));
   };
 
-  ReportProgress(conf, 0.05, &result.counters);
+  ReportProgress(0.05, &result.counters);
   // Every attempt executes for real; a failed one (injected fault, or user
   // code surfacing a retriable status) re-runs under a fresh attempt
   // number up to mapred.map.max.attempts. Keyed fault decisions make each
@@ -193,8 +193,7 @@ api::JobResult HadoopEngine::Submit(const api::JobConf& submitted_conf) {
         }
         size_t done = ++maps_done;
         // Asynchronous progress/counter update per completed task (§5.3).
-        ReportProgress(conf,
-                       0.05 + 0.55 * static_cast<double>(done) /
+        ReportProgress(0.05 + 0.55 * static_cast<double>(done) /
                                   static_cast<double>(splits.size()),
                        &result.counters);
       },
@@ -358,8 +357,7 @@ api::JobResult HadoopEngine::Submit(const api::JobConf& submitted_conf) {
             if (!attempts.back().status.IsRetriable()) break;
           }
           size_t done = ++reduces_done;
-          ReportProgress(conf,
-                         0.6 + 0.35 * static_cast<double>(done) /
+          ReportProgress(0.6 + 0.35 * static_cast<double>(done) /
                                    static_cast<double>(num_reduce),
                          &result.counters);
         },
@@ -512,7 +510,7 @@ api::JobResult HadoopEngine::Submit(const api::JobConf& submitted_conf) {
   result.sim_seconds = total;
   result.wall_seconds = wall.ElapsedSeconds();
   result.status = Status::OK();
-  ReportProgress(conf, 1.0, &result.counters);
+  ReportProgress(1.0, &result.counters);
   NotifyJobEnd(conf, result);
   return result;
 }

@@ -442,6 +442,33 @@ api::JobResult Fail(Status status) {
   return r;
 }
 
+/// Knobs folded into a numeric knob beside them. A job that still sets one
+/// fails rather than have the setting silently ignored; only the former
+/// default, which the replacement's default reproduces, is still accepted.
+struct RemovedKey {
+  const char* key;
+  const char* former_default;
+  const char* replacement;
+};
+constexpr RemovedKey kRemovedKeys[] = {
+    {api::conf::kShufflePipeline, "on",
+     "m3r.shuffle.flush.bytes (0 = barrier exchange)"},
+    {"m3r.place.recovery", "replay",
+     "m3r.place.recovery.max.crashes (0 = recovery off)"},
+};
+
+Status CheckRemovedKeys(const JobConf& conf) {
+  for (const RemovedKey& removed : kRemovedKeys) {
+    if (!conf.Contains(removed.key)) continue;
+    const std::string value = conf.Get(removed.key, "");
+    if (value == removed.former_default) continue;
+    return Status::InvalidArgument(std::string(removed.key) + "=" + value +
+                                   " is no longer supported; use " +
+                                   removed.replacement);
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 struct M3REngine::TaskPlan {
@@ -962,6 +989,7 @@ api::JobResult M3REngine::Submit(const api::JobConf& conf) {
 }
 
 api::JobResult M3REngine::SubmitImpl(const api::JobConf& submitted_conf) {
+  if (Status s = CheckRemovedKeys(submitted_conf); !s.ok()) return Fail(s);
   // Local copy: distributed-cache contents are installed into the
   // configuration tasks see. M3R localizes through its own FS view, so
   // cache-resident (temporary) side files work too; places are long-lived
@@ -994,20 +1022,15 @@ api::JobResult M3REngine::SubmitImpl(const api::JobConf& submitted_conf) {
   }
 
   // --- Mid-job place-failure recovery (DESIGN.md §14) ---
-  const std::string recovery_mode =
-      conf.Get(api::conf::kPlaceRecovery, "replay");
-  if (recovery_mode != "off" && recovery_mode != "replay") {
-    return Fail(Status::InvalidArgument(
-        std::string("bad ") + api::conf::kPlaceRecovery + ": " +
-        recovery_mode));
-  }
-  const bool recovery_on = recovery_mode == "replay";
+  // A crash budget of 0 turns recovery off: any place crash fails the whole
+  // job, the paper's behaviour.
   const int max_crashes = static_cast<int>(
       conf.GetInt(api::conf::kPlaceRecoveryMaxCrashes, 2));
   if (max_crashes < 0) {
     return Fail(Status::InvalidArgument(
         std::string("bad ") + api::conf::kPlaceRecoveryMaxCrashes));
   }
+  const bool recovery_on = max_crashes > 0;
   // Scripted crash points "P:N[,P:N...]": place P dies when it is about to
   // start its (N+1)-th map task. Entries for places the job doesn't have
   // never trigger.
@@ -1283,7 +1306,7 @@ api::JobResult M3REngine::SubmitImpl(const api::JobConf& submitted_conf) {
         result.wall_seconds = wall.ElapsedSeconds();
         result.status = Status::OK();
         record_memgov();
-        ReportProgress(conf, 1.0, &result.counters);
+        ReportProgress(1.0, &result.counters);
         NotifyJobEnd(conf, result);
         return result;
       }
@@ -1327,7 +1350,7 @@ api::JobResult M3REngine::SubmitImpl(const api::JobConf& submitted_conf) {
         result.wall_seconds = wall.ElapsedSeconds();
         result.status = Status::OK();
         record_memgov();
-        ReportProgress(conf, 1.0, &result.counters);
+        ReportProgress(1.0, &result.counters);
         NotifyJobEnd(conf, result);
         return result;
       }
@@ -1562,10 +1585,6 @@ api::JobResult M3REngine::SubmitImpl(const api::JobConf& submitted_conf) {
   shuffle_options.integrity = integrity;
   shuffle_options.buffer_pool = &buffer_pool_;
 
-  // Pipelined shuffle (DESIGN.md §15): on by default for jobs with a
-  // reduce phase; "off" restores the barrier-batch exchange.
-  const bool pipelined =
-      num_reduce > 0 && conf.Get(api::conf::kShufflePipeline, "on") != "off";
   // Declared before the exchange (reverse destruction order): the run
   // comparator and spill sink must outlive it.
   serialize::RawComparatorPtr run_sort_cmp;
@@ -1573,10 +1592,11 @@ api::JobResult M3REngine::SubmitImpl(const api::JobConf& submitted_conf) {
   CheckpointRunSpillSink run_spill_sink(
       base_fs_.get(),
       std::string(kCheckpointRoot) + "/_shuffle/job" + std::to_string(salt));
-  if (pipelined) {
-    shuffle_options.pipeline = true;
+  if (num_reduce > 0) {
+    // Streaming shuffle (DESIGN.md §15): a flush threshold of 0 ships every
+    // lane whole at the barrier, the paper's barrier exchange.
     shuffle_options.flush_bytes = static_cast<size_t>(
-        std::max<int64_t>(1, conf.GetInt(api::conf::kShuffleFlushBytes,
+        std::max<int64_t>(0, conf.GetInt(api::conf::kShuffleFlushBytes,
                                          256 * 1024)));
     const int64_t budget_mb =
         conf.GetInt(api::conf::kShufflePartitionBudgetMb, 0);
@@ -1603,7 +1623,7 @@ api::JobResult M3REngine::SubmitImpl(const api::JobConf& submitted_conf) {
   // --- Map phase (places run in parallel; each place fans its tasks out
   // over `workers` strands of the shared executor) ---
   sync_memgov();
-  ReportProgress(conf, 0.05, &result.counters);
+  ReportProgress(0.05, &result.counters);
   std::atomic<size_t> map_tasks_done{0};
   std::atomic<bool> map_aborted{false};
   std::atomic<bool> cancelled{false};
@@ -1827,8 +1847,7 @@ api::JobResult M3REngine::SubmitImpl(const api::JobConf& submitted_conf) {
       membership.Heartbeat(place);
       size_t done = ++map_tasks_done;
       sync_memgov();
-      ReportProgress(conf,
-                     0.05 + 0.55 * static_cast<double>(done) /
+      ReportProgress(0.05 + 0.55 * static_cast<double>(done) /
                                 static_cast<double>(std::max<size_t>(
                                     tasks.size(), 1)),
                      &result.counters);
@@ -2075,8 +2094,7 @@ api::JobResult M3REngine::SubmitImpl(const api::JobConf& submitted_conf) {
         tasks_of_place[static_cast<size_t>(tasks[i].place)].push_back(i);
       }
     }
-    ReportProgress(conf,
-                   0.05 + 0.55 * static_cast<double>(map_tasks_done.load()) /
+    ReportProgress(0.05 + 0.55 * static_cast<double>(map_tasks_done.load()) /
                               static_cast<double>(std::max<size_t>(
                                   tasks.size(), 1)),
                    &result.counters);
@@ -2198,11 +2216,11 @@ api::JobResult M3REngine::SubmitImpl(const api::JobConf& submitted_conf) {
       // Orphan lanes this survivor delivers for dead destinations count as
       // its received traffic (it pulls them over the wire to decode).
       uint64_t recv = shuffle.OrphanWireBytesFor(p);
-      // Pipelined mode: runs shipped before the barrier overlap the map
-      // phase's compute; only the residual barrier drain — plus whatever
-      // pre-barrier wire time exceeded the map phase itself — extends the
-      // post-barrier span. With the pipeline off BarrierWireBytes equals
-      // WireBytes and the pre-barrier terms are zero.
+      // Runs shipped before the barrier overlap the map phase's compute;
+      // only the residual barrier drain — plus whatever pre-barrier wire
+      // time exceeded the map phase itself — extends the post-barrier
+      // span. With flush_bytes 0 BarrierWireBytes equals WireBytes and the
+      // pre-barrier terms are zero: the paper's barrier charge.
       uint64_t pre_send = 0, pre_recv = 0;
       for (int q = 0; q < num_places; ++q) {
         if (q != p) {
@@ -2273,24 +2291,22 @@ api::JobResult M3REngine::SubmitImpl(const api::JobConf& submitted_conf) {
     result.counters.Increment(api::counters::kM3rGroup,
                               api::counters::kClonedPairs,
                               static_cast<int64_t>(sstats.cloned_pairs));
-    if (pipelined) {
-      result.metrics["shuffle_runs_shipped"] =
-          static_cast<int64_t>(sstats.runs_shipped);
-      result.metrics["shuffle_runs_compacted"] =
-          static_cast<int64_t>(sstats.runs_compacted);
-      result.metrics["shuffle_overflow_spills"] =
-          static_cast<int64_t>(sstats.overflow_spills);
-      result.metrics["shuffle_pool_peak_bytes"] =
-          static_cast<int64_t>(sstats.peak_resident_run_bytes);
-      result.metrics["shuffle_max_partition_run_bytes"] =
-          static_cast<int64_t>(sstats.max_partition_run_bytes);
-      result.counters.Increment(api::counters::kM3rGroup,
-                                api::counters::kShuffleRunsShipped,
-                                static_cast<int64_t>(sstats.runs_shipped));
-      result.counters.Increment(api::counters::kM3rGroup,
-                                api::counters::kShuffleOverflowSpills,
-                                static_cast<int64_t>(sstats.overflow_spills));
-    }
+    result.metrics["shuffle_runs_shipped"] =
+        static_cast<int64_t>(sstats.runs_shipped);
+    result.metrics["shuffle_runs_compacted"] =
+        static_cast<int64_t>(sstats.runs_compacted);
+    result.metrics["shuffle_overflow_spills"] =
+        static_cast<int64_t>(sstats.overflow_spills);
+    result.metrics["shuffle_pool_peak_bytes"] =
+        static_cast<int64_t>(sstats.peak_resident_run_bytes);
+    result.metrics["shuffle_max_partition_run_bytes"] =
+        static_cast<int64_t>(sstats.max_partition_run_bytes);
+    result.counters.Increment(api::counters::kM3rGroup,
+                              api::counters::kShuffleRunsShipped,
+                              static_cast<int64_t>(sstats.runs_shipped));
+    result.counters.Increment(api::counters::kM3rGroup,
+                              api::counters::kShuffleOverflowSpills,
+                              static_cast<int64_t>(sstats.overflow_spills));
     result.time_breakdown["shuffle"] = shuffle_span + spec.m3r_barrier_s;
     const double reduce_start = phase_end + spec.m3r_barrier_s + shuffle_span;
     // First reducer starts the moment the barrier drain lands — the
@@ -2352,81 +2368,79 @@ api::JobResult M3REngine::SubmitImpl(const api::JobConf& submitted_conf) {
         // The caller-thread share of the sort is already inside `sw`;
         // remember it so the task's generic compute isn't double-charged.
         const double sort_caller = sort_stats.caller_cpu_seconds;
-        // Pipelined mode: the partition's remote pairs arrived as sorted
-        // runs; k-way merge them with the (sorted) local pairs instead of
-        // re-sorting the whole partition. Equal keys drain local-first,
-        // then in (source place, lane, flush seq) order — the same order
-        // the barrier path's lane splice gives the stable sort.
-        if (pipelined) {
-          std::vector<SortedRun> runs;
-          rr.status = shuffle.CollectPartitionRuns(p, &runs);
-          if (!rr.status.ok()) return;
-          if (!runs.empty()) {
-            sortkit::RunMerger merger(shuffle_options.run_comparator);
-            size_t fed = 0;
+        // The partition's remote pairs arrived as sorted runs; k-way merge
+        // them with the (sorted) local pairs instead of re-sorting the
+        // whole partition. Equal keys drain local-first, then in (source
+        // place, lane, flush seq) order — the order a barrier exchange's
+        // lane splice gives a stable sort.
+        std::vector<SortedRun> runs;
+        rr.status = shuffle.CollectPartitionRuns(p, &runs);
+        if (!rr.status.ok()) return;
+        if (!runs.empty()) {
+          sortkit::RunMerger merger(shuffle_options.run_comparator);
+          size_t fed = 0;
+          merger.AddRun(
+              [&pairs, &fed](std::string_view* k, std::string_view* v) {
+                if (fed >= pairs.size()) return false;
+                *k = pairs[fed].key_bytes;
+                *v = std::string_view();
+                ++fed;
+                return true;
+              },
+              /*ordinal=*/0);
+          std::vector<serialize::DataInput> ins;
+          ins.reserve(runs.size());
+          uint64_t remote_records = 0;
+          for (const SortedRun& run : runs) {
+            remote_records += run.records;
+            ins.emplace_back(std::string_view(run.bytes));
+          }
+          // Each run's record types are resolved once; every record is
+          // then built straight from its span, one Writable per field.
+          struct RunTypes {
+            WritablePtr key;
+            WritablePtr value;
+          };
+          std::unordered_map<uint64_t, RunTypes> types_of;
+          types_of.reserve(runs.size());
+          auto& registry = serialize::WritableRegistry::Instance();
+          for (size_t i = 0; i < runs.size(); ++i) {
+            serialize::DataInput* in = &ins[i];
+            const uint64_t ord = RunOrdinal(runs[i].src_place,
+                                            runs[i].worker_lane,
+                                            runs[i].seq);
+            types_of.emplace(ord,
+                             RunTypes{registry.Create(runs[i].key_type),
+                                      registry.Create(runs[i].value_type)});
             merger.AddRun(
-                [&pairs, &fed](std::string_view* k, std::string_view* v) {
-                  if (fed >= pairs.size()) return false;
-                  *k = pairs[fed].key_bytes;
-                  *v = std::string_view();
-                  ++fed;
+                [in](std::string_view* k, std::string_view* v) {
+                  if (in->AtEnd()) return false;
+                  *k = in->ReadStringView();
+                  *v = in->ReadStringView();
                   return true;
                 },
-                /*ordinal=*/0);
-            std::vector<serialize::DataInput> ins;
-            ins.reserve(runs.size());
-            uint64_t remote_records = 0;
-            for (const SortedRun& run : runs) {
-              remote_records += run.records;
-              ins.emplace_back(std::string_view(run.bytes));
-            }
-            // Each run's record types are resolved once; every record is
-            // then built straight from its span, one Writable per field.
-            struct RunTypes {
-              WritablePtr key;
-              WritablePtr value;
-            };
-            std::unordered_map<uint64_t, RunTypes> types_of;
-            types_of.reserve(runs.size());
-            auto& registry = serialize::WritableRegistry::Instance();
-            for (size_t i = 0; i < runs.size(); ++i) {
-              serialize::DataInput* in = &ins[i];
-              const uint64_t ord = RunOrdinal(runs[i].src_place,
-                                              runs[i].worker_lane,
-                                              runs[i].seq);
-              types_of.emplace(ord,
-                               RunTypes{registry.Create(runs[i].key_type),
-                                        registry.Create(runs[i].value_type)});
-              merger.AddRun(
-                  [in](std::string_view* k, std::string_view* v) {
-                    if (in->AtEnd()) return false;
-                    *k = in->ReadStringView();
-                    *v = in->ReadStringView();
-                    return true;
-                  },
-                  ord);
-            }
-            std::vector<api::KeyedPair> merged;
-            merged.reserve(pairs.size() + remote_records);
-            std::string_view mk, mv;
-            uint64_t ord = 0;
-            size_t consumed = 0;
-            while (merger.Next(&mk, &mv, &ord)) {
-              if (ord == 0) {
-                merged.push_back(std::move(pairs[consumed++]));
-                continue;
-              }
-              const RunTypes& types = types_of.find(ord)->second;
-              api::KeyedPair kp;
-              kp.key_bytes.assign(mk.data(), mk.size());
-              kp.key = types.key->NewInstance();
-              serialize::DeserializeFromString(mk, kp.key.get());
-              kp.value = types.value->NewInstance();
-              serialize::DeserializeFromString(mv, kp.value.get());
-              merged.push_back(std::move(kp));
-            }
-            pairs = std::move(merged);
+                ord);
           }
+          std::vector<api::KeyedPair> merged;
+          merged.reserve(pairs.size() + remote_records);
+          std::string_view mk, mv;
+          uint64_t ord = 0;
+          size_t consumed = 0;
+          while (merger.Next(&mk, &mv, &ord)) {
+            if (ord == 0) {
+              merged.push_back(std::move(pairs[consumed++]));
+              continue;
+            }
+            const RunTypes& types = types_of.find(ord)->second;
+            api::KeyedPair kp;
+            kp.key_bytes.assign(mk.data(), mk.size());
+            kp.key = types.key->NewInstance();
+            serialize::DeserializeFromString(mk, kp.key.get());
+            kp.value = types.value->NewInstance();
+            serialize::DeserializeFromString(mv, kp.value.get());
+            merged.push_back(std::move(kp));
+          }
+          pairs = std::move(merged);
         }
         reporter.IncrCounter(api::counters::kTaskGroup,
                              api::counters::kReduceInputRecords,
@@ -2613,7 +2627,7 @@ api::JobResult M3REngine::SubmitImpl(const api::JobConf& submitted_conf) {
   result.sim_seconds = total;
   result.wall_seconds = wall.ElapsedSeconds();
   result.status = Status::OK();
-  ReportProgress(conf, 1.0, &result.counters);
+  ReportProgress(1.0, &result.counters);
   NotifyJobEnd(conf, result);
   return result;
 }

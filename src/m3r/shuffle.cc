@@ -13,7 +13,6 @@ namespace m3r::engine {
 namespace {
 /// BufferPool categories shared across every job of an engine's sequence.
 constexpr char kLaneWireCategory[] = "shuffle.lane.wire";
-constexpr char kScratchCategory[] = "shuffle.decode.scratch";
 /// Resident same-lane runs of one partition before the incremental merge
 /// folds them into one (keeps the reduce-time heap narrow without waiting
 /// for the barrier).
@@ -31,8 +30,7 @@ ShuffleExchange::ShuffleExchange(int num_places,
       fault_(options.fault),
       integrity_(options.integrity),
       pool_(options.buffer_pool),
-      pipeline_(options.pipeline),
-      flush_bytes_(std::max<size_t>(options.flush_bytes, 1)),
+      flush_bytes_(options.flush_bytes),
       partition_budget_bytes_(options.partition_budget_bytes),
       run_comparator_(options.run_comparator),
       spill_sink_(options.spill_sink),
@@ -62,16 +60,12 @@ ShuffleExchange::~ShuffleExchange() {
                                std::memory_order_relaxed);
   }
   if (pool_ == nullptr) return;
-  // Wire buffers must stay alive for the exchange's whole life (WireBytes
-  // and ComputeStats read them), so recycling happens only here. Pipelined
-  // lanes recycled per run at flush time; only unflushed residue remains.
+  // Shipped runs recycled their wire buffers at flush time; only the
+  // streams of lanes that never reached a barrier drain remain.
   for (Lane& lane : lanes_) {
     if (lane.out != nullptr) {
       pool_->Release(kLaneWireCategory, lane.out->TakeBuffer());
       lane.out.reset();
-    }
-    if (lane.wire.capacity() > 0) {
-      pool_->Release(kLaneWireCategory, std::move(lane.wire));
     }
   }
 }
@@ -154,11 +148,12 @@ void ShuffleExchange::Emit(int src_place, int partition,
   lane.out->WriteObject(k);
   lane.out->WriteObject(v);
 
-  // Pipelined mode: crossing the flush threshold seals the lane segment as
-  // a sorted run and ships it now, on the emitting strand — the sort and
-  // decode CPU lands inside the map task's stopwatch, which is exactly the
-  // overlap the pipeline buys (cpu_seconds stays null).
-  if (pipeline_ && lane.out->buffer().size() >= flush_bytes_) {
+  // Crossing the flush threshold seals the lane segment as a sorted run and
+  // ships it now, on the emitting strand — the sort and decode CPU lands
+  // inside the map task's stopwatch, which is exactly the overlap the
+  // pipeline buys (cpu_seconds stays null). A zero threshold never flushes
+  // early: the lane ships whole at the barrier.
+  if (flush_bytes_ != 0 && lane.out->buffer().size() >= flush_bytes_) {
     std::string lane_key = std::to_string(src_place) + "->" +
                            std::to_string(dst) + "#" +
                            std::to_string(worker_lane);
@@ -184,16 +179,8 @@ void ShuffleExchange::DiscardLane(Lane* lane) {
     }
     lane->out.reset();
   }
-  if (lane->wire.capacity() > 0) {
-    if (pool_ != nullptr) {
-      pool_->Release(kLaneWireCategory, std::move(lane->wire));
-    }
-    lane->wire = std::string();
-  }
-  lane->objects = 0;
   lane->deduped = 0;
   lane->saved_bytes = 0;
-  lane->finished = false;
   lane->flush_seq = 0;
   lane->wire_shipped = 0;
   lane->barrier_shipped = 0;
@@ -234,7 +221,7 @@ ShuffleExchange::RecoveryStats ShuffleExchange::DropDeadPlaces(
     for (int dst = 0; dst < num_places_; ++dst) {
       for (int w = 0; w < workers_; ++w) {
         Lane& lane = LaneFor(d, dst, w);
-        if (lane.out != nullptr || !lane.wire.empty()) ++rs.dropped_lanes;
+        if (lane.out != nullptr) ++rs.dropped_lanes;
         DiscardLane(&lane);
       }
     }
@@ -245,35 +232,32 @@ ShuffleExchange::RecoveryStats ShuffleExchange::DropDeadPlaces(
     cloned_pairs_[static_cast<size_t>(d)].store(0, std::memory_order_relaxed);
   }
 
-  // Pipelined mode: pre-barrier runs already shipped *from* the dead places
-  // are replay duplicates — their source tasks re-run at survivors and
-  // re-ship under the bumped map version — so drop them by source tag.
-  // Runs shipped *to* a re-homed partition from live senders stay put: the
-  // partition moved, its delivered data did not have to.
-  if (pipeline_) {
-    for (int p = 0; p < num_partitions_; ++p) {
-      std::lock_guard<std::mutex> lock(
-          partition_mu_[static_cast<size_t>(p)]);
-      PartitionRuns& pr = partition_runs_[static_cast<size_t>(p)];
-      size_t kept = 0;
-      for (size_t i = 0; i < pr.runs.size(); ++i) {
-        SortedRun& run = pr.runs[i];
-        if (std::binary_search(newly_dead.begin(), newly_dead.end(),
-                               run.src_place)) {
-          ++rs.dropped_runs;
-          if (run.resident) {
-            pr.resident_bytes -= run.bytes.size();
-            AddResidentRunBytes(-static_cast<int64_t>(run.bytes.size()));
-          }
-          // A spilled dead run leaves its file behind; the engine sweeps
-          // the job's spill directory at completion.
-          continue;
+  // Pre-barrier runs already shipped *from* the dead places are replay
+  // duplicates — their source tasks re-run at survivors and re-ship under
+  // the bumped map version — so drop them by source tag. Runs shipped *to*
+  // a re-homed partition from live senders stay put: the partition moved,
+  // its delivered data did not have to.
+  for (int p = 0; p < num_partitions_; ++p) {
+    std::lock_guard<std::mutex> lock(partition_mu_[static_cast<size_t>(p)]);
+    PartitionRuns& pr = partition_runs_[static_cast<size_t>(p)];
+    size_t kept = 0;
+    for (size_t i = 0; i < pr.runs.size(); ++i) {
+      SortedRun& run = pr.runs[i];
+      if (std::binary_search(newly_dead.begin(), newly_dead.end(),
+                             run.src_place)) {
+        ++rs.dropped_runs;
+        if (run.resident) {
+          pr.resident_bytes -= run.bytes.size();
+          AddResidentRunBytes(-static_cast<int64_t>(run.bytes.size()));
         }
-        if (kept != i) pr.runs[kept] = std::move(run);
-        ++kept;
+        // A spilled dead run leaves its file behind; the engine sweeps the
+        // job's spill directory at completion.
+        continue;
       }
-      pr.runs.resize(kept);
+      if (kept != i) pr.runs[kept] = std::move(run);
+      ++kept;
     }
+    pr.runs.resize(kept);
   }
   return rs;
 }
@@ -335,89 +319,11 @@ uint64_t ShuffleExchange::OrphanWireBytesFor(int dst_place) const {
         bool mine =
             (k++ % survivors_.size()) == static_cast<size_t>(my_index);
         if (!mine) continue;
-        const Lane& lane = LaneAt(src, d, w);
-        bytes += pipeline_ ? lane.barrier_shipped : lane.wire.size();
+        bytes += LaneAt(src, d, w).barrier_shipped;
       }
     }
   }
   return bytes;
-}
-
-void ShuffleExchange::DecodeLane(Lane* lane, const std::string& lane_key,
-                                 int dst_place, bool orphan,
-                                 double* cpu_seconds) {
-  CpuStopwatch sw;
-  lane->objects += lane->out->objects_written();
-  lane->deduped += lane->out->objects_deduped();
-  lane->saved_bytes += lane->out->bytes_saved();
-  lane->wire = lane->out->TakeBuffer();
-  lane->out.reset();
-  lane->finished = true;
-  if (fault_ != nullptr) {
-    Status s = fault_->Check("channel.send", lane_key);
-    if (s.ok()) s = fault_->Check("channel.decode", lane_key);
-    if (!s.ok()) {
-      // The lane's pairs are lost; the partitions fed by this lane are now
-      // incomplete, so the caller must treat status() as fatal for the job.
-      RecordFailure(std::move(s));
-      *cpu_seconds = sw.ElapsedSeconds();
-      return;
-    }
-  }
-
-  // Sender stamps the frame; the receiver verifies before any byte is
-  // deserialized, so a flipped bit can never reach DedupInputStream (whose
-  // bounds checks abort, not error). In repair mode a bad frame falls back
-  // to the sender's buffer — the in-memory analogue of a retransmission.
-  uint32_t crc = StampCrc(integrity_.get(), lane->wire);
-  std::string corrupted;
-  const std::string* served = &lane->wire;
-  Status verdict =
-      ReceiveChecked(integrity_.get(), kCorruptChannelFrame, lane_key, crc,
-                     lane->wire, &corrupted, &served);
-  if (!verdict.ok()) {
-    RecordFailure(std::move(verdict));
-    *cpu_seconds = sw.ElapsedSeconds();
-    return;
-  }
-
-  // Decode into per-partition scratch first, then splice each partition
-  // under its lock in one step: less lock churn, and a stream's pairs
-  // arrive contiguously.
-  std::vector<std::pair<int, kvstore::KVSeq>> scratch;
-  scratch.reserve(pool_ != nullptr
-                      ? std::max<size_t>(pool_->CountHint(kScratchCategory),
-                                         4)
-                      : std::min<size_t>(
-                            8, static_cast<size_t>(num_partitions_)));
-  serialize::DedupInputStream in{std::string_view(*served)};
-  while (!in.AtEnd()) {
-    int partition = static_cast<int>(in.ReadControl());
-    serialize::WritablePtr key = in.ReadObject();
-    serialize::WritablePtr value = in.ReadObject();
-    M3R_CHECK(partition >= 0 && partition < num_partitions_);
-    if (orphan) {
-      // The lane was addressed to a dead place; its partitions have been
-      // re-homed, so only require that the current home is alive.
-      M3R_CHECK(dead_.empty() ||
-                !dead_[static_cast<size_t>(PlaceOfPartition(partition))]);
-    } else {
-      M3R_CHECK(PlaceOfPartition(partition) == dst_place);
-    }
-    if (scratch.empty() || scratch.back().first != partition) {
-      scratch.emplace_back(partition, kvstore::KVSeq());
-    }
-    scratch.back().second.emplace_back(std::move(key), std::move(value));
-  }
-  for (auto& [partition, seq] : scratch) {
-    std::lock_guard<std::mutex> lock(
-        partition_mu_[static_cast<size_t>(partition)]);
-    kvstore::KVSeq& dest = partitions_[static_cast<size_t>(partition)];
-    dest.insert(dest.end(), std::make_move_iterator(seq.begin()),
-                std::make_move_iterator(seq.end()));
-  }
-  if (pool_ != nullptr) pool_->ObserveCount(kScratchCategory, scratch.size());
-  *cpu_seconds = sw.ElapsedSeconds();
 }
 
 void ShuffleExchange::AddResidentRunBytes(int64_t delta) {
@@ -570,13 +476,11 @@ void ShuffleExchange::FlushLane(Lane* lane, const std::string& lane_key,
                                 bool orphan, bool barrier,
                                 double* cpu_seconds) {
   CpuStopwatch sw;
-  lane->objects += lane->out->objects_written();
   lane->deduped += lane->out->objects_deduped();
   lane->saved_bytes += lane->out->bytes_saved();
   std::string wire = lane->out->TakeBuffer();
   if (barrier) {
     lane->out.reset();
-    lane->finished = true;
   } else {
     // Fresh stream per run: the de-dup identity map resets (runs decode
     // independently), and the pooled buffer cycles per run so the decaying
@@ -618,8 +522,11 @@ void ShuffleExchange::FlushLane(Lane* lane, const std::string& lane_key,
     }
   }
 
-  // Same send-side stamp / receive-side verify as the barrier path — a run
-  // is one checksummed hop whether it ships early or at the drain.
+  // Sender stamps the frame; the receiver verifies before any byte is
+  // deserialized, so a flipped bit can never reach DedupInputStream (whose
+  // bounds checks abort, not error). In repair mode a bad frame falls back
+  // to the sender's buffer — the in-memory analogue of a retransmission. A
+  // run is one checksummed hop whether it ships early or at the drain.
   uint32_t crc = StampCrc(integrity_.get(), wire);
   std::string corrupted;
   const std::string* served = &wire;
@@ -743,7 +650,6 @@ void ShuffleExchange::DeliverTo(int dst_place, Executor* executor,
     for (int w = 0; w < workers_; ++w) {
       Lane& lane = LaneFor(src, dst_place, w);
       if (lane.out == nullptr) continue;
-      M3R_CHECK(!lane.finished) << "DeliverTo called twice for a lane";
       inbound.push_back(&lane);
       keys.push_back(std::to_string(src) + "->" + std::to_string(dst_place) +
                      "#" + std::to_string(w));
@@ -757,17 +663,12 @@ void ShuffleExchange::DeliverTo(int dst_place, Executor* executor,
   std::vector<double>& seconds = decode_seconds_[static_cast<size_t>(
       dst_place)];
   seconds.assign(inbound.size(), 0.0);
-  // Pipelined mode: the barrier drain ships each lane's residual segment as
-  // one last sorted run (decoded + sealed by FlushLane); its decode CPU is
-  // attributed here, like the barrier path's DecodeLane.
+  // The barrier drain ships each lane's residual segment as one last
+  // sorted run (decoded + sealed by FlushLane); its decode CPU is
+  // attributed here.
   auto deliver_one = [&](size_t i) {
-    if (pipeline_) {
-      FlushLane(inbound[i], keys[i], srcs[i].first, srcs[i].second, dst_place,
-                i >= first_orphan, /*barrier=*/true, &seconds[i]);
-    } else {
-      DecodeLane(inbound[i], keys[i], dst_place, i >= first_orphan,
-                 &seconds[i]);
-    }
+    FlushLane(inbound[i], keys[i], srcs[i].first, srcs[i].second, dst_place,
+              i >= first_orphan, /*barrier=*/true, &seconds[i]);
   };
   if (executor != nullptr && inbound.size() > 1 && max_workers > 1) {
     executor->ParallelFor(inbound.size(), deliver_one, max_workers);
@@ -788,15 +689,13 @@ const kvstore::KVSeq& ShuffleExchange::PartitionPairs(int partition) const {
 uint64_t ShuffleExchange::WireBytes(int src_place, int dst_place) const {
   uint64_t bytes = 0;
   for (int w = 0; w < workers_; ++w) {
-    const Lane& lane = LaneAt(src_place, dst_place, w);
-    bytes += pipeline_ ? lane.wire_shipped : lane.wire.size();
+    bytes += LaneAt(src_place, dst_place, w).wire_shipped;
   }
   return bytes;
 }
 
 uint64_t ShuffleExchange::BarrierWireBytes(int src_place,
                                            int dst_place) const {
-  if (!pipeline_) return WireBytes(src_place, dst_place);
   uint64_t bytes = 0;
   for (int w = 0; w < workers_; ++w) {
     bytes += LaneAt(src_place, dst_place, w).barrier_shipped;
@@ -815,21 +714,18 @@ ShuffleExchange::Stats ShuffleExchange::ComputeStats() const {
   for (const Lane& lane : lanes_) {
     s.deduped_objects += lane.deduped;
     s.dedup_saved_bytes += lane.saved_bytes;
-    s.total_wire_bytes += pipeline_ ? lane.wire_shipped : lane.wire.size();
+    s.total_wire_bytes += lane.wire_shipped;
   }
   s.runs_shipped = runs_shipped_.load(std::memory_order_relaxed);
   s.runs_compacted = runs_compacted_.load(std::memory_order_relaxed);
   s.overflow_spills = overflow_spills_.load(std::memory_order_relaxed);
   s.peak_resident_run_bytes =
       peak_resident_run_bytes_.load(std::memory_order_relaxed);
-  if (pipeline_) {
-    for (int p = 0; p < num_partitions_; ++p) {
-      std::lock_guard<std::mutex> lock(
-          partition_mu_[static_cast<size_t>(p)]);
-      s.max_partition_run_bytes =
-          std::max(s.max_partition_run_bytes,
-                   partition_runs_[static_cast<size_t>(p)].total_bytes);
-    }
+  for (int p = 0; p < num_partitions_; ++p) {
+    std::lock_guard<std::mutex> lock(partition_mu_[static_cast<size_t>(p)]);
+    s.max_partition_run_bytes =
+        std::max(s.max_partition_run_bytes,
+                 partition_runs_[static_cast<size_t>(p)].total_bytes);
   }
   return s;
 }

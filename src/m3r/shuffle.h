@@ -28,7 +28,7 @@ inline int StablePlaceOfPartition(int partition, int num_places) {
   return partition % num_places;
 }
 
-/// Overflow-run storage for the pipelined shuffle (DESIGN.md §15): whole
+/// Overflow-run storage for the shuffle (DESIGN.md §15): whole
 /// sorted runs evicted from a partition's resident budget are written here
 /// and read back lazily at reduce time. The engine backs this with the
 /// /_m3r_ckpt spill path.
@@ -39,7 +39,7 @@ class RunSpillSink {
   virtual Status Read(const std::string& id, std::string* bytes) = 0;
 };
 
-/// One sealed, sorted slice of a reduce partition's input (pipelined mode).
+/// One sealed, sorted slice of a reduce partition's remote input.
 /// Records are (varint key length, serialized key bytes, varint value
 /// length, serialized value bytes), sorted by the job's sort comparator at
 /// flush time.
@@ -66,8 +66,8 @@ struct SortedRun {
 /// Stability ordinal of a run for sortkit::RunMerger: among equal keys,
 /// records drain local-first (ordinal 0 is reserved for the home place's
 /// local pairs), then in (source place, worker lane, flush seq) order —
-/// the same order the barrier-batch path splices lanes, so a pipelined
-/// merge reproduces the legacy stable sort byte for byte.
+/// the order a barrier exchange splices lanes before a stable sort, so the
+/// merge reproduces that sort byte for byte at any flush threshold.
 inline uint64_t RunOrdinal(int src_place, int worker_lane, uint64_t seq) {
   return ((static_cast<uint64_t>(src_place) + 1) << 42) |
          (static_cast<uint64_t>(worker_lane) << 21) | (seq + 1);
@@ -86,31 +86,26 @@ struct ShuffleOptions {
   /// serialization lane per destination, so Emit never contends on a
   /// stream and every lane's wire bytes stay deterministic.
   int workers_per_place = 1;
-  /// Optional fault injector consulted per inbound lane at DeliverTo time:
-  /// "channel.send" fires before the lane's wire is taken (lost in
-  /// transit), "channel.decode" fires before reconstruction (corrupted
-  /// receive). Keys are "src->dst#lane". Failures accumulate in status().
+  /// Optional fault injector consulted per shipped run: "channel.send"
+  /// fires before the run leaves its lane (lost in transit),
+  /// "channel.decode" fires before it is cut (corrupted receive). Keys are
+  /// "src->dst#lane". Failures accumulate in status().
   std::shared_ptr<FaultInjector> fault;
-  /// Optional per-job integrity context: each remote lane's wire is
+  /// Optional per-job integrity context: each shipped run's wire is
   /// CRC32C-stamped by the sender and verified (under the
   /// "corrupt.channel.frame" site, same keys as above) before decode; in
   /// repair mode a mismatching frame is re-fetched from the sender's
   /// buffer, in detect mode it surfaces as DataLoss in status().
   std::shared_ptr<IntegrityContext> integrity;
   /// Optional engine-lifetime buffer pool. Lane wire buffers are acquired
-  /// from it (pre-sized from the previous job's lanes) and released back
-  /// when the exchange is destroyed; decode scratch sizes are tracked the
-  /// same way. In pipelined mode each flushed wire buffer is returned per
-  /// run instead, so the decaying size hints track run size.
+  /// from it and each shipped run's buffer is returned right after the run
+  /// is cut, so the decaying size hints track run size.
   BufferPool* buffer_pool = nullptr;
 
-  // --- Pipelined mode (m3r.shuffle.pipeline, DESIGN.md §15) ---
-  /// When true, a lane crossing `flush_bytes` is sealed as a sorted run and
-  /// shipped to its destination immediately; DeliverTo only drains the
-  /// residuals. When false (default), the exchange is the barrier-batch
-  /// original.
-  bool pipeline = false;
-  /// Buffered bytes per lane before an early flush (pipelined mode).
+  // --- Streaming exchange (DESIGN.md §15) ---
+  /// Buffered bytes per lane before the lane segment is sealed as a sorted
+  /// run and shipped early. 0 = never flush before the barrier: each lane
+  /// ships whole at DeliverTo, the paper's barrier exchange (§5.1).
   size_t flush_bytes = 256 * 1024;
   /// Resident-run budget per partition in bytes; crossing it spills whole
   /// runs (oldest first) through `spill_sink`. 0 = unlimited.
@@ -165,11 +160,12 @@ class ShuffleExchange {
             const serialize::WritablePtr& value, bool immutable,
             int worker_lane = 0);
 
-  /// Map barrier has passed: decode all remote streams inbound to
-  /// `dst_place`, reconstructing aliases for de-duplicated objects. When
-  /// `executor` is non-null the streams decode concurrently (at most
-  /// `max_workers` strands). Per-stream decode CPU seconds are recorded
-  /// for the engine's simulated-time attribution (DecodeSeconds).
+  /// Map barrier has passed: ship each lane inbound to `dst_place` that
+  /// still holds unflushed records as one last sorted run (the whole lane
+  /// when flush_bytes is 0). When `executor` is non-null the lanes are cut
+  /// concurrently (at most `max_workers` strands). Per-lane CPU seconds
+  /// are recorded for the engine's simulated-time attribution
+  /// (DecodeSeconds).
   void DeliverTo(int dst_place, Executor* executor = nullptr,
                  int max_workers = 1);
 
@@ -182,9 +178,8 @@ class ShuffleExchange {
   /// this is non-ok rather than reduce over partial shuffle data.
   Status status() const;
 
-  /// Pairs destined for `partition` (call after DeliverTo on its place).
-  /// In pipelined mode this holds only the home place's *local* emissions;
-  /// remote pairs arrive as sorted runs (CollectPartitionRuns).
+  /// The home place's *local* emissions for `partition`; remote pairs
+  /// arrive as sorted runs (CollectPartitionRuns).
   const kvstore::KVSeq& PartitionPairs(int partition) const;
 
   /// Moves out every sorted run of `partition`, reloading spilled runs from
@@ -193,12 +188,11 @@ class ShuffleExchange {
   /// cannot be read back intact.
   Status CollectPartitionRuns(int partition, std::vector<SortedRun>* out);
 
-  /// Wire bytes queued from src to dst (after de-duplication), summed
-  /// over all worker lanes. In pipelined mode: total bytes shipped,
-  /// including pre-barrier run flushes.
+  /// Wire bytes shipped from src to dst (after de-duplication), summed
+  /// over all worker lanes, including pre-barrier run flushes.
   uint64_t WireBytes(int src_place, int dst_place) const;
   /// The subset of WireBytes shipped at the barrier (the residual drain).
-  /// Equals WireBytes when the pipeline is off. Valid after DeliverTo.
+  /// Equals WireBytes when flush_bytes is 0. Valid after DeliverTo.
   uint64_t BarrierWireBytes(int src_place, int dst_place) const;
 
   struct Stats {
@@ -209,13 +203,12 @@ class ShuffleExchange {
     uint64_t deduped_objects = 0;
     uint64_t dedup_saved_bytes = 0;
     uint64_t total_wire_bytes = 0;
-    // Pipelined mode only (all zero when off):
     uint64_t runs_shipped = 0;      // lane segments sealed and shipped
     uint64_t runs_compacted = 0;    // runs folded by incremental merge
     uint64_t overflow_spills = 0;   // whole runs spilled through the sink
     uint64_t peak_resident_run_bytes = 0;
     /// Largest cumulative run footprint any one partition ever produced
-    /// (spilled or not) — what the barrier path would have had to hold.
+    /// (spilled or not) — what an unbudgeted partition would have held.
     uint64_t max_partition_run_bytes = 0;
   };
   Stats ComputeStats() const;
@@ -229,7 +222,7 @@ class ShuffleExchange {
     uint64_t dropped_local_pairs = 0;
     /// Outbound lanes of the dead places released back to the pool.
     int dropped_lanes = 0;
-    /// Pipelined mode: pre-barrier shipped runs discarded because their
+    /// Pre-barrier shipped runs discarded because their
     /// source place died (identified by source + map-version tag; the
     /// replayed tasks re-ship them under the bumped version).
     int dropped_runs = 0;
@@ -255,14 +248,12 @@ class ShuffleExchange {
  private:
   struct Lane {
     // Remote stream src -> dst place for one worker strand (lazily
-    // created; written by exactly one strand, so unsynchronized).
+    // created; written by exactly one strand, so unsynchronized). Null
+    // again once the barrier drain has shipped the lane.
     std::unique_ptr<serialize::DedupOutputStream> out;
-    std::string wire;
-    uint64_t objects = 0;
     uint64_t deduped = 0;
     uint64_t saved_bytes = 0;
-    bool finished = false;
-    // Pipelined mode (lane-confined until the barrier, read after it):
+    // Lane-confined until the barrier, read after it:
     uint64_t flush_seq = 0;        // runs sealed from this lane so far
     uint64_t wire_shipped = 0;     // total bytes shipped (all flushes)
     uint64_t barrier_shipped = 0;  // the residual shipped at DeliverTo
@@ -277,17 +268,14 @@ class ShuffleExchange {
 
   Lane& LaneFor(int src, int dst, int worker);
   const Lane& LaneAt(int src, int dst, int worker) const;
-  /// `orphan` lanes were addressed to a now-dead place, so the
-  /// decoded-partition home check is against the current map's (alive)
-  /// home instead of the delivering place.
-  void DecodeLane(Lane* lane, const std::string& lane_key, int dst_place,
-                  bool orphan, double* cpu_seconds);
-  /// Pipelined counterpart of DecodeLane: seals the lane segment, ships it
-  /// (fault + CRC checks at send time), splits it into (key, value) byte
-  /// spans of the frame and appends one sorted run per partition touched;
-  /// no Writable is built. `barrier` marks the final residual drain;
-  /// early flushes recreate the lane stream and recycle the wire buffer
-  /// per run. Null `cpu_seconds` leaves the cost on the caller's clock
+  /// Seals the lane segment, ships it (fault + CRC checks at send time),
+  /// splits it into (key, value) byte spans of the frame and appends one
+  /// sorted run per partition touched; no Writable is built. `orphan`
+  /// lanes were addressed to a now-dead place, so the partition home check
+  /// is against the current map's (alive) home instead of the delivering
+  /// place. `barrier` marks the final residual drain; early flushes
+  /// recreate the lane stream. Either way the wire buffer is recycled per
+  /// run. Null `cpu_seconds` leaves the cost on the caller's clock
   /// (an emit-time flush runs inside the map task's stopwatch).
   void FlushLane(Lane* lane, const std::string& lane_key, int src_place,
                  int worker, int dst_place, bool orphan, bool barrier,
@@ -304,7 +292,7 @@ class ShuffleExchange {
   void SpillOverBudgetLocked(int partition, PartitionRuns* pr);
   void AddResidentRunBytes(int64_t delta);
   void RecordFailure(Status s);
-  /// Releases a lane's stream/wire back to the pool and zeroes its stats.
+  /// Releases a lane's stream back to the pool and zeroes its stats.
   void DiscardLane(Lane* lane);
   /// Appends the orphan lanes round-robin-assigned to `dst_place`, with
   /// their original "src->dead_dst#w" fault keys, in deterministic order.
@@ -322,7 +310,6 @@ class ShuffleExchange {
   const std::shared_ptr<FaultInjector> fault_;
   const std::shared_ptr<IntegrityContext> integrity_;
   BufferPool* const pool_;
-  const bool pipeline_;
   const size_t flush_bytes_;
   const size_t partition_budget_bytes_;
   const sortkit::RawCompareFn* const run_comparator_;

@@ -599,7 +599,7 @@ TEST(ChaosSoak, MidMapCrashRecoversByteIdenticalOnBothEngines) {
   // typed-retriable whole-job failure, no partial commit.
   api::JobConf oj = workloads::MakeWordCountJob("/in", "/out-off", 3, true);
   oj.Set(api::conf::kPlaceCrashAt, "1:1");
-  oj.Set(api::conf::kPlaceRecovery, "off");
+  oj.Set(api::conf::kPlaceRecoveryMaxCrashes, "0");
   api::JobResult orr = m3r->Submit(oj);
   ASSERT_FALSE(orr.ok());
   EXPECT_TRUE(orr.status.IsUnavailable()) << orr.status.ToString();
@@ -641,8 +641,8 @@ TEST(ChaosSoak, MidMapCrashRecoversByteIdenticalOnBothEngines) {
 // Crash during the pipelined shuffle (DESIGN.md §15): by the time a place
 // dies mid-map it has already shipped sorted runs to every reducer home.
 // Recovery must discard those pre-barrier runs by source tag and replay the
-// lost maps, landing on bytes identical to the barrier batch (pipeline=off,
-// same crash) and to the Hadoop engine.
+// lost maps, landing on bytes identical to the barrier exchange
+// (flush.bytes=0, same crash) and to the Hadoop engine.
 // ---------------------------------------------------------------------------
 
 TEST(ChaosSoak, MidMapCrashDuringPipelinedShuffleStaysByteIdentical) {
@@ -663,28 +663,25 @@ TEST(ChaosSoak, MidMapCrashDuringPipelinedShuffleStaysByteIdentical) {
   // Each crash run gets a fresh engine and DFS: a crash evicts place 1's
   // input blocks and replants its splits on survivors, which would defuse
   // the scripted crash for any later run on the same engine.
+  // Flush threshold "1024" is tiny: place 1 ships many runs before it
+  // dies, all of which recovery must discard by source tag and replace via
+  // replay. The budget variant additionally pushes some of those runs
+  // through the overflow spill before their source dies.
   struct Case {
     const char* name;
-    const char* pipeline;
+    const char* flush_bytes;
     const char* budget_mb;  // nullptr = unbudgeted
   };
-  for (const Case& c : {Case{"barrier", "off", nullptr},
-                        Case{"pipelined", "on", nullptr},
-                        Case{"pipelined-overflow", "on", "1"}}) {
+  for (const Case& c : {Case{"barrier", "0", nullptr},
+                        Case{"pipelined", "1024", nullptr},
+                        Case{"pipelined-overflow", "1024", "1"}}) {
     SCOPED_TRACE(c.name);
     auto fs = dfs::MakeSimDfs(4, 16 * 1024);
     ASSERT_TRUE(workloads::GenerateText(*fs, "/in", 256 * 1024, 4, 17).ok());
     engine::M3REngine m3r(fs, engine::M3REngineOptions{TestCluster()});
     api::JobConf job = workloads::MakeWordCountJob("/in", "/out", 3, true);
     job.Set(api::conf::kPlaceCrashAt, "1:1");
-    job.Set(api::conf::kShufflePipeline, c.pipeline);
-    if (std::string(c.pipeline) == "on") {
-      // Tiny flush threshold: place 1 ships many runs before it dies, all
-      // of which recovery must discard by source tag and replace via
-      // replay. The budget variant additionally pushes some of those runs
-      // through the overflow spill before their source dies.
-      job.Set(api::conf::kShuffleFlushBytes, "1024");
-    }
+    job.Set(api::conf::kShuffleFlushBytes, c.flush_bytes);
     if (c.budget_mb != nullptr) {
       job.Set(api::conf::kShufflePartitionBudgetMb, c.budget_mb);
     }
@@ -694,10 +691,9 @@ TEST(ChaosSoak, MidMapCrashDuringPipelinedShuffleStaysByteIdentical) {
     EXPECT_TRUE(fs->Exists("/out/_SUCCESS"));
     EXPECT_EQ(r.metrics.at("place_crashes"), 1);
     EXPECT_GE(r.metrics.at("recovered_map_tasks"), 1);
-    if (std::string(c.pipeline) == "on") {
-      // The pipeline actually streamed before and after the crash.
-      EXPECT_GT(r.metrics.at("shuffle_runs_shipped"), 0);
-    }
+    // Runs shipped in every case: at the barrier only for "barrier",
+    // before and after the crash for the streaming cases.
+    EXPECT_GT(r.metrics.at("shuffle_runs_shipped"), 0);
   }
 }
 

@@ -232,8 +232,9 @@ TEST(EngineEquivalence, MicroBenchmarkBinaryOutputsIdentical) {
   EXPECT_EQ(hadoop_records, m3r_records);
 }
 
-// --- Pipelined shuffle: the WordCount/SpMV equivalence matrix must hold
-// under both m3r.shuffle.pipeline modes (DESIGN.md §15) ---
+// --- Streaming shuffle: the WordCount/SpMV equivalence matrix must hold
+// both for the barrier exchange (m3r.shuffle.flush.bytes=0, nothing ships
+// before the barrier) and with runs streaming mid-map (DESIGN.md §15) ---
 
 TEST(PipelineEquivalence, WordCountMatrixUnderBothShuffleModes) {
   auto hadoop_fs = dfs::MakeSimDfs(4, 16 * 1024);
@@ -246,32 +247,30 @@ TEST(PipelineEquivalence, WordCountMatrixUnderBothShuffleModes) {
   auto truth = ReadOutputLines(*hadoop_fs, "/out");
   ASSERT_FALSE(truth.empty());
 
-  for (const char* mode : {"off", "on"}) {
+  // "0" is the barrier exchange; "4096" is small enough that lanes stream
+  // several runs mid-map at this scale.
+  for (const char* flush_bytes : {"0", "4096"}) {
     auto fs = dfs::MakeSimDfs(4, 16 * 1024);
     ASSERT_TRUE(workloads::GenerateText(*fs, "/in", 200 * 1024, 4, 99).ok());
     engine::M3REngine m3r(fs, {TestCluster()});
     api::JobConf job = workloads::MakeWordCountJob("/in", "/out", 3, true);
-    job.Set(api::conf::kShufflePipeline, mode);
-    // Small enough that lanes stream several runs mid-map at this scale.
-    if (std::string(mode) == "on") {
-      job.Set(api::conf::kShuffleFlushBytes, "4096");
-    }
+    job.Set(api::conf::kShuffleFlushBytes, flush_bytes);
     api::JobResult mr = m3r.Submit(job);
-    ASSERT_TRUE(mr.ok()) << mode << ": " << mr.status.ToString();
-    EXPECT_EQ(truth, ReadOutputLines(*fs, "/out")) << "pipeline=" << mode;
+    ASSERT_TRUE(mr.ok()) << flush_bytes << ": " << mr.status.ToString();
+    EXPECT_EQ(truth, ReadOutputLines(*fs, "/out"))
+        << "flush.bytes=" << flush_bytes;
     // Both modes report first-reduce latency; the ordering between them is
     // a perf property asserted by run_bench on a config sized to show it —
     // at this scale the two are within wall-clock measurement noise.
-    ASSERT_EQ(mr.metrics.count("time_to_first_reduce_ms"), 1u) << mode;
-    EXPECT_GT(mr.metrics.at("time_to_first_reduce_ms"), 0) << mode;
-    if (std::string(mode) == "on") {
-      EXPECT_GT(mr.metrics.at("shuffle_runs_shipped"), 0);
-      EXPECT_GT(mr.counters.Get(api::counters::kM3rGroup,
-                                api::counters::kShuffleRunsShipped),
-                0);
-    } else {
-      EXPECT_EQ(mr.metrics.count("shuffle_runs_shipped"), 0u);
-    }
+    ASSERT_EQ(mr.metrics.count("time_to_first_reduce_ms"), 1u) << flush_bytes;
+    EXPECT_GT(mr.metrics.at("time_to_first_reduce_ms"), 0) << flush_bytes;
+    // The barrier exchange ships each non-empty lane as one run at the
+    // barrier; streaming ships more. Both count them.
+    EXPECT_GT(mr.metrics.at("shuffle_runs_shipped"), 0) << flush_bytes;
+    EXPECT_GT(mr.counters.Get(api::counters::kM3rGroup,
+                              api::counters::kShuffleRunsShipped),
+              0)
+        << flush_bytes;
   }
 }
 
@@ -282,8 +281,10 @@ TEST(PipelineEquivalence, SpmvMatrixUnderBothShuffleModes) {
   params.sparsity = 0.05;
   params.num_partitions = 2;
 
+  // flush_bytes: nullptr keeps the default threshold; "0" is the barrier
+  // exchange.
   auto run = [&](bool use_m3r,
-                 const char* pipeline_mode) -> std::vector<double> {
+                 const char* flush_bytes) -> std::vector<double> {
     auto fs = dfs::MakeSimDfs(4, 256 * 1024);
     M3R_CHECK_OK(workloads::GenerateSpmvData(*fs, "/spmv/g", "/spmv/v",
                                              params));
@@ -303,7 +304,9 @@ TEST(PipelineEquivalence, SpmvMatrixUnderBothShuffleModes) {
                                                  "/spmv/temp-p",
                                                  "/spmv/temp-out", 2, 4);
     for (api::JobConf job : jobs) {
-      job.Set(api::conf::kShufflePipeline, pipeline_mode);
+      if (flush_bytes != nullptr) {
+        job.Set(api::conf::kShuffleFlushBytes, flush_bytes);
+      }
       auto result = engine->Submit(job);
       M3R_CHECK(result.ok()) << result.status.ToString();
     }
@@ -313,19 +316,21 @@ TEST(PipelineEquivalence, SpmvMatrixUnderBothShuffleModes) {
     return v.take();
   };
 
-  std::vector<double> truth = run(/*use_m3r=*/false, "off");
-  // Bit-identical doubles across the whole matrix: engine x pipeline mode.
-  EXPECT_EQ(run(false, "on"), truth);
-  EXPECT_EQ(run(true, "off"), truth);
-  EXPECT_EQ(run(true, "on"), truth);
+  std::vector<double> truth = run(/*use_m3r=*/false, "0");
+  // Bit-identical doubles across the whole matrix: engine x flush
+  // threshold (the Hadoop engine ignores the M3R knob).
+  EXPECT_EQ(run(false, nullptr), truth);
+  EXPECT_EQ(run(true, "0"), truth);
+  EXPECT_EQ(run(true, nullptr), truth);
 }
 
 TEST(PipelineEquivalence, OverflowBudgetSpillsAndStaysByteIdentical) {
   // A partition budget far below the working set: the pipelined run set
   // cannot stay resident, so whole runs overflow through the checkpoint
   // spill path and are merged back lazily at reduce — with the same bytes
-  // out as the unconstrained barrier batch, which had to hold everything.
-  auto run = [](const char* mode, const char* budget_mb,
+  // out as the unconstrained barrier exchange, which had to hold
+  // everything. flush_bytes: nullptr keeps the default threshold.
+  auto run = [](const char* flush_bytes, const char* budget_mb,
                 api::JobResult* result_out) {
     auto fs = dfs::MakeSimDfs(4, 64 * 1024);
     M3R_CHECK_OK(
@@ -333,7 +338,9 @@ TEST(PipelineEquivalence, OverflowBudgetSpillsAndStaysByteIdentical) {
     engine::M3REngine m3r(fs, {TestCluster()});
     api::JobConf job = workloads::MakeMicroJob("/in", "/out", 4,
                                                /*remote_ratio=*/1.0, 7);
-    job.Set(api::conf::kShufflePipeline, mode);
+    if (flush_bytes != nullptr) {
+      job.Set(api::conf::kShuffleFlushBytes, flush_bytes);
+    }
     if (budget_mb != nullptr) {
       job.Set(api::conf::kShufflePartitionBudgetMb, budget_mb);
     }
@@ -356,9 +363,9 @@ TEST(PipelineEquivalence, OverflowBudgetSpillsAndStaysByteIdentical) {
   };
 
   api::JobResult barrier, constrained;
-  auto truth = run("off", nullptr, &barrier);
+  auto truth = run("0", nullptr, &barrier);
   ASSERT_EQ(truth.size(), 8000u);
-  auto spilled = run("on", "1", &constrained);
+  auto spilled = run(nullptr, "1", &constrained);
   EXPECT_EQ(spilled, truth);
   // The budget actually bit: runs spilled, the cumulative partition
   // footprint exceeded what the budget would let stay resident, yet the
@@ -426,6 +433,10 @@ struct CorruptionSiteCase {
   bool fires_on_hadoop;
   bool fires_on_m3r;
 };
+
+// Without this, gtest prints the raw pointer bytes, so the listed test name
+// would change with every address-space layout.
+void PrintTo(const CorruptionSiteCase& c, std::ostream* os) { *os << c.site; }
 
 class RepairEquivalenceTest
     : public ::testing::TestWithParam<CorruptionSiteCase> {};

@@ -482,7 +482,7 @@ TEST(M3RPlaceCrashTest, CrashEvictsOnlyDeadPlaceAndFailsJobCleanly) {
   job.Set("m3r.fault.seed", std::to_string(seed));
   job.Set("m3r.fault.m3r.place.prob", std::to_string(kProb));
   // Pin the pre-recovery contract: crash => clean whole-job failure.
-  job.Set(api::conf::kPlaceRecovery, "off");
+  job.Set(api::conf::kPlaceRecoveryMaxCrashes, "0");
   auto result = m3r.Submit(job);
   EXPECT_FALSE(result.ok());
   // A place crash is a retriable infrastructure failure, not a job bug.
@@ -526,7 +526,7 @@ TEST(JobClientRetryTest, RetriableFailuresResubmitNonRetriableDoNot) {
   api::JobConf flaky = workloads::MakeWordCountJob("/in", "/flaky", 2, true);
   flaky.Set("m3r.fault.seed", std::to_string(seed));
   flaky.Set("m3r.fault.m3r.place.prob", std::to_string(kProb));
-  flaky.Set(api::conf::kPlaceRecovery, "off");
+  flaky.Set(api::conf::kPlaceRecoveryMaxCrashes, "0");
   flaky.Set(api::conf::kJobMaxAttempts, "3");
   flaky.Set(api::conf::kJobRetryBackoffMs, "1");
   flaky.Set(api::conf::kJobEndNotificationUrl, "http://observer/cb");

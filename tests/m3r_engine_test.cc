@@ -281,5 +281,36 @@ TEST(M3REngineTest, ForceHadoopRoutesThroughJobClient) {
   EXPECT_GT(result.sim_seconds, SmallCluster().task_jvm_start_s);
 }
 
+TEST(M3REngineTest, RemovedModeKeysFailNamingTheirReplacement) {
+  auto fs = dfs::MakeSimDfs(4, 8 * 1024);
+  ASSERT_TRUE(workloads::GenerateText(*fs, "/in", 16 * 1024, 1, 5).ok());
+  M3REngine m3r(fs, DefaultOptions());
+  struct Stale {
+    const char* key;
+    const char* value;
+    const char* replacement;
+  };
+  for (const Stale& stale :
+       {Stale{"m3r.shuffle.pipeline", "off", "m3r.shuffle.flush.bytes"},
+        Stale{"m3r.place.recovery", "off",
+              "m3r.place.recovery.max.crashes"}}) {
+    api::JobConf job = workloads::MakeWordCountJob("/in", "/stale", 1, true);
+    job.Set(stale.key, stale.value);
+    auto result = m3r.Submit(job);
+    ASSERT_FALSE(result.ok()) << stale.key;
+    EXPECT_TRUE(result.status.IsInvalidArgument()) << result.status.ToString();
+    EXPECT_NE(result.status.ToString().find(stale.replacement),
+              std::string::npos)
+        << result.status.ToString();
+    EXPECT_FALSE(fs->Exists("/stale"));
+  }
+  // The former defaults name the only remaining behaviour and still run.
+  api::JobConf job = workloads::MakeWordCountJob("/in", "/out", 1, true);
+  job.Set("m3r.shuffle.pipeline", "on");
+  job.Set("m3r.place.recovery", "replay");
+  auto result = m3r.Submit(job);
+  EXPECT_TRUE(result.ok()) << result.status.ToString();
+}
+
 }  // namespace
 }  // namespace m3r::engine

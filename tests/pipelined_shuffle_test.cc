@@ -1,11 +1,12 @@
-// Stress + protocol tests for the pipelined shuffle (m3r.shuffle.pipeline):
+// Stress + protocol tests for the streaming shuffle (DESIGN.md §15):
 // concurrent emit strands trigger early run flushes on their own threads
 // while other strands append/compact/spill runs into the same partitions,
 // then concurrent barrier drains seal the residuals. The delivered record
-// multiset must match the barrier-batch exchange run over the same plan,
-// the merged drain must be globally sorted, overflow budgets must spill
-// whole runs through the sink without losing a record, and recovery must
-// discard exactly the dead places' pre-barrier runs.
+// multiset must match the emission plan and a barrier exchange
+// (flush_bytes = 0) run over the same plan, the merged drain must be
+// globally sorted, overflow budgets must spill whole runs through the sink
+// without losing a record, and recovery must discard exactly the dead
+// places' pre-barrier runs.
 //
 // Meant to run under -DM3R_SANITIZE=thread as the data-race check for the
 // emit-time flush path (see check-sanitize).
@@ -15,9 +16,11 @@
 #include <atomic>
 #include <map>
 #include <mutex>
+#include <set>
 #include <string>
 #include <string_view>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "api/class_registry.h"
@@ -78,24 +81,48 @@ ShuffleOptions PipelinedOptions(size_t flush_bytes) {
   ShuffleOptions opts;
   opts.num_partitions = kPartitions;
   opts.workers_per_place = kWorkers;
-  opts.pipeline = true;
   opts.flush_bytes = flush_bytes;
   return opts;
 }
 
 /// One strand's deterministic emission plan (mix of local/remote
 /// destinations, duplicate keys, cloned pairs).
+int PlanPartition(int place, int lane, int j) {
+  return (place + 3 * lane + j) % kPartitions;
+}
+WritablePtr PlanKey(int place, int lane, int j) {
+  return std::make_shared<LongWritable>((place + lane + j) % 50);
+}
+WritablePtr PlanValue(int place, int lane, int j) {
+  return std::make_shared<Text>("v" + std::to_string(place) + "." +
+                                std::to_string(lane) + "." +
+                                std::to_string(j));
+}
+
 void EmitStrand(ShuffleExchange* shuffle, int place, int lane) {
   for (int j = 0; j < kEmitsPerStrand; ++j) {
-    int partition = (place + 3 * lane + j) % kPartitions;
     bool immutable = (j % 7) != 0;
-    WritablePtr key =
-        std::make_shared<LongWritable>((place + lane + j) % 50);
-    WritablePtr value = std::make_shared<Text>(
-        "v" + std::to_string(place) + "." + std::to_string(lane) + "." +
-        std::to_string(j));
-    shuffle->Emit(place, partition, key, value, immutable, lane);
+    shuffle->Emit(place, PlanPartition(place, lane, j),
+                  PlanKey(place, lane, j), PlanValue(place, lane, j),
+                  immutable, lane);
   }
+}
+
+/// The (key|value) multiset the whole plan sends to `partition`, computed
+/// from the plan itself rather than from any exchange.
+std::vector<std::string> ExpectedView(int partition) {
+  std::vector<std::string> view;
+  for (int place = 0; place < kPlaces; ++place) {
+    for (int lane = 0; lane < kWorkers; ++lane) {
+      for (int j = 0; j < kEmitsPerStrand; ++j) {
+        if (PlanPartition(place, lane, j) != partition) continue;
+        view.push_back(SerializeToString(*PlanKey(place, lane, j)) + "|" +
+                       SerializeToString(*PlanValue(place, lane, j)));
+      }
+    }
+  }
+  std::sort(view.begin(), view.end());
+  return view;
 }
 
 void RunPlan(ShuffleExchange* shuffle, bool concurrent) {
@@ -149,16 +176,6 @@ std::vector<std::string> PipelinedView(ShuffleExchange* shuffle,
   return view;
 }
 
-std::vector<std::string> BarrierView(const ShuffleExchange& shuffle,
-                                     int partition) {
-  std::vector<std::string> view;
-  for (const auto& [k, v] : shuffle.PartitionPairs(partition)) {
-    view.push_back(SerializeToString(*k) + "|" + SerializeToString(*v));
-  }
-  std::sort(view.begin(), view.end());
-  return view;
-}
-
 TEST(PipelinedShuffleTest, ConcurrentPipelineMatchesBarrierExchange) {
   // Tiny flush threshold: every strand seals many runs mid-emit, so the
   // emit / flush / append / compact interleaving is exercised for real.
@@ -166,22 +183,67 @@ TEST(PipelinedShuffleTest, ConcurrentPipelineMatchesBarrierExchange) {
   RunPlan(&pipelined, /*concurrent=*/true);
   ASSERT_TRUE(pipelined.status().ok());
 
-  ShuffleOptions barrier_opts;
-  barrier_opts.num_partitions = kPartitions;
-  barrier_opts.workers_per_place = kWorkers;
-  ShuffleExchange barrier(kPlaces, barrier_opts);
+  ShuffleExchange barrier(kPlaces, PipelinedOptions(/*flush_bytes=*/0));
   RunPlan(&barrier, /*concurrent=*/false);
+  ASSERT_TRUE(barrier.status().ok());
 
   ShuffleExchange::Stats ps = pipelined.ComputeStats();
+  ShuffleExchange::Stats bs = barrier.ComputeStats();
   EXPECT_GT(ps.runs_shipped, static_cast<uint64_t>(kPlaces * kWorkers));
   EXPECT_GT(ps.peak_resident_run_bytes, 0u);
   for (int p = 0; p < kPartitions; ++p) {
-    EXPECT_EQ(PipelinedView(&pipelined, p), BarrierView(barrier, p))
-        << "partition " << p;
+    const std::vector<std::string> expected = ExpectedView(p);
+    ASSERT_FALSE(expected.empty());
+    EXPECT_EQ(PipelinedView(&pipelined, p), expected) << "partition " << p;
+    EXPECT_EQ(PipelinedView(&barrier, p), expected) << "partition " << p;
   }
-  ShuffleExchange::Stats bs = barrier.ComputeStats();
   EXPECT_EQ(ps.local_pairs, bs.local_pairs);
   EXPECT_EQ(ps.remote_pairs, bs.remote_pairs);
+  EXPECT_EQ(ps.local_pairs + ps.remote_pairs,
+            static_cast<uint64_t>(kPlaces) * kWorkers * kEmitsPerStrand);
+}
+
+TEST(PipelinedShuffleTest, ZeroFlushThresholdShipsEachLaneOnceAtTheBarrier) {
+  ShuffleExchange shuffle(kPlaces, PipelinedOptions(/*flush_bytes=*/0));
+  for (int place = 0; place < kPlaces; ++place) {
+    for (int lane = 0; lane < kWorkers; ++lane) {
+      EmitStrand(&shuffle, place, lane);
+    }
+  }
+  // Nothing ships before the barrier.
+  EXPECT_EQ(shuffle.ComputeStats().runs_shipped, 0u);
+  for (int place = 0; place < kPlaces; ++place) shuffle.DeliverTo(place);
+  ASSERT_TRUE(shuffle.status().ok());
+
+  // Every byte crossed at the barrier, so the sim's pre-barrier overlap
+  // terms are zero and the charge is the paper's barrier exchange.
+  uint64_t wire = 0;
+  for (int src = 0; src < kPlaces; ++src) {
+    for (int dst = 0; dst < kPlaces; ++dst) {
+      EXPECT_EQ(shuffle.BarrierWireBytes(src, dst),
+                shuffle.WireBytes(src, dst))
+          << src << "->" << dst;
+      wire += shuffle.WireBytes(src, dst);
+    }
+  }
+  EXPECT_GT(wire, 0u);
+
+  // One run per non-empty remote lane, counted from the plan.
+  std::set<std::tuple<int, int, int>> remote_lanes;
+  for (int place = 0; place < kPlaces; ++place) {
+    for (int lane = 0; lane < kWorkers; ++lane) {
+      for (int j = 0; j < kEmitsPerStrand; ++j) {
+        int dst = shuffle.PlaceOfPartition(PlanPartition(place, lane, j));
+        if (dst != place) remote_lanes.emplace(place, lane, dst);
+      }
+    }
+  }
+  ASSERT_FALSE(remote_lanes.empty());
+  EXPECT_EQ(shuffle.ComputeStats().runs_shipped, remote_lanes.size());
+  for (int p = 0; p < kPartitions; ++p) {
+    EXPECT_EQ(PipelinedView(&shuffle, p), ExpectedView(p))
+        << "partition " << p;
+  }
 }
 
 TEST(PipelinedShuffleTest, RunsMergeIntoGlobalKeyOrderWithStableOrdinals) {
@@ -243,14 +305,9 @@ TEST(PipelinedShuffleTest, OverBudgetPartitionsSpillWholeRunsAndReload) {
   // The whole working set never fit the budget...
   EXPECT_GT(ps.max_partition_run_bytes, opts.partition_budget_bytes);
   // ...but no record was lost: the reloaded multiset still matches the
-  // barrier exchange.
-  ShuffleOptions barrier_opts;
-  barrier_opts.num_partitions = kPartitions;
-  barrier_opts.workers_per_place = kWorkers;
-  ShuffleExchange barrier(kPlaces, barrier_opts);
-  RunPlan(&barrier, /*concurrent=*/false);
+  // emission plan.
   for (int p = 0; p < kPartitions; ++p) {
-    EXPECT_EQ(PipelinedView(&pipelined, p), BarrierView(barrier, p))
+    EXPECT_EQ(PipelinedView(&pipelined, p), ExpectedView(p))
         << "partition " << p;
   }
   // Every partition was drained, so the external gauge is settled.
@@ -294,8 +351,7 @@ TEST(PipelinedShuffleTest, EarlyFlushesRecycleWireBuffersThroughThePool) {
   ShuffleExchange shuffle(kPlaces, opts);
   // One strand, many flushes on the same lane: from the second flush on,
   // Acquire must be served from the buffers the earlier flushes released —
-  // the per-run recycle contract (a barrier-batch lane only recycles at
-  // exchange teardown).
+  // the per-run recycle contract.
   for (int j = 0; j < 2000; ++j) {
     shuffle.Emit(/*src_place=*/0, /*partition=*/1,
                  std::make_shared<LongWritable>(j),
@@ -336,7 +392,7 @@ M3R_REGISTER_CLASS_AS(api::mapred::Mapper, FanOutMapper, FanOutMapper)
 /// Runs the fan-out job on a fresh DFS and engine; returns each output
 /// part file's records, in file order, as serialized key and value bytes
 /// (the files' own bytes differ only in their per-writer sync markers).
-std::map<std::string, std::string> RunFanOutJob(const std::string& pipeline,
+std::map<std::string, std::string> RunFanOutJob(int64_t flush_bytes,
                                                 int64_t* dedup_saved_bytes) {
   constexpr int kJobPartitions = 8;
   auto fs = dfs::MakeSimDfs(4, 64 * 1024);
@@ -350,9 +406,7 @@ std::map<std::string, std::string> RunFanOutJob(const std::string& pipeline,
   api::JobConf job =
       workloads::MakeMicroJob("/micro", "/out", kJobPartitions, 0.0, 1);
   job.SetMapperClass(FanOutMapper::kClassName);
-  job.Set(api::conf::kShufflePipeline, pipeline);
-  // Small runs: most back-references land in early, emit-time flushes.
-  job.SetInt(api::conf::kShuffleFlushBytes, 2048);
+  job.SetInt(api::conf::kShuffleFlushBytes, flush_bytes);
   api::JobResult result = engine.Submit(job);
   EXPECT_TRUE(result.ok()) << result.status.ToString();
   *dedup_saved_bytes = result.metrics.at("dedup_saved_bytes");
@@ -373,8 +427,10 @@ std::map<std::string, std::string> RunFanOutJob(const std::string& pipeline,
 
 TEST(PipelinedShuffleTest, BroadcastBackReferencesMatchBarrierOutput) {
   int64_t saved_on = 0, saved_off = 0;
-  std::map<std::string, std::string> on = RunFanOutJob("on", &saved_on);
-  std::map<std::string, std::string> off = RunFanOutJob("off", &saved_off);
+  // Small runs: most back-references land in early, emit-time flushes.
+  std::map<std::string, std::string> on = RunFanOutJob(2048, &saved_on);
+  // The barrier exchange: each lane ships as one stream.
+  std::map<std::string, std::string> off = RunFanOutJob(0, &saved_off);
   // Back-references crossed the pipelined runs' span decoder...
   EXPECT_GT(saved_on, 0);
   EXPECT_EQ(saved_on, saved_off);

@@ -248,23 +248,20 @@ TEST(JobServerTest, ProgressIsMonotonicallyObservable) {
   auto fs = FsWithText();
   auto engine =
       std::make_shared<M3REngine>(fs, M3REngineOptions{SmallCluster()});
-  // Observe raw progress callbacks (the server consumes them the same
-  // way).
-  std::mutex mu;
+  // Poll the job handle while the job runs, the way the server does.
+  api::JobHandle handle = engine->SubmitAsync(
+      workloads::MakeWordCountJob("/in", "/prog", 2, true));
   std::vector<double> seen;
-  engine->SetProgressCallback(
-      [&](const std::string&, double p, const api::Counters*) {
-        std::lock_guard<std::mutex> lock(mu);
-        seen.push_back(p);
-      });
-  ASSERT_TRUE(
-      engine->Submit(workloads::MakeWordCountJob("/in", "/prog", 2, true))
-          .ok());
-  ASSERT_GE(seen.size(), 3u);  // submit, per-task, final
+  while (!handle.WaitFor(0.0005)) seen.push_back(handle.Progress());
+  ASSERT_TRUE(handle.Wait().ok());
+  seen.push_back(handle.Progress());
   EXPECT_DOUBLE_EQ(seen.back(), 1.0);
-  for (double p : seen) {
-    EXPECT_GE(p, 0.0);
-    EXPECT_LE(p, 1.0);
+  for (size_t i = 0; i < seen.size(); ++i) {
+    EXPECT_GE(seen[i], 0.0);
+    EXPECT_LE(seen[i], 1.0);
+    if (i > 0) {
+      EXPECT_GE(seen[i], seen[i - 1]) << "progress went backwards";
+    }
   }
 }
 

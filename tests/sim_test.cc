@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include "sim/cost_model.h"
-#include "sim/metrics.h"
 #include "sim/timeline.h"
 
 namespace m3r::sim {
@@ -92,19 +91,6 @@ TEST(SlotTimelineTest, ScheduleOnNodeUsesLeastLoadedSlot) {
   tl.ScheduleOnNode(0, 0, 10.0);
   auto t = tl.ScheduleOnNode(0, 0, 1.0);
   EXPECT_DOUBLE_EQ(t.start_s, 0.0);  // second slot was free
-}
-
-TEST(MetricsTest, CountersAndMerge) {
-  Metrics a;
-  a.Add("bytes", 10);
-  a.Add("bytes", 5);
-  a.AddSeconds("phase", 1.5);
-  Metrics b;
-  b.Add("bytes", 1);
-  b.MergeFrom(a);
-  EXPECT_EQ(b.Get("bytes"), 16);
-  EXPECT_DOUBLE_EQ(b.GetSeconds("phase"), 1.5);
-  EXPECT_EQ(b.Get("missing"), 0);
 }
 
 }  // namespace

@@ -2,12 +2,10 @@
 
 #include <atomic>
 #include <numeric>
-#include <thread>
 
 #include "serialize/basic_writables.h"
 #include "x10rt/channel.h"
 #include "x10rt/place_group.h"
-#include "x10rt/team.h"
 
 namespace m3r::x10rt {
 namespace {
@@ -53,29 +51,6 @@ TEST(PlaceGroupTest, SurvivesManyRounds) {
     places.FinishForAll([&](int) { ++count; });
     ASSERT_EQ(count.load(), 6);
   }
-}
-
-TEST(TeamTest, BarrierSynchronizesParticipants) {
-  constexpr int kParticipants = 6;
-  Team team(kParticipants);
-  std::atomic<int> before{0};
-  std::atomic<int> failures{0};
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kParticipants; ++t) {
-    threads.emplace_back([&] {
-      for (int round = 1; round <= 10; ++round) {
-        ++before;
-        team.Barrier();
-        // After the barrier every participant's pre-barrier increment of
-        // this round must be visible.
-        if (before.load() < round * kParticipants) ++failures;
-        team.Barrier();
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
-  EXPECT_EQ(failures.load(), 0);
-  EXPECT_EQ(team.Generation(), 20u);
 }
 
 TEST(ChannelTest, RoundTripWithDedupStats) {

@@ -1,14 +1,19 @@
-// google-benchmark micro-benchmarks for the substrates: serialization,
-// the de-duplicating object stream, the distributed KV store's lock
-// protocol, and place-group dispatch. These quantify the building blocks
+// google-benchmark micro-benchmarks for the substrates: serialization
+// (including the CSC block codec every L2 demotion, overflow fill and
+// promotion pays), the de-duplicating object stream, the distributed KV
+// store's lock protocol, and place-group dispatch. These quantify the building blocks
 // the engine-level numbers rest on.
 #include <benchmark/benchmark.h>
 
+#include <random>
 #include <thread>
+#include <tuple>
+#include <vector>
 
 #include "kvstore/kv_store.h"
 #include "serialize/basic_writables.h"
 #include "serialize/dedup.h"
+#include "workloads/spmv.h"
 #include "x10rt/place_group.h"
 
 namespace m3r {
@@ -32,6 +37,51 @@ void BM_SerializeTextPairs(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_SerializeTextPairs);
+
+/// A 2000x2000 CSC block at density 0.01 (~40k non-zeros): the SpMV
+/// block shape the cache tiers move.
+const workloads::CscBlockWritable& SpmvBlock() {
+  static const workloads::CscBlockWritable block = [] {
+    constexpr int32_t kDim = 2000;
+    std::mt19937_64 rng(7);
+    std::bernoulli_distribution keep(0.01);
+    std::uniform_real_distribution<double> value(-1.0, 1.0);
+    std::vector<std::tuple<int32_t, int32_t, double>> triplets;
+    for (int32_t c = 0; c < kDim; ++c) {
+      for (int32_t r = 0; r < kDim; ++r) {
+        if (keep(rng)) triplets.emplace_back(r, c, value(rng));
+      }
+    }
+    return workloads::CscBlockWritable::FromTriplets(kDim, kDim, triplets);
+  }();
+  return block;
+}
+
+void BM_CscBlockEncode(benchmark::State& state) {
+  const workloads::CscBlockWritable& block = SpmvBlock();
+  for (auto _ : state) {
+    serialize::DataOutput out;
+    block.Write(out);
+    benchmark::DoNotOptimize(out.buffer().data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * block.nnz());
+}
+BENCHMARK(BM_CscBlockEncode);
+
+void BM_CscBlockDecode(benchmark::State& state) {
+  const workloads::CscBlockWritable& block = SpmvBlock();
+  const std::string bytes = serialize::SerializeToString(block);
+  for (auto _ : state) {
+    serialize::DataInput in(bytes);
+    workloads::CscBlockWritable decoded;
+    decoded.ReadFields(in);
+    benchmark::DoNotOptimize(decoded.values().data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * block.nnz());
+}
+BENCHMARK(BM_CscBlockDecode);
 
 void BM_CloneRoundTrip(benchmark::State& state) {
   BytesWritable value(std::string(static_cast<size_t>(state.range(0)), 'v'));

@@ -202,9 +202,7 @@ void HashCombineCollector::FoldEntry(Entry* entry) {
                           &entry->values);
   std::vector<std::pair<std::string, std::string>> combined;
   CaptureCollector capture(&combined);
-  reporter_->IncrCounter(counters::kTaskGroup,
-                         counters::kCombineInputRecords,
-                         static_cast<int64_t>(entry->values.size()));
+  combine_input_ += entry->values.size();
   Status st = RunCombine(conf_, group, capture, *reporter_);
   if (!st.ok()) {
     // Remember the failure for Flush(); the pending raw values stay in the
@@ -213,9 +211,8 @@ void HashCombineCollector::FoldEntry(Entry* entry) {
     disabled_ = true;
     return;
   }
-  reporter_->IncrCounter(counters::kTaskGroup,
-                         counters::kCombineOutputRecords,
-                         static_cast<int64_t>(combined.size()));
+  combine_output_ += combined.size();
+  combine_completed_ = true;
   if (combined.size() == 1 && combined[0].first == entry->key_bytes) {
     // Conforming fold: the pair re-enters the table as the key's single
     // pending value, ready to absorb further emissions.
@@ -265,6 +262,18 @@ Status HashCombineCollector::Flush() {
   flushed_ = true;
   DrainTable();
   ReportGauge();
+  // The folds only tallied the COMBINE_* counters. Post them once, before
+  // the failure return, so a failing combine still reports its counts.
+  if (combine_input_ != 0) {
+    reporter_->IncrCounter(counters::kTaskGroup,
+                           counters::kCombineInputRecords,
+                           static_cast<int64_t>(combine_input_));
+  }
+  if (combine_completed_) {
+    reporter_->IncrCounter(counters::kTaskGroup,
+                           counters::kCombineOutputRecords,
+                           static_cast<int64_t>(combine_output_));
+  }
   if (!deferred_.ok()) return deferred_;
   // Downstream counted one MAP_OUTPUT_RECORDS per pair it saw; top the
   // counter up to one per mapper emission (Hadoop's definition).

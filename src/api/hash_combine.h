@@ -67,10 +67,11 @@ class HashCombineCollector : public OutputCollector {
 
   void Collect(const WritablePtr& key, const WritablePtr& value) override;
 
-  /// Drains the table downstream and settles the MAP_OUTPUT_RECORDS
-  /// counter (the table absorbs emissions that downstream never saw, so
-  /// the delta is added here to keep Hadoop's counter semantics: one per
-  /// mapper emission). Returns the first combiner failure, if any.
+  /// Drains the table downstream, posts the COMBINE_* counters its folds
+  /// tallied, and settles the MAP_OUTPUT_RECORDS counter (the table
+  /// absorbs emissions that downstream never saw, so the delta is added
+  /// here to keep Hadoop's counter semantics: one per mapper emission).
+  /// Returns the first combiner failure, if any.
   Status Flush();
 
   /// Whole-table drains forced by the memory budget.
@@ -130,6 +131,10 @@ class HashCombineCollector : public OutputCollector {
   Status deferred_;  // first combiner failure
   uint64_t collected_ = 0;  // mapper emissions seen
   uint64_t emitted_ = 0;    // pairs forwarded downstream
+  // COMBINE_* counter tallies, posted once by Flush().
+  uint64_t combine_input_ = 0;
+  uint64_t combine_output_ = 0;
+  bool combine_completed_ = false;  // some fold ran its combiner to the end
   uint64_t overflow_spills_ = 0;
 };
 

@@ -192,10 +192,14 @@ Status RunReduceTask(const JobConf& conf, GroupSource& groups,
   auto reducer = ObjectRegistry<mapred::Reducer>::Instance().Create(
       conf.Get(conf::kMapredReducer));
   reducer->Configure(conf);
+  int64_t input_groups = 0;  // posted once, not per group
   while (groups.NextGroup()) {
-    reporter.IncrCounter(counters::kTaskGroup, counters::kReduceInputGroups,
-                         1);
+    ++input_groups;
     reducer->Reduce(groups.Key(), groups.Values(), collector, reporter);
+  }
+  if (input_groups != 0) {
+    reporter.IncrCounter(counters::kTaskGroup, counters::kReduceInputGroups,
+                         input_groups);
   }
   reducer->Close();
   *output_immutable = IsImmutableOutput(reducer.get());

@@ -57,13 +57,14 @@ size_t BytesWritable::SerializedSize() const {
 
 void DoubleArrayWritable::Write(DataOutput& out) const {
   out.WriteVarU64(values_.size());
-  for (double d : values_) out.WriteDouble(d);
+  out.WriteDoubleArray(values_.data(), values_.size());
 }
 
 void DoubleArrayWritable::ReadFields(DataInput& in) {
-  size_t n = in.ReadVarU64();
+  const uint64_t n = in.ReadVarU64();
+  in.CheckFits(n, 8);
   values_.resize(n);
-  for (size_t i = 0; i < n; ++i) values_[i] = in.ReadDouble();
+  in.ReadDoubleArray(values_.data(), values_.size());
 }
 
 std::string DoubleArrayWritable::ToString() const {

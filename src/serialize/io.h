@@ -6,10 +6,14 @@
 #include <cstring>
 #include <string>
 #include <string_view>
+#include <type_traits>
 
 #include "common/logging.h"
 
 namespace m3r::serialize {
+
+/// Longest LEB128 encoding of a 64-bit value: ceil(64 / 7) groups.
+inline constexpr size_t kMaxVarintBytes = 10;
 
 /// Converts between host order and the big-endian wire order (an
 /// involution, so it also converts back).
@@ -64,14 +68,8 @@ class DataOutput {
 
   /// Variable-length unsigned int, LEB128-style (1 byte for values < 128).
   void WriteVarU64(uint64_t v) {
-    char b[10];  // ceil(64 / 7) groups
-    size_t n = 0;
-    while (v >= 0x80) {
-      b[n++] = static_cast<char>(static_cast<uint8_t>(v) | 0x80);
-      v >>= 7;
-    }
-    b[n++] = static_cast<char>(v);
-    Buf().append(b, n);
+    char b[kMaxVarintBytes];
+    Buf().append(b, PutVarU64(v, b));
   }
   /// Zig-zag encoded signed variant.
   void WriteVarI64(int64_t v) {
@@ -86,6 +84,36 @@ class DataOutput {
   }
   void WriteRaw(const void* data, size_t n) {
     Buf().append(static_cast<const char*>(data), n);
+  }
+
+  /// Array primitives: the bytes of WriteVarU64 / WriteDouble called on
+  /// each element in turn (a signed element is widened to 64 bits first,
+  /// so a negative int32 takes ten bytes), but the buffer grows once per
+  /// array and the elements are written through a pointer. The varint
+  /// writer grows by the worst case and trims to what it wrote.
+  template <typename Int>
+  void WriteVarU64Array(const Int* v, size_t n) {
+    static_assert(std::is_integral_v<Int>);
+    std::string& buf = Buf();
+    const size_t start = buf.size();
+    buf.resize(start + n * kMaxVarintBytes);
+    char* p = buf.data() + start;
+    for (size_t i = 0; i < n; ++i) {
+      p += PutVarU64(static_cast<uint64_t>(v[i]), p);
+    }
+    buf.resize(static_cast<size_t>(p - buf.data()));
+  }
+  void WriteDoubleArray(const double* v, size_t n) {
+    std::string& buf = Buf();
+    const size_t start = buf.size();
+    buf.resize(start + n * 8);
+    char* p = buf.data() + start;
+    for (size_t i = 0; i < n; ++i) {
+      uint64_t bits;
+      std::memcpy(&bits, &v[i], 8);
+      bits = ToBigEndian(bits);
+      std::memcpy(p + i * 8, &bits, 8);
+    }
   }
 
   size_t size() const { return Buf().size(); }
@@ -103,6 +131,18 @@ class DataOutput {
   }
 
  private:
+  /// LEB128-encodes `v` into `out` (room for kMaxVarintBytes); returns the
+  /// byte count.
+  static size_t PutVarU64(uint64_t v, char* out) {
+    size_t n = 0;
+    while (v >= 0x80) {
+      out[n++] = static_cast<char>(static_cast<uint8_t>(v) | 0x80);
+      v >>= 7;
+    }
+    out[n++] = static_cast<char>(v);
+    return n;
+  }
+
   std::string& Buf() { return external_ ? *external_ : owned_; }
   const std::string& Buf() const { return external_ ? *external_ : owned_; }
 
@@ -191,6 +231,50 @@ class DataInput {
     M3R_CHECK(pos_ + n <= size_) << "raw overrun";
     std::memcpy(out, data_ + pos_, n);
     pos_ += n;
+  }
+
+  /// Array readers, the inverse of DataOutput's array writers. Doubles
+  /// take one bounds check per array. Varints skip the per-byte check
+  /// while a worst-case varint still fits in what remains, and fall back
+  /// to ReadVarU64 over the last kMaxVarintBytes; both paths abort on a
+  /// varint longer than ten bytes.
+  template <typename Int>
+  void ReadVarU64Array(Int* out, size_t n) {
+    static_assert(std::is_integral_v<Int>);
+    const auto* bytes = reinterpret_cast<const uint8_t*>(data_);
+    size_t i = 0;
+    for (; i < n && size_ - pos_ >= kMaxVarintBytes; ++i) {
+      size_t at = pos_;
+      uint64_t b = bytes[at++];
+      uint64_t v = b & 0x7f;
+      for (int shift = 7; b & 0x80; shift += 7) {
+        M3R_CHECK(shift < 64) << "varint too long";
+        b = bytes[at++];
+        v |= (b & 0x7f) << shift;
+      }
+      pos_ = at;
+      out[i] = static_cast<Int>(v);
+    }
+    for (; i < n; ++i) out[i] = static_cast<Int>(ReadVarU64());
+  }
+  void ReadDoubleArray(double* out, size_t n) {
+    CheckFits(n, 8);
+    const char* p = data_ + pos_;
+    for (size_t i = 0; i < n; ++i) {
+      uint64_t bits;
+      std::memcpy(&bits, p + i * 8, 8);
+      bits = ToBigEndian(bits);
+      std::memcpy(&out[i], &bits, 8);
+    }
+    pos_ += n * 8;
+  }
+
+  /// Aborts unless `count` more elements of at least `min_bytes` each can
+  /// follow. Readers call it on a length taken off the wire before sizing
+  /// a container from it, so a corrupt length aborts here instead of first
+  /// asking the allocator for gigabytes.
+  void CheckFits(uint64_t count, size_t min_bytes) const {
+    M3R_CHECK(count <= remaining() / min_bytes) << "DataInput overrun";
   }
 
   bool AtEnd() const { return pos_ == size_; }

@@ -179,7 +179,7 @@ void MatrixBlockWritable::Write(serialize::DataOutput& out) const {
   out.WriteVarU64(static_cast<uint64_t>(cols_));
   out.WriteBool(dense_);
   if (dense_) {
-    for (double v : values_) out.WriteDouble(v);
+    out.WriteDoubleArray(values_.data(), values_.size());
   } else {
     // The deliberately bulky SystemML-style wire format: full 32-bit row
     // and column indices per non-zero.
@@ -201,10 +201,16 @@ void MatrixBlockWritable::ReadFields(serialize::DataInput& in) {
   coo_cols_.clear();
   coo_vals_.clear();
   if (dense_) {
-    values_.resize(static_cast<size_t>(rows_) * cols_);
-    for (auto& v : values_) v = in.ReadDouble();
+    // Widened through uint32 so the product cannot wrap; checked before
+    // anything is sized from it.
+    const uint64_t n = uint64_t{static_cast<uint32_t>(rows_)} *
+                       static_cast<uint32_t>(cols_);
+    in.CheckFits(n, 8);
+    values_.resize(n);
+    in.ReadDoubleArray(values_.data(), values_.size());
   } else {
-    size_t nnz = in.ReadVarU64();
+    const uint64_t nnz = in.ReadVarU64();
+    in.CheckFits(nnz, 16);
     coo_rows_.resize(nnz);
     coo_cols_.resize(nnz);
     coo_vals_.resize(nnz);

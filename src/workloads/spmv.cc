@@ -54,21 +54,27 @@ void CscBlockWritable::Write(serialize::DataOutput& out) const {
   out.WriteVarU64(static_cast<uint64_t>(rows_));
   out.WriteVarU64(static_cast<uint64_t>(cols_));
   out.WriteVarU64(values_.size());
-  for (int32_t p : col_ptr_) out.WriteVarU64(static_cast<uint64_t>(p));
-  for (int32_t r : row_idx_) out.WriteVarU64(static_cast<uint64_t>(r));
-  for (double v : values_) out.WriteDouble(v);
+  out.WriteVarU64Array(col_ptr_.data(), col_ptr_.size());
+  out.WriteVarU64Array(row_idx_.data(), row_idx_.size());
+  out.WriteDoubleArray(values_.data(), values_.size());
 }
 
 void CscBlockWritable::ReadFields(serialize::DataInput& in) {
   rows_ = static_cast<int32_t>(in.ReadVarU64());
-  cols_ = static_cast<int32_t>(in.ReadVarU64());
-  size_t nnz = in.ReadVarU64();
-  col_ptr_.resize(static_cast<size_t>(cols_) + 1);
-  for (auto& p : col_ptr_) p = static_cast<int32_t>(in.ReadVarU64());
+  const uint64_t cols = in.ReadVarU64();
+  const uint64_t nnz = in.ReadVarU64();
+  // Checked before anything is sized from them: at least a byte per
+  // column pointer, and per non-zero a row-index byte and an eight-byte
+  // value.
+  in.CheckFits(cols, 1);
+  in.CheckFits(nnz, 9);
+  cols_ = static_cast<int32_t>(cols);
+  col_ptr_.resize(cols + 1);
+  in.ReadVarU64Array(col_ptr_.data(), col_ptr_.size());
   row_idx_.resize(nnz);
-  for (auto& r : row_idx_) r = static_cast<int32_t>(in.ReadVarU64());
+  in.ReadVarU64Array(row_idx_.data(), row_idx_.size());
   values_.resize(nnz);
-  for (auto& v : values_) v = in.ReadDouble();
+  in.ReadDoubleArray(values_.data(), values_.size());
 }
 
 std::string CscBlockWritable::ToString() const {

@@ -597,6 +597,9 @@ struct HashCombineRun {
   int64_t wire_bytes = 0;
   int64_t map_output_records = 0;
   int64_t combine_input = 0;
+  int64_t combine_output = 0;
+  int64_t reduce_input_groups = 0;
+  int64_t reduce_input_records = 0;
   int64_t detected = 0;
   int64_t repaired = 0;
 };
@@ -634,6 +637,12 @@ HashCombineRun RunWordCountHashCombine(
       api::counters::kTaskGroup, api::counters::kMapOutputRecords);
   r.combine_input = result.counters.Get(
       api::counters::kTaskGroup, api::counters::kCombineInputRecords);
+  r.combine_output = result.counters.Get(
+      api::counters::kTaskGroup, api::counters::kCombineOutputRecords);
+  r.reduce_input_groups = result.counters.Get(
+      api::counters::kTaskGroup, api::counters::kReduceInputGroups);
+  r.reduce_input_records = result.counters.Get(
+      api::counters::kTaskGroup, api::counters::kReduceInputRecords);
   if (result.metrics.count("integrity_detected")) {
     r.detected = result.metrics.at("integrity_detected");
     r.repaired = result.metrics.at("integrity_repaired");
@@ -676,6 +685,34 @@ TEST(HashCombineEquivalence, ByteIdenticalAndCutsWireBytes) {
       true, true, {{api::conf::kPlaceWorkers, "2"}});
   EXPECT_EQ(m_on_2w.lines, m_off.lines);
   EXPECT_EQ(m_on_2w.map_output_records, m_off.map_output_records);
+}
+
+// The combine and reduce-group counters are tallied per task and posted
+// once; the totals a job reports must not move. The pinned values are the
+// ones per-record posting gave on this input.
+TEST(HashCombineEquivalence, TalliedCountersKeepTheirTotals) {
+  struct Want {
+    bool use_m3r;
+    int64_t combine_input;
+    int64_t combine_output;
+    int64_t reduce_input_records;
+  };
+  for (const Want& want : {Want{false, 412016, 207856, 181910},
+                           Want{true, 378477, 59204, 66797}}) {
+    SCOPED_TRACE(want.use_m3r ? "m3r" : "hadoop");
+    HashCombineRun r = RunWordCountHashCombine(want.use_m3r, true, {});
+    EXPECT_EQ(r.map_output_records, 386070);
+    EXPECT_EQ(r.combine_input, want.combine_input);
+    EXPECT_EQ(r.combine_output, want.combine_output);
+    EXPECT_EQ(r.reduce_input_records, want.reduce_input_records);
+    // Every combine run is counted: what reaches the reducers is what the
+    // mappers emitted less what the folds removed.
+    EXPECT_EQ(r.reduce_input_records,
+              r.map_output_records - r.combine_input + r.combine_output);
+    // One reduce group per distinct word, i.e. per output line.
+    EXPECT_EQ(r.reduce_input_groups, 19997);
+    EXPECT_EQ(r.reduce_input_groups, static_cast<int64_t>(r.lines.size()));
+  }
 }
 
 TEST(HashCombineEquivalence, RepairModeStillByteIdentical) {

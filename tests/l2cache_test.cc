@@ -3,6 +3,7 @@
 // checkpoint spill as final fallback, promote-on-miss as a move, the
 // coordinated shard-eviction order (replicated entries first, last replica
 // spilled then last), lease protection, ring healing, and the settle sweep.
+// One case drives the engine's own freeze/thaw over a CSC-valued file.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -14,9 +15,14 @@
 #include <thread>
 #include <vector>
 
+#include "dfs/local_fs.h"
 #include "l2cache/hash_ring.h"
 #include "l2cache/tiered_cache_manager.h"
+#include "m3r/m3r_engine.h"
 #include "memgov/memory_governor.h"
+#include "serialize/writable.h"
+#include "workloads/matrix_gen.h"
+#include "workloads/spmv.h"
 
 namespace m3r::l2cache {
 namespace {
@@ -493,6 +499,77 @@ TEST(TieredCacheManager, ConcurrentDemoteAndPromoteKeepEveryByteSomewhere) {
   // every counter pair is self-consistent (no negative balance).
   L2Counters c = h.mgr->l2_counters();
   EXPECT_GE(c.demotions, c.aborted_demotions);
+}
+
+/// Every cached block of `path`, as block name -> the re-serialized
+/// bytes of its pairs, in order.
+std::map<std::string, std::vector<std::string>> BlockBytes(
+    engine::M3REngine& engine, const std::string& path) {
+  std::map<std::string, std::vector<std::string>> out;
+  auto blocks = engine.cache().GetFileBlocks(path);
+  EXPECT_TRUE(blocks.ok()) << blocks.status().ToString();
+  if (!blocks.ok()) return out;
+  for (const auto& block : *blocks) {
+    std::vector<std::string>& bytes = out[block.info.name];
+    for (const auto& [k, v] : *block.pairs) {
+      bytes.push_back(serialize::SerializeToString(*k));
+      bytes.push_back(serialize::SerializeToString(*v));
+    }
+  }
+  return out;
+}
+
+TEST(TieredCacheEngine, CscBlocksComeBackByteIdenticalFromDemoteAndPromote) {
+  auto fs = dfs::MakeSimDfs(4, 256 * 1024);
+  workloads::SpmvDataParams params;
+  params.n = 1200;
+  params.block = 300;
+  params.sparsity = 0.02;
+  params.num_partitions = 4;
+  ASSERT_TRUE(workloads::GenerateSpmvData(*fs, "/g", "/v", params).ok());
+  sim::ClusterSpec spec;
+  spec.num_nodes = 4;
+  spec.slots_per_node = 2;
+  engine::M3REngine engine(fs, {spec});
+  // One SpMV iteration reads (and so caches) the CSC-valued G files.
+  for (const api::JobConf& job : workloads::MakeSpmvIterationJobs(
+           "/g", "/v", "/partial", "/v1", params.num_partitions,
+           static_cast<int>(params.n / params.block))) {
+    auto result = engine.Submit(job);
+    ASSERT_TRUE(result.ok()) << result.status.ToString();
+  }
+  const std::vector<std::string> files = engine.cache().FilesUnder("/g");
+  ASSERT_FALSE(files.empty());
+  std::map<std::string, std::map<std::string, std::vector<std::string>>>
+      before;
+  for (const std::string& f : files) {
+    auto blocks = engine.cache().GetFileBlocks(f);
+    ASSERT_TRUE(blocks.ok());
+    ASSERT_FALSE(blocks->empty());
+    ASSERT_NE(dynamic_cast<const workloads::CscBlockWritable*>(
+                  (*blocks)[0].pairs->at(0).second.get()),
+              nullptr);
+    before[f] = BlockBytes(engine, f);
+  }
+
+  // A one-byte budget evicts everything; a tier with room for all of it
+  // takes every victim by demotion (the freeze path).
+  engine.governor().SetBudget(1);
+  engine.tiered_cache().ConfigureL2(true, {0, 1, 2, 3}, 16, uint64_t{1} << 30);
+  engine.cache_manager().EvictToBudget();
+  for (const std::string& f : files) {
+    EXPECT_FALSE(engine.cache().ContainsFile(f)) << f;
+    ASSERT_TRUE(engine.tiered_cache().L2Contains(f)) << f;
+  }
+  EXPECT_GE(engine.tiered_cache().l2_counters().demotions, files.size());
+
+  // Lift the budget and promote each file back (the thaw path).
+  engine.governor().SetBudget(0);
+  for (const std::string& f : files) {
+    ASSERT_TRUE(engine.tiered_cache().TryPromote(f, nullptr, nullptr).ok())
+        << f;
+    EXPECT_EQ(BlockBytes(engine, f), before[f]) << f;
+  }
 }
 
 }  // namespace

@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
 #include <initializer_list>
+#include <limits>
 #include <map>
 #include <set>
 #include <string>
 #include <string_view>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -13,6 +17,8 @@
 #include "serialize/dedup.h"
 #include "serialize/io.h"
 #include "serialize/registry.h"
+#include "sysml/matrix_block.h"
+#include "workloads/spmv.h"
 
 namespace m3r::serialize {
 namespace {
@@ -119,6 +125,276 @@ TEST(DataIoDeathTest, TruncatedPrimitivesAbort) {
                "DataInput overrun");
   EXPECT_DEATH(ReadTruncatedByOne([](DataOutput& o) { o.WriteVarU64(16384); },
                                   [](DataInput& i) { i.ReadVarU64(); }),
+               "DataInput overrun");
+}
+
+// --- Array primitives: the same bytes as the per-element calls. ---
+
+/// Reference encodings: one WriteVarU64 / WriteDouble per element.
+template <typename Int>
+void PerElementVarints(DataOutput& out, const std::vector<Int>& v) {
+  for (Int x : v) out.WriteVarU64(static_cast<uint64_t>(x));
+}
+void PerElementDoubles(DataOutput& out, const std::vector<double>& v) {
+  for (double x : v) out.WriteDouble(x);
+}
+
+const std::vector<int32_t>& VarintPins() {
+  static const std::vector<int32_t> pins = {
+      0, 127, 128, 16383, 16384, std::numeric_limits<int32_t>::max(),
+      -1, std::numeric_limits<int32_t>::min(), 1, 300};
+  return pins;
+}
+
+const std::vector<double>& DoublePins() {
+  static const std::vector<double> pins = {
+      std::numeric_limits<double>::quiet_NaN(),
+      -0.0,
+      std::numeric_limits<double>::denorm_min(),
+      -std::numeric_limits<double>::denorm_min() * 7,
+      std::numeric_limits<double>::infinity(),
+      -2.25,
+      1e300};
+  return pins;
+}
+
+TEST(DataIoTest, VarintArrayBytesMatchPerElementWrites) {
+  DataOutput array;
+  array.WriteVarU64Array(VarintPins().data(), VarintPins().size());
+  DataOutput loop;
+  PerElementVarints(loop, VarintPins());
+  EXPECT_EQ(array.buffer(), loop.buffer());
+
+  // A negative int32 widens to 64 bits first: ten bytes on the wire.
+  const int32_t minus_one = -1;
+  DataOutput neg;
+  neg.WriteVarU64Array(&minus_one, 1);
+  EXPECT_EQ(neg.buffer(), Bytes({0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff,
+                                 0xff, 0xff, 0x01}));
+
+  const std::vector<uint64_t> wide = {0, 1ull << 35, 1ull << 63, ~0ull};
+  DataOutput wide_array;
+  wide_array.WriteVarU64Array(wide.data(), wide.size());
+  DataOutput wide_loop;
+  PerElementVarints(wide_loop, wide);
+  EXPECT_EQ(wide_array.buffer(), wide_loop.buffer());
+
+  // Empty arrays write nothing; an array appends after existing content.
+  DataOutput appended;
+  appended.WriteString("head");
+  appended.WriteVarU64Array(VarintPins().data(), 0);
+  EXPECT_EQ(appended.buffer(), Bytes({0x04, 'h', 'e', 'a', 'd'}));
+  appended.WriteVarU64Array(VarintPins().data(), VarintPins().size());
+  appended.WriteByte(0x5a);
+  DataOutput expected;
+  expected.WriteString("head");
+  PerElementVarints(expected, VarintPins());
+  expected.WriteByte(0x5a);
+  EXPECT_EQ(appended.buffer(), expected.buffer());
+}
+
+TEST(DataIoTest, DoubleArrayBytesMatchPerElementWrites) {
+  DataOutput array;
+  array.WriteDoubleArray(DoublePins().data(), DoublePins().size());
+  DataOutput loop;
+  PerElementDoubles(loop, DoublePins());
+  EXPECT_EQ(array.buffer(), loop.buffer());
+  // -0.0 keeps its sign bit, big-endian.
+  EXPECT_EQ(array.buffer().substr(8, 8),
+            Bytes({0x80, 0, 0, 0, 0, 0, 0, 0}));
+
+  DataOutput appended;
+  appended.WriteU32(7);
+  appended.WriteDoubleArray(DoublePins().data(), 0);
+  EXPECT_EQ(appended.size(), 4u);
+  appended.WriteDoubleArray(DoublePins().data(), DoublePins().size());
+  DataOutput expected;
+  expected.WriteU32(7);
+  PerElementDoubles(expected, DoublePins());
+  EXPECT_EQ(appended.buffer(), expected.buffer());
+}
+
+/// Reads the pins back from `bytes` followed by `pad` trailing bytes: with
+/// a pad of kMaxVarintBytes or more every varint takes the unchecked fast
+/// path; with none the last ones fall back to ReadVarU64.
+void ExpectPinsReadBack(size_t pad) {
+  DataOutput out;
+  PerElementVarints(out, VarintPins());
+  PerElementDoubles(out, DoublePins());
+  for (size_t i = 0; i < pad; ++i) out.WriteByte(0x80);
+  DataInput in(out.buffer());
+  std::vector<int32_t> ints(VarintPins().size());
+  in.ReadVarU64Array(ints.data(), ints.size());
+  EXPECT_EQ(ints, VarintPins()) << "pad " << pad;
+  std::vector<double> doubles(DoublePins().size());
+  in.ReadDoubleArray(doubles.data(), doubles.size());
+  EXPECT_TRUE(std::isnan(doubles[0]));
+  EXPECT_TRUE(std::signbit(doubles[1]));
+  DataOutput again;
+  again.WriteDoubleArray(doubles.data(), doubles.size());
+  DataOutput want;
+  PerElementDoubles(want, DoublePins());
+  EXPECT_EQ(again.buffer(), want.buffer()) << "pad " << pad;
+  EXPECT_EQ(in.remaining(), pad);
+}
+
+TEST(DataIoTest, ArrayReadersTakeFastPathAndTailFallback) {
+  ExpectPinsReadBack(kMaxVarintBytes + 3);  // fast path throughout
+  ExpectPinsReadBack(0);                    // doubles end the buffer
+
+  // Varints alone, ending the buffer: the last ones sit inside the final
+  // ten bytes and go through the fallback.
+  DataOutput out;
+  PerElementVarints(out, VarintPins());
+  DataInput in(out.buffer());
+  std::vector<int32_t> ints(VarintPins().size());
+  in.ReadVarU64Array(ints.data(), ints.size());
+  EXPECT_EQ(ints, VarintPins());
+  EXPECT_TRUE(in.AtEnd());
+
+  const std::vector<uint64_t> wide = {~0ull, 1ull << 63, 5};
+  DataOutput wide_out;
+  PerElementVarints(wide_out, wide);
+  DataInput wide_in(wide_out.buffer());
+  std::vector<uint64_t> wide_back(wide.size());
+  wide_in.ReadVarU64Array(wide_back.data(), wide_back.size());
+  EXPECT_EQ(wide_back, wide);
+  EXPECT_TRUE(wide_in.AtEnd());
+}
+
+TEST(DataIoDeathTest, TruncatedArraysAbort) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_DEATH(ReadTruncatedByOne(
+                   [](DataOutput& o) {
+                     o.WriteVarU64Array(VarintPins().data(),
+                                        VarintPins().size());
+                   },
+                   [](DataInput& i) {
+                     std::vector<int32_t> v(VarintPins().size());
+                     i.ReadVarU64Array(v.data(), v.size());
+                   }),
+               "DataInput overrun");
+  EXPECT_DEATH(ReadTruncatedByOne(
+                   [](DataOutput& o) {
+                     o.WriteDoubleArray(DoublePins().data(),
+                                        DoublePins().size());
+                   },
+                   [](DataInput& i) {
+                     std::vector<double> v(DoublePins().size());
+                     i.ReadDoubleArray(v.data(), v.size());
+                   }),
+               "DataInput overrun");
+  // An eleven-byte varint is rejected on the fast path too.
+  EXPECT_DEATH(
+      {
+        std::string bytes(11, static_cast<char>(0x80));
+        bytes += std::string(kMaxVarintBytes, '\0');
+        DataInput in(bytes);
+        uint64_t v = 0;
+        in.ReadVarU64Array(&v, 1);
+      },
+      "varint too long");
+}
+
+/// CSC block with two-byte row indices, an empty column and special
+/// values.
+workloads::CscBlockWritable SampleCsc() {
+  std::vector<std::tuple<int32_t, int32_t, double>> triplets;
+  for (int32_t c = 0; c < 40; ++c) {
+    if (c == 7) continue;
+    for (int32_t r = c % 3; r < 300; r += 17 + c % 5) {
+      triplets.emplace_back(r, c, r * 0.5 - c);
+    }
+  }
+  triplets.emplace_back(299, 40, -0.0);
+  triplets.emplace_back(0, 41, std::numeric_limits<double>::denorm_min());
+  return workloads::CscBlockWritable::FromTriplets(300, 42, triplets);
+}
+
+TEST(WritableTest, ArrayWritablesKeepPerElementWireBytes) {
+  const workloads::CscBlockWritable csc = SampleCsc();
+  DataOutput csc_ref;
+  csc_ref.WriteVarU64(static_cast<uint64_t>(csc.rows()));
+  csc_ref.WriteVarU64(static_cast<uint64_t>(csc.cols()));
+  csc_ref.WriteVarU64(csc.values().size());
+  PerElementVarints(csc_ref, csc.col_ptr());
+  PerElementVarints(csc_ref, csc.row_idx());
+  PerElementDoubles(csc_ref, csc.values());
+  EXPECT_EQ(SerializeToString(csc), csc_ref.buffer());
+  workloads::CscBlockWritable csc_back;
+  DeserializeFromString(csc_ref.buffer(), &csc_back);
+  EXPECT_EQ(SerializeToString(csc_back), csc_ref.buffer());
+  EXPECT_EQ(csc_back.col_ptr(), csc.col_ptr());
+  EXPECT_EQ(csc_back.row_idx(), csc.row_idx());
+
+  const DoubleArrayWritable array(DoublePins());
+  DataOutput array_ref;
+  array_ref.WriteVarU64(DoublePins().size());
+  PerElementDoubles(array_ref, DoublePins());
+  EXPECT_EQ(SerializeToString(array), array_ref.buffer());
+  DoubleArrayWritable array_back;
+  DeserializeFromString(array_ref.buffer(), &array_back);
+  EXPECT_EQ(SerializeToString(array_back), array_ref.buffer());
+
+  auto dense = sysml::MatrixBlockWritable::Dense(3, 5);
+  for (int32_t r = 0; r < 3; ++r) {
+    for (int32_t c = 0; c < 5; ++c) dense.Set(r, c, r * 10.0 - c / 4.0);
+  }
+  DataOutput dense_ref;
+  dense_ref.WriteVarU64(3);
+  dense_ref.WriteVarU64(5);
+  dense_ref.WriteBool(true);
+  for (int32_t r = 0; r < 3; ++r) {
+    for (int32_t c = 0; c < 5; ++c) dense_ref.WriteDouble(dense.Get(r, c));
+  }
+  EXPECT_EQ(SerializeToString(dense), dense_ref.buffer());
+  sysml::MatrixBlockWritable dense_back;
+  DeserializeFromString(dense_ref.buffer(), &dense_back);
+  EXPECT_EQ(SerializeToString(dense_back), dense_ref.buffer());
+
+  // The interleaved COO format is untouched and still round-trips.
+  auto sparse = sysml::MatrixBlockWritable::Sparse(4, 4);
+  sparse.Append(1, 2, 3.5);
+  sparse.Append(3, 0, -1.0);
+  const std::string sparse_bytes = SerializeToString(sparse);
+  sysml::MatrixBlockWritable sparse_back;
+  DeserializeFromString(sparse_bytes, &sparse_back);
+  EXPECT_EQ(SerializeToString(sparse_back), sparse_bytes);
+}
+
+/// A huge length prefix followed by a few real bytes: the reader must
+/// abort on the length check, before it sizes a container from it.
+template <typename W>
+void ReadWithHeader(const std::string& header) {
+  std::string bytes = header + std::string(64, '\0');
+  W w;
+  DeserializeFromString(bytes, &w);
+}
+
+TEST(WritableDeathTest, HugeLengthPrefixAbortsBeforeAllocating) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  const uint64_t huge = uint64_t{1} << 40;
+  auto header = [](std::initializer_list<uint64_t> varints) {
+    DataOutput out;
+    for (uint64_t v : varints) out.WriteVarU64(v);
+    return out.Take();
+  };
+  EXPECT_DEATH(ReadWithHeader<DoubleArrayWritable>(header({huge})),
+               "DataInput overrun");
+  // rows, cols, nnz: a huge column count, then a huge nnz.
+  EXPECT_DEATH(ReadWithHeader<workloads::CscBlockWritable>(
+                   header({4, huge, 1})),
+               "DataInput overrun");
+  EXPECT_DEATH(ReadWithHeader<workloads::CscBlockWritable>(
+                   header({4, 4, huge})),
+               "DataInput overrun");
+  // rows, cols, dense flag: 2^20 x 2^20 doubles.
+  EXPECT_DEATH(ReadWithHeader<sysml::MatrixBlockWritable>(
+                   header({1 << 20, 1 << 20, 1})),
+               "DataInput overrun");
+  // rows, cols, sparse flag, nnz.
+  EXPECT_DEATH(ReadWithHeader<sysml::MatrixBlockWritable>(
+                   header({4, 4, 0, huge})),
                "DataInput overrun");
 }
 

@@ -279,6 +279,13 @@ TEST(HashCombineTest, AggregatesAndSettlesCounters) {
   EXPECT_GT(counters.Get(api::counters::kTaskGroup,
                          api::counters::kCombineOutputRecords),
             0);
+  // Every fold is counted: the records the folds removed are exactly the
+  // emissions downstream never saw.
+  EXPECT_EQ(counters.Get(api::counters::kTaskGroup,
+                         api::counters::kCombineInputRecords) -
+                counters.Get(api::counters::kTaskGroup,
+                             api::counters::kCombineOutputRecords),
+            emissions - static_cast<int64_t>(downstream.pairs.size()));
   EXPECT_EQ(collector.overflow_spills(), 0u);
 }
 

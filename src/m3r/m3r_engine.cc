@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
+#include <functional>
 #include <map>
 #include <mutex>
 #include <optional>
@@ -436,12 +437,6 @@ class M3RNamedOutputSink : public api::NamedOutputSink {
   std::map<std::string, Entry> entries_;
 };
 
-api::JobResult Fail(Status status) {
-  api::JobResult r;
-  r.status = std::move(status);
-  return r;
-}
-
 /// Knobs folded into a numeric knob beside them. A job that still sets one
 /// fails rather than have the setting silently ignored; only the former
 /// default, which the replacement's default reproduces, is still accepted.
@@ -469,9 +464,48 @@ Status CheckRemovedKeys(const JobConf& conf) {
   return Status::OK();
 }
 
-}  // namespace
+/// Parses m3r.place.crash.at, "P:N[,P:N...]": place P dies when it is about
+/// to start its (N+1)-th map task. Entries for places the job doesn't have
+/// never trigger; empty entries are skipped.
+Status ParseCrashScript(const std::string& script, std::map<int, int>* out) {
+  size_t pos = 0;
+  while (pos < script.size()) {
+    size_t comma = script.find(',', pos);
+    const std::string item = script.substr(
+        pos, comma == std::string::npos ? std::string::npos : comma - pos);
+    pos = comma == std::string::npos ? script.size() : comma + 1;
+    if (item.empty()) continue;
+    char* after_place = nullptr;
+    long p = std::strtol(item.c_str(), &after_place, 10);
+    char* after_ordinal = nullptr;
+    long n = after_place != nullptr && *after_place == ':'
+                 ? std::strtol(after_place + 1, &after_ordinal, 10)
+                 : -1;
+    if (after_place == item.c_str() || *after_place != ':' ||
+        after_ordinal == after_place + 1 ||
+        (after_ordinal != nullptr && *after_ordinal != '\0') || p < 0 ||
+        n < 0) {
+      return Status::InvalidArgument(std::string("bad ") +
+                                     api::conf::kPlaceCrashAt +
+                                     " entry: " + item);
+    }
+    (*out)[static_cast<int>(p)] = static_cast<int>(n);
+  }
+  return Status::OK();
+}
 
-struct M3REngine::TaskPlan {
+/// m3r.cache.checkpoint: which cache-only outputs spill to the DFS.
+enum class CheckpointPolicy { kOff, kTempOut, kAll };
+
+/// One value a job reports: a metric and, when `counter` is set, the
+/// M3R-group counter that mirrors it.
+struct Published {
+  const char* metric;
+  const char* counter;
+  int64_t value;
+};
+
+struct TaskPlan {
   api::InputSplitPtr split;
   int place = 0;
   bool cache_hit = false;
@@ -501,7 +535,44 @@ struct M3REngine::TaskPlan {
   bool replayed = false;
 };
 
-namespace {
+/// Whether a task at `t.place` reads its split without crossing the
+/// network: a cache hit, or a DFS replica of the split on that place.
+bool LocalRead(const TaskPlan& t, const std::vector<int>& locations,
+               int num_places) {
+  return t.cache_hit ||
+         std::any_of(locations.begin(), locations.end(),
+                     [&](int n) { return n % num_places == t.place; });
+}
+
+/// Clears the per-job fault injector and integrity context from the base
+/// file system and the cache, whatever the exit path.
+struct FaultGuard {
+  dfs::FileSystem* fs;
+  Cache* cache;
+  ~FaultGuard() {
+    fs->SetFaultInjector(nullptr);
+    fs->SetIntegrity(nullptr);
+    cache->SetIntegrity(nullptr);
+  }
+};
+
+/// Pins the job's input and output subtrees for the submission: the
+/// background evictor must never spill the data a running job is mapping
+/// over or publishing (pins also shield the reuse registry entries rooted
+/// under them).
+struct PinGuard {
+  memgov::CacheManager* mgr;
+  std::vector<std::string> paths;
+  void Add(const std::string& p) {
+    mgr->Pin(p);
+    paths.push_back(p);
+  }
+  void ReleaseAll() {
+    for (const std::string& p : paths) mgr->Unpin(p);
+    paths.clear();
+  }
+  ~PinGuard() { ReleaseAll(); }
+};
 
 /// Overflow-run storage for the pipelined shuffle: one DFS file per spilled
 /// run under the job's checkpoint-root scratch directory. The exchange
@@ -530,6 +601,69 @@ class CheckpointRunSpillSink : public RunSpillSink {
   const std::string dir_;
   std::atomic<bool> used_{false};
 };
+
+/// A cache block's pairs in the X10 wire format, stamped with their
+/// CRC32C: the unit the L2 tier holds and the checkpoint spills.
+l2cache::BlockPayload FreezeBlock(const KVSeq& pairs,
+                                  serialize::DedupMode mode,
+                                  std::string block_name, int place,
+                                  uint64_t bytes, bool whole_file) {
+  x10rt::Channel ch(mode);
+  for (const auto& [k, v] : pairs) {
+    ch.Send(k);
+    ch.Send(v);
+  }
+  l2cache::BlockPayload p;
+  p.block_name = std::move(block_name);
+  p.place = place;
+  p.bytes = bytes;
+  p.whole_file = whole_file;
+  p.wire = std::move(ch.Finish().bytes);
+  p.crc = crc32c::Crc32c(p.wire);
+  return p;
+}
+
+l2cache::BlockPayload FreezeBlock(const Cache::Block& block,
+                                  serialize::DedupMode mode) {
+  return FreezeBlock(*block.pairs, mode, block.info.name, block.info.place,
+                     block.bytes, block.info.whole_file);
+}
+
+/// One checkpoint spill file: a "place bytes crc whole_file" header line,
+/// then the wire bytes. The CRC stamp is unconditional (like the DFS's
+/// block checksums) so a restore under any integrity mode can verify it.
+std::string CheckpointRecord(const l2cache::BlockPayload& p) {
+  return std::to_string(p.place) + " " + std::to_string(p.bytes) + " " +
+         std::to_string(p.crc) + " " + (p.whole_file ? "1" : "0") + "\n" +
+         p.wire;
+}
+
+/// Every record of `split`, read through the conf's input format.
+Result<KVSeq> ReadAllPairs(const JobConf& conf, const api::InputSplit& split,
+                           dfs::FileSystem& fs) {
+  M3R_ASSIGN_OR_RETURN(
+      auto reader,
+      api::MakeInputFormat(conf)->GetRecordReader(split, conf, fs));
+  KVSeq seq;
+  for (;;) {
+    WritablePtr k = reader->CreateKey();
+    WritablePtr v = reader->CreateValue();
+    if (!reader->Next(*k, *v)) break;
+    seq.emplace_back(std::move(k), std::move(v));
+  }
+  reader->Close();
+  return seq;
+}
+
+KVSeq ThawPairs(const std::string& wire) {
+  std::vector<serialize::WritablePtr> objs = x10rt::Channel::Decode(wire);
+  KVSeq seq;
+  seq.reserve(objs.size() / 2);
+  for (size_t i = 0; i + 1 < objs.size(); i += 2) {
+    seq.emplace_back(objs[i], objs[i + 1]);
+  }
+  return seq;
+}
 
 }  // namespace
 
@@ -586,21 +720,10 @@ M3REngine::M3REngine(std::shared_ptr<dfs::FileSystem> base_fs,
                                 const kvstore::KVSeq& pairs, uint64_t bytes,
                                 bool whole_file) {
     if (!tiered_->L2Enabled()) return;
-    x10rt::Channel ch(options_.dedup_mode);
-    for (const auto& [k, v] : pairs) {
-      ch.Send(k);
-      ch.Send(v);
-    }
-    x10rt::Channel::Wire wire = ch.Finish();
-    l2cache::BlockPayload p;
-    p.block_name = block_name;
-    p.place = place;
-    p.bytes = bytes;
-    p.whole_file = whole_file;
-    p.crc = crc32c::Crc32c(wire.bytes);
-    p.wire = std::move(wire.bytes);
-    (void)tiered_->AcceptOverflow(path, base_fs_->Exists(path),
-                                  std::move(p));
+    (void)tiered_->AcceptOverflow(
+        path, base_fs_->Exists(path),
+        FreezeBlock(pairs, options_.dedup_mode, block_name, place, bytes,
+                    whole_file));
   });
   // Clients read cache-only outputs through fs_ (ListStatus union,
   // GetCacheRecordReader) without going through job submission, so the
@@ -704,24 +827,9 @@ void M3REngine::ScheduleCheckpoint(std::vector<std::string> files) {
       for (const FileSnap& file : group) {
         std::string name = file.path.substr(file.path.find_last_of('/') + 1);
         for (const Cache::Block& block : file.blocks) {
-          x10rt::Channel ch(mode);
-          for (const auto& [k, v] : *block.pairs) {
-            ch.Send(k);
-            ch.Send(v);
-          }
-          x10rt::Channel::Wire wire = ch.Finish();
-          // Header: home place, byte estimate, payload CRC32C, whole-file
-          // flag. The stamp is unconditional (like the DFS's block
-          // checksums) so a restore under any future integrity mode can
-          // verify it.
-          std::string content = std::to_string(block.info.place) + " " +
-                                std::to_string(block.bytes) + " " +
-                                std::to_string(crc32c::Crc32c(wire.bytes)) +
-                                " " + (block.info.whole_file ? "1" : "0") +
-                                "\n";
-          content += wire.bytes;
-          Status st = base->WriteFile(
-              cdir + "/" + name + ".blk." + block.info.name, content);
+          Status st =
+              base->WriteFile(cdir + "/" + name + ".blk." + block.info.name,
+                              CheckpointRecord(FreezeBlock(block, mode)));
           if (!st.ok()) {
             all_ok = false;
             M3R_LOG(Warn) << "checkpoint spill of " << file.path
@@ -746,31 +854,9 @@ void M3REngine::ScheduleCheckpoint(std::vector<std::string> files) {
 }
 
 Status M3REngine::SpillFileToCheckpoint(const std::string& path) {
-  M3R_ASSIGN_OR_RETURN(std::vector<Cache::Block> blocks,
-                       cache_.GetFileBlocks(path));
-  if (blocks.empty()) return Status::NotFound("nothing cached: " + path);
-  size_t slash = path.find_last_of('/');
-  const std::string dir = slash == 0 ? "/" : path.substr(0, slash);
-  const std::string name = path.substr(slash + 1);
-  const std::string cdir =
-      std::string(kCheckpointRoot) + (dir == "/" ? "" : dir);
-  for (const Cache::Block& block : blocks) {
-    x10rt::Channel ch(options_.dedup_mode);
-    for (const auto& [k, v] : *block.pairs) {
-      ch.Send(k);
-      ch.Send(v);
-    }
-    x10rt::Channel::Wire wire = ch.Finish();
-    std::string content = std::to_string(block.info.place) + " " +
-                          std::to_string(block.bytes) + " " +
-                          std::to_string(crc32c::Crc32c(wire.bytes)) + " " +
-                          (block.info.whole_file ? "1" : "0") + "\n";
-    content += wire.bytes;
-    M3R_RETURN_NOT_OK(base_fs_->WriteFile(
-        cdir + "/" + name + ".blk." + block.info.name, content));
-  }
-  // The file's spill is complete; (re)commit the directory so heals see it.
-  return base_fs_->WriteFile(cdir + "/_DONE", "1\n");
+  std::vector<l2cache::BlockPayload> payloads;
+  M3R_RETURN_NOT_OK(FreezePayloads(path, &payloads));
+  return SpillPayloadsToCheckpoint(path, payloads);
 }
 
 Status M3REngine::FreezePayloads(const std::string& path,
@@ -779,20 +865,7 @@ Status M3REngine::FreezePayloads(const std::string& path,
                        cache_.GetFileBlocks(path));
   if (blocks.empty()) return Status::NotFound("nothing cached: " + path);
   for (const Cache::Block& block : blocks) {
-    x10rt::Channel ch(options_.dedup_mode);
-    for (const auto& [k, v] : *block.pairs) {
-      ch.Send(k);
-      ch.Send(v);
-    }
-    x10rt::Channel::Wire wire = ch.Finish();
-    l2cache::BlockPayload p;
-    p.block_name = block.info.name;
-    p.place = block.info.place;
-    p.bytes = block.bytes;
-    p.whole_file = block.info.whole_file;
-    p.crc = crc32c::Crc32c(wire.bytes);
-    p.wire = std::move(wire.bytes);
-    out->push_back(std::move(p));
+    out->push_back(FreezeBlock(block, options_.dedup_mode));
   }
   return Status::OK();
 }
@@ -805,14 +878,8 @@ Status M3REngine::ThawPayloads(
     if (crc32c::Crc32c(p.wire) != p.crc) {
       return Status::DataLoss("L2 payload checksum mismatch: " + path);
     }
-    std::vector<serialize::WritablePtr> objs = x10rt::Channel::Decode(p.wire);
-    KVSeq seq;
-    seq.reserve(objs.size() / 2);
-    for (size_t i = 0; i + 1 < objs.size(); i += 2) {
-      seq.emplace_back(objs[i], objs[i + 1]);
-    }
     M3R_RETURN_NOT_OK(cache_.PutBlock(path, p.block_name, p.place,
-                                      std::move(seq), p.bytes,
+                                      ThawPairs(p.wire), p.bytes,
                                       /*fill_seconds=*/0.0,
                                       /*droppable=*/false, p.whole_file));
   }
@@ -829,13 +896,8 @@ Status M3REngine::SpillPayloadsToCheckpoint(
   const std::string cdir =
       std::string(kCheckpointRoot) + (dir == "/" ? "" : dir);
   for (const l2cache::BlockPayload& p : payloads) {
-    std::string content = std::to_string(p.place) + " " +
-                          std::to_string(p.bytes) + " " +
-                          std::to_string(p.crc) + " " +
-                          (p.whole_file ? "1" : "0") + "\n";
-    content += p.wire;
     M3R_RETURN_NOT_OK(base_fs_->WriteFile(
-        cdir + "/" + name + ".blk." + p.block_name, content));
+        cdir + "/" + name + ".blk." + p.block_name, CheckpointRecord(p)));
   }
   return base_fs_->WriteFile(cdir + "/_DONE", "1\n");
 }
@@ -904,15 +966,9 @@ Status M3REngine::RestoreDirFromCheckpoint(const std::string& dir,
     char* after_wf = nullptr;
     uint64_t whole_file = std::strtoull(after_crc, &after_wf, 10);
     if (after_wf == after_crc) whole_file = 0;
-    std::vector<serialize::WritablePtr> objs = x10rt::Channel::Decode(payload);
-    KVSeq seq;
-    seq.reserve(objs.size() / 2);
-    for (size_t i = 0; i + 1 < objs.size(); i += 2) {
-      seq.emplace_back(objs[i], objs[i + 1]);
-    }
     M3R_RETURN_NOT_OK(cache_.PutBlock(target, block_name,
                                       static_cast<int>(place),
-                                      std::move(seq), est,
+                                      ThawPairs(payload), est,
                                       /*fill_seconds=*/0.0,
                                       /*droppable=*/false,
                                       whole_file != 0));
@@ -937,23 +993,12 @@ Result<int> M3REngine::PrepopulateCache(const api::JobConf& conf) {
     // Route the read to the place that would own the split.
     const api::InputSplit* base_split = nullptr;
     JobConf tconf = api::SpecializeConfForSplit(conf, split, &base_split);
-    auto reader_or =
-        api::MakeInputFormat(tconf)->GetRecordReader(*base_split, tconf,
-                                                     *fs_);
-    if (!reader_or.ok()) {
-      statuses[i] = reader_or.status();
+    Stopwatch fill_sw;
+    Result<KVSeq> seq = ReadAllPairs(tconf, *base_split, *fs_);
+    if (!seq.ok()) {
+      statuses[i] = seq.status();
       return;
     }
-    auto reader = reader_or.take();
-    Stopwatch fill_sw;
-    KVSeq seq;
-    for (;;) {
-      WritablePtr k = reader->CreateKey();
-      WritablePtr v = reader->CreateValue();
-      if (!reader->Next(*k, *v)) break;
-      seq.emplace_back(std::move(k), std::move(v));
-    }
-    reader->Close();
     int place = 0;
     auto locs = split.GetLocations();
     if (const auto* placed = FindPlacedSplit(split)) {
@@ -965,7 +1010,7 @@ Result<int> M3REngine::PrepopulateCache(const api::JobConf& conf) {
       place = static_cast<int>(i) % places_.NumPlaces();
     }
     statuses[i] = cache_.PutBlock(*name, Cache::BlockNameForSplit(split),
-                                  place, std::move(seq), split.GetLength(),
+                                  place, seq.take(), split.GetLength(),
                                   fill_sw.ElapsedSeconds(),
                                   /*droppable=*/true);
     if (statuses[i].ok()) ++loaded;
@@ -976,1037 +1021,683 @@ Result<int> M3REngine::PrepopulateCache(const api::JobConf& conf) {
   return loaded.load();
 }
 
-api::JobResult M3REngine::Submit(const api::JobConf& conf) {
-  api::JobResult result = SubmitImpl(conf);
-  if (result.status.code() == StatusCode::kCancelled) {
-    // The shuffle exchange died with SubmitImpl's scope and returned its
-    // lane buffers to the pool — but a cancelled job's decayed size hints
-    // describe work that never finished, and would pin that memory until
-    // the next job. Drop the retained buffers outright.
-    buffer_pool_.Trim();
-  }
-  return result;
-}
+/// One submission's run through the engine (DESIGN.md §5, job lifecycle):
+/// the per-job state every phase shares, and the phases in the order
+/// Execute calls them. Every exit, success or failure, leaves through
+/// Finish.
+class M3REngine::JobRun {
+ public:
+  JobRun(M3REngine* engine, const api::JobConf& conf)
+      : e_(*engine),
+        spec_(engine->options_.cluster),
+        num_places_(engine->places_.NumPlaces()),
+        t0_(spec_.m3r_job_overhead_s),
+        conf_(conf),
+        fault_guard_{engine->base_fs_.get(), &engine->cache_},
+        pins_{engine->cache_manager_.get(), {}},
+        membership_(num_places_),
+        place_attempts_(static_cast<size_t>(num_places_)) {}
+  JobRun(const JobRun&) = delete;
+  JobRun& operator=(const JobRun&) = delete;
 
-api::JobResult M3REngine::SubmitImpl(const api::JobConf& submitted_conf) {
-  if (Status s = CheckRemovedKeys(submitted_conf); !s.ok()) return Fail(s);
-  // Local copy: distributed-cache contents are installed into the
-  // configuration tasks see. M3R localizes through its own FS view, so
-  // cache-resident (temporary) side files work too; places are long-lived
-  // so no per-job localization cost is charged (paper §5.3).
-  api::JobConf conf = submitted_conf;
-  if (conf.Contains(api::conf::kCacheFiles)) {
-    auto localized = api::DistributedCache::Localize(conf, *fs_);
-    if (!localized.ok()) return Fail(localized.status());
-    api::DistributedCache::InstallIntoConf(*localized, &conf);
-  }
-  Stopwatch wall;
-  const sim::ClusterSpec& spec = options_.cluster;
-  const int num_places = places_.NumPlaces();
-  const int num_reduce = conf.NumReduceTasks();
-  api::JobResult result;
-  int salt = ++job_counter_;
+  api::JobResult Run() { return Finish(Execute()); }
 
-  // Temporary outputs only exist by virtue of the cache; with the cache
-  // ablated, every output must be materialized (Hadoop behavior).
-  const bool temporary =
-      options_.enable_cache && Cache::IsTemporary(conf, conf.OutputPath());
+ private:
+  struct ReduceResult {
+    Status status;
+    double cpu_seconds = 0;
+    uint64_t output_bytes = 0;
+  };
 
-  const std::string ckpt_policy =
-      conf.Get(api::conf::kCacheCheckpoint, "off");
-  if (ckpt_policy != "off" && ckpt_policy != "tempout" &&
-      ckpt_policy != "all") {
-    return Fail(Status::InvalidArgument(
-        std::string("bad ") + api::conf::kCacheCheckpoint + ": " +
-        ckpt_policy));
-  }
-
-  // --- Mid-job place-failure recovery (DESIGN.md §14) ---
-  // A crash budget of 0 turns recovery off: any place crash fails the whole
-  // job, the paper's behaviour.
-  const int max_crashes = static_cast<int>(
-      conf.GetInt(api::conf::kPlaceRecoveryMaxCrashes, 2));
-  if (max_crashes < 0) {
-    return Fail(Status::InvalidArgument(
-        std::string("bad ") + api::conf::kPlaceRecoveryMaxCrashes));
-  }
-  const bool recovery_on = max_crashes > 0;
-  // Scripted crash points "P:N[,P:N...]": place P dies when it is about to
-  // start its (N+1)-th map task. Entries for places the job doesn't have
-  // never trigger.
-  std::map<int, int> crash_script;
-  {
-    const std::string script = conf.Get(api::conf::kPlaceCrashAt, "");
-    size_t pos = 0;
-    while (pos < script.size()) {
-      size_t comma = script.find(',', pos);
-      const std::string item = script.substr(
-          pos, comma == std::string::npos ? std::string::npos : comma - pos);
-      pos = comma == std::string::npos ? script.size() : comma + 1;
-      if (item.empty()) continue;
-      char* after_place = nullptr;
-      long p = std::strtol(item.c_str(), &after_place, 10);
-      char* after_ordinal = nullptr;
-      long n = after_place != nullptr && *after_place == ':'
-                   ? std::strtol(after_place + 1, &after_ordinal, 10)
-                   : -1;
-      if (after_place == item.c_str() || *after_place != ':' ||
-          after_ordinal == after_place + 1 ||
-          (after_ordinal != nullptr && *after_ordinal != '\0') || p < 0 ||
-          n < 0) {
-        return Fail(Status::InvalidArgument(
-            std::string("bad ") + api::conf::kPlaceCrashAt + " entry: " +
-            item));
-      }
-      crash_script[static_cast<int>(p)] = static_cast<int>(n);
+  Status Execute() {
+    M3R_RETURN_NOT_OK(Configure());
+    if (ServedFromReuse()) return Status::OK();
+    M3R_RETURN_NOT_OK(ClaimOutput());
+    if (RestoredFromCheckpoint()) return Status::OK();
+    M3R_RETURN_NOT_OK(Plan());
+    M3R_RETURN_NOT_OK(RunMap());
+    if (num_reduce_ > 0) {
+      M3R_RETURN_NOT_OK(Shuffle());
+      M3R_RETURN_NOT_OK(Reduce());
     }
+    return Commit();
   }
 
-  // --- Memory governance (DESIGN.md §11): re-read per submission so a job
-  // sequence can tighten or lift the budget between jobs. ---
-  governor_.SetBudget(static_cast<uint64_t>(std::max<int64_t>(
-                          0, conf.GetInt(api::conf::kMemoryBudgetMb, 0)))
-                      << 20);
-  for (const auto& [key, value] : conf.raw()) {
-    if (key.rfind(api::conf::kMemorySharePrefix, 0) == 0) {
-      governor_.SetShare(
-          key.substr(std::string_view(api::conf::kMemorySharePrefix).size()),
-          conf.GetDouble(key, 1.0));
+  /// Validates the conf, then installs the job's governance, fault and
+  /// integrity settings on the engine; a rejected conf installs none.
+  Status Configure() {
+    M3R_RETURN_NOT_OK(CheckRemovedKeys(conf_));
+    // Distributed-cache contents are installed into the configuration tasks
+    // see. M3R localizes through its own FS view, so cache-resident
+    // (temporary) side files work too; places are long-lived so no per-job
+    // localization cost is charged (paper §5.3).
+    if (conf_.Contains(api::conf::kCacheFiles)) {
+      M3R_ASSIGN_OR_RETURN(auto localized,
+                           api::DistributedCache::Localize(conf_, *e_.fs_));
+      api::DistributedCache::InstallIntoConf(localized, &conf_);
     }
-  }
-  memgov::EvictionPolicy cache_policy;
-  {
-    const std::string policy_name = conf.Get(api::conf::kCachePolicy, "lru");
-    Status st = memgov::ParseEvictionPolicy(policy_name, &cache_policy);
-    if (!st.ok()) return Fail(std::move(st));
-  }
-  cache_manager_->Configure(
-      cache_policy, conf.GetDouble(api::conf::kMemoryHighWatermark, 0.90),
-      conf.GetDouble(api::conf::kMemoryLowWatermark, 0.75));
-  // Two-tier cache (DESIGN.md §16): every place donates m3r.cache.l2.share
-  // of the budget to the tier, so ring-wide capacity is share * budget *
-  // places — the aggregate-memory thesis: the cluster holds N times what
-  // one place can. Re-rung per submission (a place dead last job is
-  // healthy again on the next).
-  {
-    const double l2_share = conf.GetDouble(api::conf::kCacheL2Share, 0.0);
+    num_reduce_ = conf_.NumReduceTasks();
+    salt_ = ++e_.job_counter_;
+    // Temporary outputs only exist by virtue of the cache; with the cache
+    // ablated, every output must be materialized (Hadoop behavior).
+    temporary_ = e_.options_.enable_cache &&
+                 Cache::IsTemporary(conf_, conf_.OutputPath());
+
+    const std::string checkpoint =
+        conf_.Get(api::conf::kCacheCheckpoint, "off");
+    if (checkpoint == "off") {
+      checkpoint_ = CheckpointPolicy::kOff;
+    } else if (checkpoint == "tempout") {
+      checkpoint_ = CheckpointPolicy::kTempOut;
+    } else if (checkpoint == "all") {
+      checkpoint_ = CheckpointPolicy::kAll;
+    } else {
+      return Status::InvalidArgument(std::string("bad ") +
+                                     api::conf::kCacheCheckpoint + ": " +
+                                     checkpoint);
+    }
+    // Mid-job place-failure recovery (DESIGN.md §14). A crash budget of 0
+    // turns recovery off: any place crash fails the whole job, the paper's
+    // behaviour.
+    max_crashes_ = static_cast<int>(
+        conf_.GetInt(api::conf::kPlaceRecoveryMaxCrashes, 2));
+    if (max_crashes_ < 0) {
+      return Status::InvalidArgument(std::string("bad ") +
+                                     api::conf::kPlaceRecoveryMaxCrashes);
+    }
+    M3R_RETURN_NOT_OK(ParseCrashScript(conf_.Get(api::conf::kPlaceCrashAt, ""),
+                                       &crash_script_));
+    memgov::EvictionPolicy cache_policy;
+    M3R_RETURN_NOT_OK(memgov::ParseEvictionPolicy(
+        conf_.Get(api::conf::kCachePolicy, "lru"), &cache_policy));
+    const double l2_share = conf_.GetDouble(api::conf::kCacheL2Share, 0.0);
     if (l2_share < 0.0 || l2_share > 1.0) {
-      return Fail(Status::InvalidArgument(
-          std::string("bad ") + api::conf::kCacheL2Share + ": " +
-          conf.Get(api::conf::kCacheL2Share, "")));
+      return Status::InvalidArgument(std::string("bad ") +
+                                     api::conf::kCacheL2Share + ": " +
+                                     conf_.Get(api::conf::kCacheL2Share, ""));
     }
-    std::vector<int> ring_places(static_cast<size_t>(places_.NumPlaces()));
+    const std::string reuse = conf_.Get(api::conf::kCacheReuse, "off");
+    if (reuse != "off" && reuse != "exact") {
+      return Status::InvalidArgument(std::string("bad ") +
+                                     api::conf::kCacheReuse + ": " + reuse);
+    }
+    reuse_exact_ = reuse == "exact";
+    // Per-job fault injection (tests and resilience drills): faults at the
+    // DFS sites fire through the base file system. End-to-end integrity
+    // (m3r.integrity.mode) is installed on the base file system (block
+    // checksums) and the cache (block fingerprints), and carried by the
+    // shuffle for its frames. Both are cleared when the job leaves.
+    fault_ = FaultInjector::FromConf(conf_.raw());
+    M3R_ASSIGN_OR_RETURN(integrity_,
+                         IntegrityContext::FromConf(conf_.raw(), fault_));
+
+    // Memory governance (DESIGN.md §11): re-read per submission so a job
+    // sequence can tighten or lift the budget between jobs.
+    memgov::MemoryGovernor& governor = e_.governor_;
+    governor.SetBudget(static_cast<uint64_t>(std::max<int64_t>(
+                           0, conf_.GetInt(api::conf::kMemoryBudgetMb, 0)))
+                       << 20);
+    for (const auto& [key, value] : conf_.raw()) {
+      if (key.rfind(api::conf::kMemorySharePrefix, 0) == 0) {
+        governor.SetShare(
+            key.substr(std::string_view(api::conf::kMemorySharePrefix).size()),
+            conf_.GetDouble(key, 1.0));
+      }
+    }
+    e_.cache_manager_->Configure(
+        cache_policy, conf_.GetDouble(api::conf::kMemoryHighWatermark, 0.90),
+        conf_.GetDouble(api::conf::kMemoryLowWatermark, 0.75));
+    // Two-tier cache (DESIGN.md §16): every place donates m3r.cache.l2.share
+    // of the budget to the tier, so ring-wide capacity is share * budget *
+    // places — the aggregate-memory thesis: the cluster holds N times what
+    // one place can. Re-rung per submission (a place dead last job is
+    // healthy again on the next).
+    std::vector<int> ring_places(static_cast<size_t>(num_places_));
     for (size_t i = 0; i < ring_places.size(); ++i) {
       ring_places[i] = static_cast<int>(i);
     }
-    tiered_->ConfigureL2(
-        governor_.governed() && l2_share > 0.0, ring_places,
-        conf.GetInt(api::conf::kCacheL2VNodes, 16),
+    e_.tiered_->ConfigureL2(
+        governor.governed() && l2_share > 0.0, ring_places,
+        conf_.GetInt(api::conf::kCacheL2VNodes, 16),
         static_cast<uint64_t>(l2_share *
-                              static_cast<double>(governor_.budget()) *
+                              static_cast<double>(governor.budget()) *
                               static_cast<double>(ring_places.size())));
-  }
-  const std::string reuse_mode = conf.Get(api::conf::kCacheReuse, "off");
-  if (reuse_mode != "off" && reuse_mode != "exact") {
-    return Fail(Status::InvalidArgument(
-        std::string("bad ") + api::conf::kCacheReuse + ": " + reuse_mode));
-  }
-  governor_.ResetPeak();
+    governor.ResetPeak();
 
-  // Per-job fault injection (tests and resilience drills): faults at the
-  // DFS sites fire through the base file system; the injector is cleared
-  // when Submit leaves, whatever the exit path.
-  std::shared_ptr<FaultInjector> fault = FaultInjector::FromConf(conf.raw());
-  // End-to-end integrity (m3r.integrity.mode): installed on the base file
-  // system (block checksums) and the cache (block fingerprints) for the
-  // duration of the submission, and carried by the shuffle for its frames.
-  auto integrity_or = IntegrityContext::FromConf(conf.raw(), fault);
-  if (!integrity_or.ok()) return Fail(integrity_or.status());
-  std::shared_ptr<IntegrityContext> integrity = integrity_or.take();
-  struct FaultGuard {
-    dfs::FileSystem* fs;
-    Cache* cache;
-    ~FaultGuard() {
-      fs->SetFaultInjector(nullptr);
-      fs->SetIntegrity(nullptr);
-      cache->SetIntegrity(nullptr);
+    e_.base_fs_->SetFaultInjector(fault_);
+    e_.base_fs_->SetIntegrity(integrity_);
+    e_.cache_.SetIntegrity(integrity_);
+    for (const std::string& in : conf_.InputPaths()) {
+      pins_.Add(path::Canonicalize(in));
     }
-  } fault_guard{base_fs_.get(), &cache_};
-  base_fs_->SetFaultInjector(fault);
-  base_fs_->SetIntegrity(integrity);
-  cache_.SetIntegrity(integrity);
-
-  // Pin the job's input and output subtrees for the duration of the
-  // submission: the background evictor must never spill the data a running
-  // job is mapping over or publishing (pins also shield the reuse registry
-  // entries rooted under them).
-  struct PinGuard {
-    memgov::CacheManager* mgr;
-    std::vector<std::string> paths;
-    void Add(const std::string& p) {
-      mgr->Pin(p);
-      paths.push_back(p);
+    if (!conf_.OutputPath().empty()) {
+      pins_.Add(path::Canonicalize(conf_.OutputPath()));
     }
-    void ReleaseAll() {
-      for (const std::string& p : paths) mgr->Unpin(p);
-      paths.clear();
-    }
-    ~PinGuard() { ReleaseAll(); }
-  } pins{cache_manager_.get(), {}};
-  for (const std::string& in : conf.InputPaths()) {
-    pins.Add(path::Canonicalize(in));
-  }
-  if (!conf.OutputPath().empty()) {
-    pins.Add(path::Canonicalize(conf.OutputPath()));
+    mg0_ = e_.cache_manager_->counters();
+    l20_ = e_.tiered_->l2_counters();
+    l2_on_ = e_.tiered_->L2Enabled();
+    return Status::OK();
   }
 
-  // Memory-governance counter baseline: deltas against the engine-lifetime
-  // cache-manager counters become this job's counters/metrics.
-  const memgov::CacheManager::Counters mg0 = cache_manager_->counters();
-  const l2cache::L2Counters l20 = tiered_->l2_counters();
-  const bool l2_on = tiered_->L2Enabled();
-  std::mutex memgov_sync_mu;
-  auto sync_memgov = [&]() {
-    const memgov::CacheManager::Counters now = cache_manager_->counters();
-    const l2cache::L2Counters l2now = tiered_->l2_counters();
-    std::lock_guard<std::mutex> lock(memgov_sync_mu);
-    auto set_to = [&](const char* name, int64_t target) {
-      result.counters.Increment(
-          api::counters::kM3rGroup, name,
-          target - result.counters.Get(api::counters::kM3rGroup, name));
-    };
-    set_to(api::counters::kCacheEvictions,
-           static_cast<int64_t>(now.evictions - mg0.evictions));
-    set_to(api::counters::kCacheEvictedBytes,
-           static_cast<int64_t>(now.evicted_bytes - mg0.evicted_bytes));
-    set_to(api::counters::kCacheRejectedFills,
-           static_cast<int64_t>(now.rejected_fills - mg0.rejected_fills));
-    set_to(api::counters::kCacheBytesResident,
-           static_cast<int64_t>(cache_manager_->ResidentBytes()));
-    set_to(api::counters::kCacheAbortedEvictions,
-           static_cast<int64_t>(now.aborted_evictions - mg0.aborted_evictions));
-    // Protocol-health gauges, not deltas: current leases (readers + open
-    // fills) and evictions claimed but not yet published.
-    set_to(api::counters::kCacheLeasesActive,
-           static_cast<int64_t>(cache_manager_->LeasesActive()));
-    set_to(api::counters::kCacheEvictorInflight,
-           static_cast<int64_t>(cache_manager_->EvictorInflight()));
-    if (l2_on) {
-      set_to(api::counters::kL2Hits,
-             static_cast<int64_t>(l2now.hits - l20.hits));
-      set_to(api::counters::kL2Misses,
-             static_cast<int64_t>(l2now.misses - l20.misses));
-      set_to(api::counters::kL2Demotions,
-             static_cast<int64_t>(l2now.demotions - l20.demotions));
-      set_to(api::counters::kL2RemoteBytes,
-             static_cast<int64_t>(l2now.remote_bytes - l20.remote_bytes));
-      set_to(api::counters::kL2RingHeals,
-             static_cast<int64_t>(l2now.ring_heals - l20.ring_heals));
-    }
-  };
-  auto record_memgov = [&]() {
-    sync_memgov();
-    const memgov::CacheManager::Counters now = cache_manager_->counters();
-    result.metrics["cache_bytes_resident"] =
-        static_cast<int64_t>(cache_manager_->ResidentBytes());
-    result.metrics["cache_evictions"] =
-        static_cast<int64_t>(now.evictions - mg0.evictions);
-    result.metrics["cache_evicted_bytes"] =
-        static_cast<int64_t>(now.evicted_bytes - mg0.evicted_bytes);
-    result.metrics["cache_spilled_evictions"] =
-        static_cast<int64_t>(now.spilled_evictions - mg0.spilled_evictions);
-    result.metrics["cache_rejected_fills"] =
-        static_cast<int64_t>(now.rejected_fills - mg0.rejected_fills);
-    result.metrics["cache_forced_fills"] =
-        static_cast<int64_t>(now.forced_fills - mg0.forced_fills);
-    result.metrics["cache_aborted_evictions"] =
-        static_cast<int64_t>(now.aborted_evictions - mg0.aborted_evictions);
-    result.metrics["cache_leases_active"] =
-        static_cast<int64_t>(cache_manager_->LeasesActive());
-    result.metrics["cache_evictor_inflight"] =
-        static_cast<int64_t>(cache_manager_->EvictorInflight());
-    if (governor_.governed()) {
-      result.metrics["memory_budget_bytes"] =
-          static_cast<int64_t>(governor_.budget());
-      result.metrics["memory_peak_bytes"] =
-          static_cast<int64_t>(governor_.PeakUsage());
-    }
-    if (l2_on) {
-      const l2cache::L2Counters l2now = tiered_->l2_counters();
-      result.metrics["l2_hits"] = static_cast<int64_t>(l2now.hits - l20.hits);
-      result.metrics["l2_misses"] =
-          static_cast<int64_t>(l2now.misses - l20.misses);
-      result.metrics["l2_demotions"] =
-          static_cast<int64_t>(l2now.demotions - l20.demotions);
-      result.metrics["l2_remote_bytes"] =
-          static_cast<int64_t>(l2now.remote_bytes - l20.remote_bytes);
-      result.metrics["l2_ring_heals"] =
-          static_cast<int64_t>(l2now.ring_heals - l20.ring_heals);
-      result.metrics["l2_overflow_fills"] =
-          static_cast<int64_t>(l2now.overflow_fills - l20.overflow_fills);
-      result.metrics["l2_bytes_resident"] =
-          static_cast<int64_t>(tiered_->L2ResidentBytes());
-    }
-  };
-
-  // --- ReStore-style cross-job output reuse (m3r.cache.reuse=exact): a job
-  // whose lineage signature — inputs (+ content versions), configuration
-  // minus volatile keys, mapper/reducer/combiner identity — matches a
-  // previously registered output short-circuits to that output, skipping
-  // the map and reduce phases entirely. ---
-  std::string lineage_sig;
-  if (options_.enable_cache && reuse_mode == "exact") {
-    lineage_sig = memgov::LineageSignature(
-        conf, [this](const std::string& p) { return InputVersion(p); });
-    const std::string out = path::Canonicalize(conf.OutputPath());
-    if (auto src = cache_manager_->LookupReuse(lineage_sig)) {
-      bool served = false;
-      if (*src == out) {
-        // Identical output path: the cached output is already in place.
-        served = true;
-      } else if (temporary && !fs_->Exists(out)) {
-        // Same lineage under a new temporary name: clone the registered
-        // output's cached blocks to the new path. Lease the source
-        // directory for the whole clone so the background evictor cannot
-        // claim one of its files between LookupReuse and the copy.
-        memgov::CacheManager::ReadLease reuse_lease = cache_.LeaseRead(*src);
-        served = true;
-        for (const std::string& f : cache_.FilesUnder(*src)) {
-          auto blocks_or = cache_.GetFileBlocks(f);
-          if (!blocks_or.ok()) {
-            served = false;
-            break;
+  /// ReStore-style cross-job output reuse (m3r.cache.reuse=exact): a job
+  /// whose lineage signature — inputs (+ content versions), configuration
+  /// minus volatile keys, mapper/reducer/combiner identity — matches a
+  /// previously registered output short-circuits to that output, skipping
+  /// the map and reduce phases entirely.
+  bool ServedFromReuse() {
+    if (!e_.options_.enable_cache || !reuse_exact_) return false;
+    lineage_sig_ = memgov::LineageSignature(
+        conf_, [this](const std::string& p) { return e_.InputVersion(p); });
+    const std::string out = path::Canonicalize(conf_.OutputPath());
+    std::optional<std::string> src =
+        e_.cache_manager_->LookupReuse(lineage_sig_);
+    if (!src) return false;
+    // An identical output path is already in place. Same lineage under a new
+    // temporary name: clone the registered output's cached blocks to the new
+    // path, leasing the source directory for the whole clone so the
+    // background evictor cannot claim one of its files between LookupReuse
+    // and the copy.
+    if (*src != out) {
+      if (!temporary_ || e_.fs_->Exists(out)) return false;
+      memgov::CacheManager::ReadLease reuse_lease = e_.cache_.LeaseRead(*src);
+      for (const std::string& f : e_.cache_.FilesUnder(*src)) {
+        auto blocks_or = e_.cache_.GetFileBlocks(f);
+        Status st = blocks_or.status();
+        const std::string dst = out + f.substr(src->size());
+        for (size_t b = 0; st.ok() && b < blocks_or->size(); ++b) {
+          const Cache::Block& block = (*blocks_or)[b];
+          if (block.pairs == nullptr) continue;
+          st = e_.cache_.PutBlock(dst, block.info.name, block.info.place,
+                                  *block.pairs, block.bytes,
+                                  /*fill_seconds=*/0.0, /*droppable=*/false,
+                                  block.info.whole_file);
+          if (!st.ok()) {
+            M3R_LOG(Warn) << "reuse clone of " << f
+                          << " failed: " << st.ToString();
           }
-          const std::string dst = out + f.substr(src->size());
-          for (const auto& b : *blocks_or) {
-            if (b.pairs == nullptr) continue;
-            Status st = cache_.PutBlock(dst, b.info.name, b.info.place,
-                                        *b.pairs, b.bytes,
-                                        /*fill_seconds=*/0.0,
-                                        /*droppable=*/false,
-                                        b.info.whole_file);
-            if (!st.ok()) {
-              M3R_LOG(Warn) << "reuse clone of " << f
-                            << " failed: " << st.ToString();
-              served = false;
-              break;
-            }
-          }
-          if (!served) break;
         }
-        if (!served) cache_.Delete(out);
-      }
-      if (served) {
-        result.metrics["reused_from_cache"] = 1;
-        result.counters.Increment(api::counters::kM3rGroup,
-                                  api::counters::kReusedFromCache, 1);
-        double t0 = spec.m3r_job_overhead_s;
-        result.time_breakdown["job_overhead"] = t0;
-        result.sim_seconds = t0;
-        result.wall_seconds = wall.ElapsedSeconds();
-        result.status = Status::OK();
-        record_memgov();
-        ReportProgress(1.0, &result.counters);
-        NotifyJobEnd(conf, result);
-        return result;
+        if (!st.ok()) {
+          e_.cache_.Delete(out);
+          return false;
+        }
       }
     }
+    result_.metrics["reused_from_cache"] = 1;
+    result_.counters.Increment(api::counters::kM3rGroup,
+                               api::counters::kReusedFromCache, 1);
+    result_.time_breakdown["job_overhead"] = t0_;
+    result_.sim_seconds = t0_;
+    return true;
   }
 
-  auto output_format = api::MakeOutputFormat(conf);
-  if (!temporary) {
-    Status st = output_format->CheckOutputSpecs(conf, *fs_);
-    if (!st.ok()) return Fail(std::move(st));
-    api::FileOutputCommitter committer;
-    st = committer.SetupJob(conf, *fs_);
-    if (!st.ok()) return Fail(std::move(st));
-  } else {
-    if (fs_->Exists(conf.OutputPath())) {
-      return Fail(
-          Status::AlreadyExists("output exists: " + conf.OutputPath()));
-    }
-    // Recovery: a fresh (restarted) instance finds the output already
-    // spilled to the DFS — reload it into the cache and skip the job
-    // instead of re-running it (replay from the last materialized output).
-    if (ckpt_policy != "off") {
-      int rfiles = 0;
-      uint64_t rbytes = 0;
-      Status st = RestoreDirFromCheckpoint(conf.OutputPath(),
-                                           /*only_missing=*/false, &rfiles,
-                                           &rbytes, integrity.get());
-      if (!st.ok()) {
-        M3R_LOG(Warn) << "checkpoint restore of " << conf.OutputPath()
-                      << " failed, running the job: " << st.ToString();
-        cache_.Delete(conf.OutputPath());
-      } else if (rfiles > 0) {
-        result.metrics["recovered_from_checkpoint"] = 1;
-        result.metrics["recovered_files"] = rfiles;
-        result.metrics["recovered_bytes"] = static_cast<int64_t>(rbytes);
-        double t0 = spec.m3r_job_overhead_s;
-        double restore = cost_.DfsRead(rbytes, /*local=*/false);
-        result.time_breakdown["job_overhead"] = t0;
-        result.time_breakdown["checkpoint_restore"] = restore;
-        result.sim_seconds = t0 + restore;
-        result.wall_seconds = wall.ElapsedSeconds();
-        result.status = Status::OK();
-        record_memgov();
-        ReportProgress(1.0, &result.counters);
-        NotifyJobEnd(conf, result);
-        return result;
+  Status ClaimOutput() {
+    output_format_ = api::MakeOutputFormat(conf_);
+    if (temporary_) {
+      if (e_.fs_->Exists(conf_.OutputPath())) {
+        return Status::AlreadyExists("output exists: " + conf_.OutputPath());
       }
-    }
-  }
-
-  // Output spec validation passed and (for materialized outputs) the output
-  // directory is ours: from here on a failure aborts and removes whatever
-  // the job produced, then pings the FAILED job-end notification — the
-  // contract JobClient's retry loop and external workflow managers rely on.
-  auto record_integrity = [&]() {
-    if (integrity == nullptr || !integrity->enabled()) return;
-    result.metrics["integrity_detected"] =
-        integrity->counters->detected.load();
-    result.metrics["integrity_repaired"] =
-        integrity->counters->repaired.load();
-    result.metrics["integrity_bytes_checksummed"] =
-        integrity->counters->bytes_checksummed.load();
-  };
-  // --- Place membership for this submission (DESIGN.md §14): one view per
-  // job, fed by the m3r.place fault site and the scripted crash knob.
-  // Suspicion is raised mid-round from any strand; deaths are confirmed
-  // (and torn down exactly once per place) only at quiesce points. ---
-  MembershipService membership(num_places);
-  std::mutex crash_mu;
-  Status crash_status;  // first *unrecovered* crash; cleared per recovery
-  int64_t place_crashes = 0;
-  int64_t crash_evicted_blocks = 0;
-  int64_t recovered_map_tasks_total = 0;
-  uint64_t pmap_version = 1;
-  // Crash observability on every exit path. Runs post-join (no concurrent
-  // strand mutates the tallies), so no lock is needed.
-  auto record_crashes = [&]() {
-    if (place_crashes == 0) return;
-    result.metrics["place_crashes"] = place_crashes;
-    result.metrics["cache_evicted_by_crash_blocks"] = crash_evicted_blocks;
-    result.metrics["recovered_map_tasks"] = recovered_map_tasks_total;
-    result.metrics["membership_epoch"] =
-        static_cast<int64_t>(membership.epoch());
-    result.metrics["partition_map_version"] =
-        static_cast<int64_t>(pmap_version);
-  };
-
-  auto fail_job = [&](Status status) {
-    if (!temporary) {
-      api::FileOutputCommitter committer;
-      committer.AbortJob(conf, *fs_);
-      fs_->Delete(conf.OutputPath(), true);
     } else {
-      cache_.Delete(conf.OutputPath());
+      M3R_RETURN_NOT_OK(output_format_->CheckOutputSpecs(conf_, *e_.fs_));
+      api::FileOutputCommitter committer;
+      M3R_RETURN_NOT_OK(committer.SetupJob(conf_, *e_.fs_));
     }
-    if (fault != nullptr) {
-      result.metrics["injected_faults"] = fault->InjectedCount();
-    }
-    record_crashes();
-    record_integrity();
-    record_memgov();
-    result.status = std::move(status);
-    result.wall_seconds = wall.ElapsedSeconds();
-    NotifyJobEnd(conf, result);
-    return result;
-  };
-
-  // Heal checkpointed temporary inputs whose cached blocks are gone (a
-  // fresh instance, a place crash evicted part of a file — or the memory
-  // governor spilled it, which lands in the same checkpoint layout even
-  // with checkpointing otherwise off).
-  if (ckpt_policy != "off" || governor_.governed()) {
-    for (const std::string& in : conf.InputPaths()) {
-      // Demoted cache-only inputs come back from the L2 tier first (a
-      // memory move, no DFS read); the checkpoint fills whatever the tier
-      // no longer holds. Without the promote, a demoted file would trip
-      // the manifest-completeness check below as a false DataLoss.
-      tiered_->PromoteUnder(path::Canonicalize(in), /*only_unbacked=*/true,
-                            nullptr);
-      Status st = RestoreDirFromCheckpoint(in, /*only_missing=*/true,
-                                           nullptr, nullptr, integrity.get());
-      if (!st.ok()) {
-        M3R_LOG(Warn) << "checkpoint heal of " << in
-                      << " failed: " << st.ToString();
-      }
-    }
+    output_claimed_ = true;
+    return Status::OK();
   }
 
-  // Cache-only inputs must be complete: a committed temp directory's
-  // manifest says which files (and how many bytes) the producer published.
-  // Anything still short after the heal above is unrecoverable — fail with
-  // a retriable DataLoss rather than silently computing on the survivors.
-  if (options_.enable_cache) {
-    for (const std::string& in : conf.InputPaths()) {
-      std::vector<std::string> missing =
-          cache_.ManifestMissing(path::Canonicalize(in));
-      if (!missing.empty()) {
-        std::string what;
-        for (const std::string& m : missing) {
-          if (!what.empty()) what += ", ";
-          what += m;
-        }
-        return fail_job(Status::DataLoss(
-            "cache-only input '" + in + "' is incomplete: " + what));
-      }
+  /// Recovery: a fresh (restarted) instance finds the temporary output
+  /// already spilled to the DFS — reload it into the cache and skip the job
+  /// instead of re-running it (replay from the last materialized output).
+  bool RestoredFromCheckpoint() {
+    if (!temporary_ || checkpoint_ == CheckpointPolicy::kOff) return false;
+    int files = 0;
+    uint64_t bytes = 0;
+    Status st =
+        e_.RestoreDirFromCheckpoint(conf_.OutputPath(), /*only_missing=*/false,
+                                    &files, &bytes, integrity_.get());
+    if (!st.ok()) {
+      M3R_LOG(Warn) << "checkpoint restore of " << conf_.OutputPath()
+                    << " failed, running the job: " << st.ToString();
+      e_.cache_.Delete(conf_.OutputPath());
+      return false;
     }
+    if (files == 0) return false;
+    result_.metrics["recovered_from_checkpoint"] = 1;
+    result_.metrics["recovered_files"] = files;
+    result_.metrics["recovered_bytes"] = static_cast<int64_t>(bytes);
+    const double restore = e_.cost_.DfsRead(bytes, /*local=*/false);
+    result_.time_breakdown["job_overhead"] = t0_;
+    result_.time_breakdown["checkpoint_restore"] = restore;
+    result_.sim_seconds = t0_ + restore;
+    return true;
   }
 
-  // --- Plan splits: cache lookups and placement ---
-  auto input_format = api::MakeInputFormat(conf);
-  auto splits_or = input_format->GetSplits(conf, *fs_, spec.total_slots());
-  if (!splits_or.ok()) return fail_job(splits_or.status());
-  std::vector<api::InputSplitPtr> splits = splits_or.take();
+  Status Plan() {
+    // Heal, then check completeness: anything still short after the heal is
+    // unrecoverable — fail with a retriable DataLoss rather than silently
+    // computing on the survivors. The job-entry heal is not charged.
+    HealInputs();
+    std::vector<std::string> missing;
+    const std::string incomplete = IncompleteInput(&missing);
+    if (!incomplete.empty()) {
+      std::string what;
+      for (const std::string& m : missing) {
+        if (!what.empty()) what += ", ";
+        what += m;
+      }
+      return Status::DataLoss("cache-only input '" + incomplete +
+                              "' is incomplete: " + what);
+    }
 
-  std::vector<TaskPlan> tasks(splits.size());
-  int64_t cache_hits = 0;
-  int64_t cache_misses = 0;
-  // Files this job pulled back from the L2 tier (path -> crossed places):
-  // every split the promotion turned into a hit charges the tier's cost
-  // instead of a DFS re-read.
-  std::map<std::string, bool> l2_promoted;
-  for (size_t i = 0; i < splits.size(); ++i) {
-    TaskPlan& t = tasks[i];
-    t.split = splits[i];
+    auto input_format = api::MakeInputFormat(conf_);
+    M3R_ASSIGN_OR_RETURN(
+        std::vector<api::InputSplitPtr> splits,
+        input_format->GetSplits(conf_, *e_.fs_, spec_.total_slots()));
+    tasks_.resize(splits.size());
+    int64_t cache_hits = 0;
+    // Files this job pulled back from the L2 tier (path -> crossed places):
+    // every split the promotion turned into a hit charges the tier's cost
+    // instead of a DFS re-read.
+    std::map<std::string, bool> l2_promoted;
+    for (size_t i = 0; i < splits.size(); ++i) {
+      tasks_[i].split = splits[i];
+      if (PlanTask(&tasks_[i], &l2_promoted)) ++cache_hits;
+    }
+    const int64_t cache_misses =
+        static_cast<int64_t>(tasks_.size()) - cache_hits;
+    Publish({{"map_tasks", nullptr, static_cast<int64_t>(tasks_.size())},
+             {"cache_hit_splits", api::counters::kCacheHits, cache_hits},
+             {"cache_miss_splits", api::counters::kCacheMisses, cache_misses}});
+    // Mirror the split-level outcome into the cache manager so its counters
+    // (the policy-comparison view) agree with the job counters.
+    for (int64_t i = 0; i < cache_hits; ++i) e_.cache_manager_->RecordHit();
+    for (int64_t i = 0; i < cache_misses; ++i) e_.cache_manager_->RecordMiss();
+
+    tasks_of_place_.resize(static_cast<size_t>(num_places_));
+    for (size_t i = 0; i < tasks_.size(); ++i) {
+      tasks_of_place_[static_cast<size_t>(tasks_[i].place)].push_back(i);
+    }
+    // Intra-place worker strands (the paper's "8 worker threads to exploit
+    // the 8 cores"): a per-job override, else the engine option, else
+    // hardware threads spread across the places.
+    workers_ = static_cast<int>(
+        conf_.GetInt(api::conf::kPlaceWorkers, e_.options_.workers_per_place));
+    if (workers_ <= 0) {
+      int hw = static_cast<int>(std::thread::hardware_concurrency());
+      workers_ = std::max(1, hw / std::max(num_places_, 1));
+    }
+    result_.metrics["place_workers"] = workers_;
+    SetUpShuffle();
+    return Status::OK();
+  }
+
+  /// Decides where split `t->split` is served from (L1, L2 promotion, or a
+  /// DFS read) and which place runs it. Returns whether it is a cache hit.
+  bool PlanTask(TaskPlan* task, std::map<std::string, bool>* l2_promoted) {
+    TaskPlan& t = *task;
+    Cache& cache = e_.cache_;
+    l2cache::TieredCacheManager& tiered = *e_.tiered_;
+    const bool cacheable = e_.options_.enable_cache;
     t.cache_path = Cache::NameForSplit(*t.split);
     t.block_name = Cache::BlockNameForSplit(*t.split);
     t.input_bytes = t.split->GetLength();
-    // L1 miss, L2 probe (DESIGN.md §16): promote the whole demoted file
-    // back into the cache before deciding hit vs DFS re-read.
-    if (options_.enable_cache && t.cache_path && tiered_->L2Enabled() &&
-        l2_promoted.find(*t.cache_path) == l2_promoted.end() &&
-        !cache_.GetBlock(*t.cache_path, t.block_name) &&
-        tiered_->L2Contains(*t.cache_path)) {
+    // L1 miss, L2 probe (DESIGN.md §16): promote the whole demoted file back
+    // into the cache before deciding hit vs DFS re-read.
+    if (cacheable && t.cache_path && tiered.L2Enabled() &&
+        l2_promoted->find(*t.cache_path) == l2_promoted->end() &&
+        !cache.GetBlock(*t.cache_path, t.block_name) &&
+        tiered.L2Contains(*t.cache_path)) {
       bool remote = false;
-      if (tiered_->TryPromote(*t.cache_path, &remote, nullptr).ok()) {
-        l2_promoted[*t.cache_path] = remote;
+      if (tiered.TryPromote(*t.cache_path, &remote, nullptr).ok()) {
+        (*l2_promoted)[*t.cache_path] = remote;
       }
     }
-    if (options_.enable_cache && t.cache_path &&
-        cache_.GetBlock(*t.cache_path, t.block_name)) {
+    if (cacheable && t.cache_path &&
+        cache.GetBlock(*t.cache_path, t.block_name)) {
       t.cache_hit = true;
-      ++cache_hits;
-    } else if (options_.enable_cache && t.cache_path) {
-      // Geometry mismatch: serve from the cache anyway iff the whole file
-      // is cached as a single block named "0". The block must carry the
+    } else if (cacheable && t.cache_path) {
+      // Geometry mismatch: serve from the cache anyway iff the whole file is
+      // cached as a single block named "0". The block must carry the
       // fill-time whole_file stamp: an offset-0 *input* block left as the
       // sole survivor of a place crash or an admission bypass looks
-      // identical by name, and treating it as the whole file would serve
-      // the file's other splits as empty — silent record loss.
-      auto info = cache_.store().GetInfo(*t.cache_path);
+      // identical by name, and treating it as the whole file would serve the
+      // file's other splits as empty — silent record loss.
+      auto info = cache.store().GetInfo(*t.cache_path);
       if (info.ok() && info->blocks.size() == 1 &&
           info->blocks[0].name == "0" && info->blocks[0].whole_file) {
-        // Unwrap MultipleInputs' tagged splits etc.: exactly one split of
-        // the file (the one starting at offset 0) serves the block.
+        // Unwrap MultipleInputs' tagged splits etc.: exactly one split of the
+        // file (the one starting at offset 0) serves the block.
         const api::FileSplit* fsplit = FindFileSplit(*t.split);
         bool is_first = fsplit == nullptr || fsplit->Start() == 0;
         t.cache_hit = true;
         t.whole_file_hit = is_first;
         t.empty_hit = !is_first;
         t.block_name = "0";
-        ++cache_hits;
-      } else {
-        ++cache_misses;
       }
-    } else {
-      ++cache_misses;
     }
     if (t.cache_hit && !t.empty_hit && t.cache_path) {
-      auto promoted = l2_promoted.find(*t.cache_path);
-      if (promoted != l2_promoted.end()) {
+      auto promoted = l2_promoted->find(*t.cache_path);
+      if (promoted != l2_promoted->end()) {
         t.l2_hit = true;
         t.l2_remote = promoted->second;
       }
-    } else if (!t.cache_hit && tiered_->L2Enabled()) {
-      tiered_->RecordL2Miss();  // fell through to the DFS
+    } else if (!t.cache_hit && tiered.L2Enabled()) {
+      tiered.RecordL2Miss();  // fell through to the DFS
     }
 
     auto locations = t.split->GetLocations();
     if (const auto* placed = FindPlacedSplit(*t.split)) {
       // PlacedSplit overrides M3R's preference for local splits (§4.3).
-      t.place = options_.partition_stability
-                    ? StablePlaceOfPartition(placed->GetPlacedPartition(),
-                                             num_places)
-                    : (placed->GetPlacedPartition() + salt) % num_places;
+      t.place = PlacedHome(placed->GetPlacedPartition());
     } else if (t.cache_hit) {
-      t.place = cache_.GetBlock(*t.cache_path, t.block_name)->info.place;
+      t.place = cache.GetBlock(*t.cache_path, t.block_name)->info.place;
     } else if (!locations.empty()) {
-      t.place = locations[0] % num_places;
+      t.place = locations[0] % num_places_;
     } else {
-      t.place = round_robin_++ % num_places;
+      t.place = e_.round_robin_++ % num_places_;
     }
-    t.local_read =
-        t.cache_hit ||
-        std::find_if(locations.begin(), locations.end(), [&](int n) {
-          return n % num_places == t.place;
-        }) != locations.end();
-  }
-  result.metrics["map_tasks"] = static_cast<int64_t>(tasks.size());
-  result.metrics["cache_hit_splits"] = cache_hits;
-  result.metrics["cache_miss_splits"] = cache_misses;
-  // Mirror the split-level outcome into the cache manager so its counters
-  // (the policy-comparison view) agree with the job counters.
-  for (int64_t i = 0; i < cache_hits; ++i) cache_manager_->RecordHit();
-  for (int64_t i = 0; i < cache_misses; ++i) cache_manager_->RecordMiss();
-  result.counters.Increment(api::counters::kM3rGroup,
-                            api::counters::kCacheHits, cache_hits);
-  result.counters.Increment(api::counters::kM3rGroup,
-                            api::counters::kCacheMisses, cache_misses);
-
-  // Group tasks by place.
-  std::vector<std::vector<size_t>> tasks_of_place(
-      static_cast<size_t>(num_places));
-  for (size_t i = 0; i < tasks.size(); ++i) {
-    tasks_of_place[static_cast<size_t>(tasks[i].place)].push_back(i);
+    t.local_read = LocalRead(t, locations, num_places_);
+    return t.cache_hit;
   }
 
-  // Intra-place worker strands (the paper's "8 worker threads to exploit
-  // the 8 cores"): a per-job override, else the engine option, else
-  // hardware threads spread across the places.
-  int workers = static_cast<int>(
-      conf.GetInt(api::conf::kPlaceWorkers, options_.workers_per_place));
-  if (workers <= 0) {
-    int hw = static_cast<int>(std::thread::hardware_concurrency());
-    workers = std::max(1, hw / std::max(num_places, 1));
-  }
-  result.metrics["place_workers"] = workers;
-
-  const int shuffle_partitions = std::max(num_reduce, 1);
-  ShuffleOptions shuffle_options;
-  shuffle_options.num_partitions = shuffle_partitions;
-  shuffle_options.dedup_mode = options_.dedup_mode;
-  shuffle_options.partition_stability = options_.partition_stability;
-  shuffle_options.instability_salt = salt;
-  shuffle_options.workers_per_place = workers;
-  shuffle_options.fault = fault;
-  shuffle_options.integrity = integrity;
-  shuffle_options.buffer_pool = &buffer_pool_;
-
-  // Declared before the exchange (reverse destruction order): the run
-  // comparator and spill sink must outlive it.
-  serialize::RawComparatorPtr run_sort_cmp;
-  sortkit::RawCompareFn run_cmp;
-  CheckpointRunSpillSink run_spill_sink(
-      base_fs_.get(),
-      std::string(kCheckpointRoot) + "/_shuffle/job" + std::to_string(salt));
-  if (num_reduce > 0) {
-    // Streaming shuffle (DESIGN.md §15): a flush threshold of 0 ships every
-    // lane whole at the barrier, the paper's barrier exchange.
-    shuffle_options.flush_bytes = static_cast<size_t>(
-        std::max<int64_t>(0, conf.GetInt(api::conf::kShuffleFlushBytes,
-                                         256 * 1024)));
-    const int64_t budget_mb =
-        conf.GetInt(api::conf::kShufflePartitionBudgetMb, 0);
-    if (budget_mb > 0) {
-      shuffle_options.partition_budget_bytes =
-          static_cast<size_t>(budget_mb) << 20;
-      shuffle_options.spill_sink = &run_spill_sink;
-    }
-    // Runs must sort exactly like the reduce-side SortPairs; the raw-byte
-    // default keeps the prefix-cached kernel, anything else routes through
-    // the job's comparator.
-    run_sort_cmp = api::SortComparator(conf);
-    if (std::string_view(run_sort_cmp->Name()) !=
-        serialize::BytesComparator::kName) {
-      run_cmp = [&run_sort_cmp](std::string_view a, std::string_view b) {
-        return run_sort_cmp->Compare(a, b);
-      };
-      shuffle_options.run_comparator = &run_cmp;
-    }
-    shuffle_options.resident_gauge = &shuffle_run_bytes_;
-  }
-  ShuffleExchange shuffle(num_places, shuffle_options);
-
-  // --- Map phase (places run in parallel; each place fans its tasks out
-  // over `workers` strands of the shared executor) ---
-  sync_memgov();
-  ReportProgress(0.05, &result.counters);
-  std::atomic<size_t> map_tasks_done{0};
-  std::atomic<bool> map_aborted{false};
-  std::atomic<bool> cancelled{false};
-  // Whole-place crash ("m3r.place" site or the scripted knob, keyed by
-  // place id): the place goes Suspect immediately — its strands stop
-  // taking work at the next task boundary — and the heavyweight teardown
-  // (cache eviction, reconcile, partition re-homing) runs exactly once per
-  // place, at the next quiesce point.
-  auto report_crash = [&](int place, Status st) {
-    if (!membership.Suspect(place, st.ToString())) return;
-    M3R_LOG(Warn) << "place " << place << " crashed: " << st.ToString();
-    std::lock_guard<std::mutex> lock(crash_mu);
-    ++place_crashes;
-    if (crash_status.ok()) crash_status = std::move(st);
-  };
-  auto place_alive = [&](int place) {
-    if (membership.IsSuspectOrDead(place)) return false;
-    if (fault == nullptr) return true;
-    Status st = fault->Check("m3r.place", std::to_string(place));
-    if (st.ok()) return true;
-    report_crash(place, std::move(st));
-    return false;
-  };
-  // Scripted mid-map crash points: the per-place counter ticks once per
-  // task this place starts, so "P:N" kills it between its N-th and
-  // (N+1)-th task — deterministic mid-phase timing whatever the strand
-  // interleaving (exactly N tasks begin before the place dies).
-  std::vector<std::atomic<int>> place_attempts(
-      static_cast<size_t>(num_places));
-  auto scripted_crash_check = [&](int place) {
-    if (crash_script.empty()) return false;
-    auto it = crash_script.find(place);
-    if (it == crash_script.end()) return false;
-    if (place_attempts[static_cast<size_t>(place)].fetch_add(
-            1, std::memory_order_relaxed) < it->second) {
-      return false;
-    }
-    report_crash(place,
-                 Status::Unavailable("scripted crash of place " +
-                                     std::to_string(place)));
-    return true;
-  };
-  // Quiesce-point teardown: confirm every suspect dead (one epoch bump per
-  // batch), evict exactly the dead places' cache blocks, and reconcile the
-  // cache manager once for the batch.
-  auto confirm_and_teardown = [&]() {
-    std::vector<int> newly_dead = membership.ConfirmDeaths();
-    if (newly_dead.empty()) return newly_dead;
-    int64_t evicted = 0;
-    for (int d : newly_dead) {
-      int64_t e = cache_.store().EvictPlace(d);
-      evicted += e;
-      M3R_LOG(Warn) << "place " << d << " confirmed dead: evicted " << e
-                    << " cache blocks";
-    }
-    // EvictPlace bypasses the manager's per-file notifications; re-derive
-    // the entry table and resident bytes from what actually survived.
-    cache_manager_->Reconcile(
-        [this](const std::string& p) { return cache_.FileBytes(p); });
-    // Ring heal (DESIGN.md §16): the dead places' L2 shards died with
-    // them — hand their hash ranges to the survivors and drop the lost
-    // entries; the data heals lazily from DFS/checkpoint on first touch.
-    tiered_->RingHeal(newly_dead);
-    crash_evicted_blocks += evicted;
-    result.counters.Increment(api::counters::kM3rGroup,
-                              api::counters::kPlaceCrashes,
-                              static_cast<int64_t>(newly_dead.size()));
-    result.counters.Increment(api::counters::kM3rGroup,
-                              api::counters::kCacheEvictedByCrashBlocks,
-                              evicted);
-    return newly_dead;
-  };
-  // Map-side hash aggregation (decided at job scope: combiner, map-output
-  // types, and grouping comparator are job-level settings, so per-split
-  // conf specialization cannot change eligibility). The collector is
-  // lane-persistent — see run_strand below.
-  const bool lane_hash_combine =
-      num_reduce > 0 && conf.GetBool(api::conf::kMapHashCombine, false) &&
-      api::HashCombineCollector::Eligible(conf);
-  std::mutex hash_mu;
-  Status hash_status;
-  // Per-task completion, read at quiesce points (after the round's join)
-  // to tell lost-and-replayable work from never-started work. Each index is
-  // written by exactly one strand per round.
-  std::vector<char> task_done(tasks.size(), 0);
-  auto run_map_task = [&](size_t i, int place, int lane,
-                          api::HashCombineCollector* lane_hasher) {
-      TaskPlan& t = tasks[i];
-      if (fault != nullptr) {
-        t.status = fault->Check("m3r.map", std::to_string(i));
-        if (!t.status.ok()) return;
+  void SetUpShuffle() {
+    ShuffleOptions& options = shuffle_options_;
+    options.num_partitions = std::max(num_reduce_, 1);
+    options.dedup_mode = e_.options_.dedup_mode;
+    options.partition_stability = e_.options_.partition_stability;
+    options.instability_salt = salt_;
+    options.workers_per_place = workers_;
+    options.fault = fault_;
+    options.integrity = integrity_;
+    options.buffer_pool = &e_.buffer_pool_;
+    if (num_reduce_ > 0) {
+      // Streaming shuffle (DESIGN.md §15): a flush threshold of 0 ships every
+      // lane whole at the barrier, the paper's barrier exchange.
+      options.flush_bytes = static_cast<size_t>(std::max<int64_t>(
+          0, conf_.GetInt(api::conf::kShuffleFlushBytes, 256 * 1024)));
+      const int64_t budget_mb =
+          conf_.GetInt(api::conf::kShufflePartitionBudgetMb, 0);
+      if (budget_mb > 0) {
+        options.partition_budget_bytes = static_cast<size_t>(budget_mb) << 20;
+        run_spill_sink_.emplace(e_.base_fs_.get(),
+                                std::string(kCheckpointRoot) + "/_shuffle/job" +
+                                    std::to_string(salt_));
+        options.spill_sink = &*run_spill_sink_;
       }
-      CpuStopwatch sw;
-      const api::InputSplit* base_split = nullptr;
-      JobConf tconf = api::SpecializeConfForSplit(conf, *t.split,
-                                                  &base_split);
-      bool immutable =
-          options_.respect_immutable && MapOutputImmutable(tconf);
-
-      // 1. Obtain the split's pair sequence (cache or RecordReader).
-      kvstore::KVSeqPtr pairs;
-      if (t.empty_hit) {
-        pairs = std::make_shared<const KVSeq>();
-      } else if (t.cache_hit) {
-        std::optional<Cache::Block> block =
-            cache_.GetBlock(*t.cache_path, t.block_name);
-        if (!block) {
-          // Evicted between planning and execution (e.g. a sibling block
-          // of the path failed its check); retriable at job granularity.
-          t.status = Status::DataLoss("cache block evicted: " +
-                                      *t.cache_path + "#" + t.block_name);
-          return;
-        }
-        // Verify the fill-time fingerprint before serving; an
-        // unrepairable mismatch evicts the path and fails the job with
-        // DataLoss, and the retried job re-reads the DFS.
-        t.status = cache_.CheckBlock(*t.cache_path, *block);
-        if (!t.status.ok()) return;
-        pairs = block->pairs;
-      } else {
-        Stopwatch fill_sw;
-        auto reader_or = api::MakeInputFormat(tconf)->GetRecordReader(
-            *base_split, tconf, *fs_);
-        if (!reader_or.ok()) {
-          t.status = reader_or.status();
-          return;
-        }
-        auto reader = reader_or.take();
-        KVSeq seq;
-        for (;;) {
-          WritablePtr k = reader->CreateKey();
-          WritablePtr v = reader->CreateValue();
-          if (!reader->Next(*k, *v)) break;
-          seq.emplace_back(std::move(k), std::move(v));
-        }
-        reader->Close();
-        auto owned = std::make_shared<const KVSeq>(std::move(seq));
-        if (options_.enable_cache && t.cache_path) {
-          // Droppable: the split is DFS-backed, so a budget-constrained
-          // admission may bypass the cache and the next job re-reads it.
-          t.status = cache_.PutBlock(*t.cache_path, t.block_name, place,
-                                     *owned, t.input_bytes,
-                                     fill_sw.ElapsedSeconds(),
-                                     /*droppable=*/true);
-          if (!t.status.ok()) return;
-        }
-        pairs = owned;
+      // Runs must sort exactly like the reduce-side SortPairs; the raw-byte
+      // default keeps the prefix-cached kernel, anything else routes through
+      // the job's comparator.
+      run_sort_cmp_ = api::SortComparator(conf_);
+      if (std::string_view(run_sort_cmp_->Name()) !=
+          serialize::BytesComparator::kName) {
+        run_cmp_ = [this](std::string_view a, std::string_view b) {
+          return run_sort_cmp_->Compare(a, b);
+        };
+        options.run_comparator = &run_cmp_;
       }
+      options.resident_gauge = &e_.shuffle_run_bytes_;
+    }
+    shuffle_.emplace(num_places_, options);
+  }
 
-      // 2. Run the mapper.
-      api::CountersReporter reporter(&result.counters);
-      if (lane_hasher != nullptr) {
-        // Map-side hash aggregation: the lane's persistent table folds
-        // values at emit time across every task this strand runs, and only
-        // the folded pairs reach the shuffle (drained once, at end of the
-        // map phase). Everything it forwards is freshly deserialized, so
-        // the shuffle aliases it regardless of the mapper's immutability.
-        t.status = FeedMapper(tconf, *pairs, *lane_hasher, reporter);
-      } else if (num_reduce > 0 && tconf.HasCombiner()) {
-        auto partitioner = api::MakePartitioner(tconf);
-        bool combiner_immutable =
-            options_.respect_immutable && CombineOutputImmutable(tconf);
-        CombiningShuffleCollector collector(tconf, &shuffle,
-                                            partitioner.get(), place, lane,
-                                            num_reduce, immutable,
-                                            combiner_immutable, &reporter);
-        t.status = FeedMapper(tconf, *pairs, collector, reporter);
-        if (t.status.ok()) t.status = collector.Flush();
-      } else if (num_reduce > 0) {
-        auto partitioner = api::MakePartitioner(tconf);
-        ShuffleCollector collector(&shuffle, partitioner.get(), place, lane,
-                                   num_reduce, immutable, &reporter);
-        t.status = FeedMapper(tconf, *pairs, collector, reporter);
-      } else {
-        // Map-only: mapper output goes straight to the job output.
-        std::unique_ptr<api::RecordWriter> writer;
-        if (!temporary) {
-          std::string temp_path = api::file_output::TempPath(
-              conf, static_cast<int>(i), /*attempt=*/0);
-          auto writer_or =
-              output_format->GetRecordWriter(conf, *fs_, temp_path, place);
-          if (!writer_or.ok()) {
-            t.status = writer_or.status();
-            return;
-          }
-          writer = writer_or.take();
-        }
-        M3RNamedOutputSink named_sink(conf, *fs_, &cache_,
-                                      static_cast<int>(i), place, temporary);
-        api::ScopedNamedOutputSink scoped(&named_sink);
-        OutputSeqCollector collector(immutable, writer.get(), &reporter,
-                                     api::counters::kMapOutputRecords);
-        t.status = FeedMapper(tconf, *pairs, collector, reporter);
-        if (!t.status.ok()) return;
-        if (writer != nullptr) {
-          t.status = writer->Close();
-          if (!t.status.ok()) return;
-          t.output_bytes = writer->BytesWritten();
-          api::FileOutputCommitter committer;
-          t.status = committer.CommitTask(conf, *fs_, static_cast<int>(i),
-                                          /*attempt=*/0);
-          if (!t.status.ok()) return;
-        }
-        uint64_t named_bytes = 0;
-        t.status = named_sink.Finish(&named_bytes);
-        if (!t.status.ok()) return;
-        t.output_bytes += named_bytes;
-        if (options_.enable_cache) {
-          std::string out_file = api::file_output::FinalPath(
-              conf, static_cast<int>(i));
-          OutputSeqCollector* c = &collector;
-          t.status = cache_.PutBlock(out_file, "0", place, c->TakeSeq(),
-                                     c->bytes(), sw.ElapsedSeconds(),
-                                     /*droppable=*/!temporary,
-                                     /*whole_file=*/true);
-          if (!t.status.ok()) return;
-        }
+  /// Map phase (DESIGN.md §14): places run in parallel, each fanning its
+  /// tasks out over `workers_` strands of the shared executor, in rounds. A
+  /// round that loses places is followed by a recovery step and a round that
+  /// replays the lost work on the survivors.
+  Status RunMap() {
+    SyncMemgov();
+    e_.ReportProgress(0.05, &result_.counters);
+    // Map-side hash aggregation (decided at job scope: combiner, map-output
+    // types, and grouping comparator are job-level settings, so per-split
+    // conf specialization cannot change eligibility).
+    lane_hash_combine_ = num_reduce_ > 0 &&
+                         conf_.GetBool(api::conf::kMapHashCombine, false) &&
+                         api::HashCombineCollector::Eligible(conf_);
+    task_done_.assign(tasks_.size(), 0);
+    int crashes_handled = 0;
+    for (;;) {
+      RunMapRound();
+      // Quiesce: the round's strands are all joined. Confirm deaths, tear
+      // down once per dead place, and either recover (bounded replay) or
+      // fall back to the whole-job failure below.
+      const std::vector<int> newly_dead = ConfirmAndTeardown();
+      if (newly_dead.empty()) break;  // crash-free round: the phase is done
+      crashes_handled += static_cast<int>(newly_dead.size());
+      const std::vector<int> alive = membership_.AlivePlaces();
+      SyncMemgov();
+      // Recovery off, budget exhausted, nobody left, or the job is failing
+      // for its own reasons.
+      if (max_crashes_ == 0 || crashes_handled > max_crashes_ ||
+          alive.empty() || map_aborted_.load() || cancelled_.load()) {
+        break;
       }
-      t.cpu_seconds = sw.ElapsedSeconds();
-      task_done[i] = 1;
-      membership.Heartbeat(place);
-      size_t done = ++map_tasks_done;
-      sync_memgov();
-      ReportProgress(0.05 + 0.55 * static_cast<double>(done) /
-                                static_cast<double>(std::max<size_t>(
-                                    tasks.size(), 1)),
-                     &result.counters);
-  };
-  const double t0 = spec.m3r_job_overhead_s;
-  int crashes_handled = 0;
-  double recovery_heal_seconds = 0;
-  Status recovery_abandoned;  // recovery gave up (lost data) mid-flight
-  for (;;) {
-    places_.FinishForAll([&](int place) {
-      if (membership.IsSuspectOrDead(place)) return;
-      if (!place_alive(place)) {
-        if (!recovery_on) map_aborted.store(true);
+      if (!Recover(newly_dead, alive)) break;
+    }
+
+    // Every simulated charge from here on starts after the job overhead.
+    result_.time_breakdown["job_overhead"] = t0_;
+    if (Status crash = CrashStatus(); !crash.ok()) {
+      // Unrecovered crash (recovery off, horizon passed, or data loss): the
+      // whole-job retriable failure, charging the work that did complete so
+      // the failed attempt has an honest simulated cost.
+      ChargePartialMapPhase();
+      return recovery_abandoned_.ok() ? crash : recovery_abandoned_;
+    }
+    if (cancelled_.load()) return Status::Cancelled("job cancelled");
+    for (const TaskPlan& t : tasks_) M3R_RETURN_NOT_OK(t.status);
+    {
+      std::lock_guard<std::mutex> lock(hash_mu_);
+      M3R_RETURN_NOT_OK(hash_status_);
+    }
+    ChargeMapPhase();
+    return Status::OK();
+  }
+
+  void RunMapRound() {
+    e_.places_.FinishForAll([this](int place) {
+      if (membership_.IsSuspectOrDead(place)) return;
+      if (!PlaceAlive(place)) {
+        if (max_crashes_ == 0) map_aborted_.store(true);
         return;
       }
       const std::vector<size_t>& mine =
-          tasks_of_place[static_cast<size_t>(place)];
+          tasks_of_place_[static_cast<size_t>(place)];
       if (mine.empty()) return;
       // Strand s runs tasks j with j % strands == s and owns serialization
       // lane s, so each remote stream has exactly one writer and wire bytes
       // stay deterministic for a fixed worker count.
-      const int strands =
-          static_cast<int>(std::min<size_t>(mine.size(),
-                                            static_cast<size_t>(workers)));
-      auto run_strand = [&](size_t s) {
-        // Lane-persistent hash aggregation (the in-node combiner): one table
-        // lives across every map task this strand runs, so a key repeated in
-        // different splits of the place still collapses to one wire record —
-        // scope no per-task (or per-spill) combiner can reach. Each strand
-        // owns its lane's serialization stream, so the table drains into a
-        // single-writer lane and wire bytes stay deterministic. A replay
-        // round gets fresh tables, so a recovered job may carry more than
-        // one partial aggregate per key — the combiner contract (run 0+
-        // times over any subset) already promises that is legal.
-        // The reporter is declared first: the sink posts its record count
-        // to it on destruction.
-        std::unique_ptr<api::CountersReporter> lane_reporter;
-        std::shared_ptr<api::Partitioner> lane_partitioner;
-        std::unique_ptr<ShuffleCollector> lane_sink;
-        std::unique_ptr<api::HashCombineCollector> lane_hasher;
-        if (lane_hash_combine) {
-          lane_partitioner = api::MakePartitioner(conf);
-          lane_reporter =
-              std::make_unique<api::CountersReporter>(&result.counters);
-          lane_sink = std::make_unique<ShuffleCollector>(
-              &shuffle, lane_partitioner.get(), place, static_cast<int>(s),
-              num_reduce, /*immutable=*/true, lane_reporter.get());
-          lane_hasher = std::make_unique<api::HashCombineCollector>(
-              conf, lane_sink.get(), lane_reporter.get(),
-              &hash_combine_bytes_);
-        }
-        for (size_t j = s; j < mine.size();
-             j += static_cast<size_t>(strands)) {
-          if (map_aborted.load(std::memory_order_relaxed)) return;
-          if (CancelRequested()) {
-            cancelled.store(true, std::memory_order_relaxed);
-            map_aborted.store(true);
-            return;
-          }
-          if (membership.IsSuspectOrDead(place)) return;
-          if (scripted_crash_check(place)) {
-            if (!recovery_on) map_aborted.store(true);
-            return;
-          }
-          run_map_task(mine[j], place, static_cast<int>(s),
-                       lane_hasher.get());
-          if (!tasks[mine[j]].status.ok()) map_aborted.store(true);
-        }
-        // Survivors MUST drain their tables even when another place died
-        // this round: their buffered pairs feed lanes that will be
-        // delivered. A suspect place's drain would be discarded at quiesce
-        // anyway; skip it.
-        if (lane_hasher != nullptr &&
-            !map_aborted.load(std::memory_order_relaxed) &&
-            !membership.IsSuspectOrDead(place)) {
-          Status st = lane_hasher->Flush();
-          if (!st.ok()) {
-            map_aborted.store(true);
-            std::lock_guard<std::mutex> lock(hash_mu);
-            if (hash_status.ok()) hash_status = std::move(st);
-          }
-        }
-      };
+      const size_t strands =
+          std::min(mine.size(), static_cast<size_t>(workers_));
+      auto strand = [&](size_t s) { RunMapStrand(place, mine, s, strands); };
       if (strands <= 1) {
-        run_strand(0);
+        strand(0);
       } else {
-        places_.pool().ParallelFor(static_cast<size_t>(strands), run_strand);
+        e_.places_.pool().ParallelFor(strands, strand);
       }
     });
+  }
 
-    // --- Quiesce: the round's strands are all joined. Confirm deaths,
-    // tear down once per dead place, and either recover (bounded replay,
-    // DESIGN.md §14) or break to the failure paths below. ---
-    std::vector<int> newly_dead = confirm_and_teardown();
-    if (newly_dead.empty()) break;  // crash-free round: the phase is done
-    crashes_handled += static_cast<int>(newly_dead.size());
-    std::vector<int> alive = membership.AlivePlaces();
-    sync_memgov();
-    if (!recovery_on || crashes_handled > max_crashes || alive.empty() ||
-        map_aborted.load() || cancelled.load()) {
-      // Recovery off, budget exhausted, nobody left, or the job is failing
-      // for its own reasons — fall back to the whole-job retriable failure.
-      break;
+  void RunMapStrand(int place, const std::vector<size_t>& mine, size_t s,
+                    size_t strands) {
+    // Lane-persistent hash aggregation (the in-node combiner): one table
+    // lives across every map task this strand runs, so a key repeated in
+    // different splits of the place still collapses to one wire record —
+    // scope no per-task (or per-spill) combiner can reach. Each strand owns
+    // its lane's serialization stream, so the table drains into a
+    // single-writer lane and wire bytes stay deterministic. A replay round
+    // gets fresh tables, so a recovered job may carry more than one partial
+    // aggregate per key — the combiner contract (run 0+ times over any
+    // subset) already promises that is legal. The reporter is declared
+    // first: the sink posts its record count to it on destruction.
+    std::unique_ptr<api::CountersReporter> lane_reporter;
+    std::shared_ptr<api::Partitioner> lane_partitioner;
+    std::unique_ptr<ShuffleCollector> lane_sink;
+    std::unique_ptr<api::HashCombineCollector> lane_hasher;
+    if (lane_hash_combine_) {
+      lane_partitioner = api::MakePartitioner(conf_);
+      lane_reporter =
+          std::make_unique<api::CountersReporter>(&result_.counters);
+      lane_sink = std::make_unique<ShuffleCollector>(
+          &*shuffle_, lane_partitioner.get(), place, static_cast<int>(s),
+          num_reduce_, /*immutable=*/true, lane_reporter.get());
+      lane_hasher = std::make_unique<api::HashCombineCollector>(
+          conf_, lane_sink.get(), lane_reporter.get(), &e_.hash_combine_bytes_);
     }
+    for (size_t j = s; j < mine.size(); j += strands) {
+      if (map_aborted_.load(std::memory_order_relaxed)) return;
+      if (e_.CancelRequested()) {
+        cancelled_.store(true, std::memory_order_relaxed);
+        map_aborted_.store(true);
+        return;
+      }
+      if (membership_.IsSuspectOrDead(place)) return;
+      if (ScriptedCrash(place)) {
+        if (max_crashes_ == 0) map_aborted_.store(true);
+        return;
+      }
+      RunMapTask(mine[j], place, static_cast<int>(s), lane_hasher.get());
+      if (!tasks_[mine[j]].status.ok()) map_aborted_.store(true);
+    }
+    // Survivors MUST drain their tables even when another place died this
+    // round: their buffered pairs feed lanes that will be delivered. A
+    // suspect place's drain would be discarded at quiesce anyway; skip it.
+    if (lane_hasher != nullptr &&
+        !map_aborted_.load(std::memory_order_relaxed) &&
+        !membership_.IsSuspectOrDead(place)) {
+      Status st = lane_hasher->Flush();
+      if (!st.ok()) {
+        map_aborted_.store(true);
+        std::lock_guard<std::mutex> lock(hash_mu_);
+        if (hash_status_.ok()) hash_status_ = std::move(st);
+      }
+    }
+  }
 
+  void RunMapTask(size_t i, int place, int lane,
+                  api::HashCombineCollector* lane_hasher) {
+    TaskPlan& t = tasks_[i];
+    if (fault_ != nullptr) {
+      t.status = fault_->Check("m3r.map", std::to_string(i));
+      if (!t.status.ok()) return;
+    }
+    CpuStopwatch sw;
+    const api::InputSplit* base_split = nullptr;
+    JobConf tconf = api::SpecializeConfForSplit(conf_, *t.split, &base_split);
+    const bool immutable =
+        e_.options_.respect_immutable && MapOutputImmutable(tconf);
+    kvstore::KVSeqPtr pairs;
+    t.status = ReadSplit(t, tconf, *base_split, place, &pairs);
+    if (!t.status.ok()) return;
+
+    api::CountersReporter reporter(&result_.counters);
+    if (lane_hasher != nullptr) {
+      // Map-side hash aggregation: the lane's persistent table folds values
+      // at emit time across every task this strand runs, and only the folded
+      // pairs reach the shuffle (drained once, at end of the map phase).
+      // Everything it forwards is freshly deserialized, so the shuffle
+      // aliases it regardless of the mapper's immutability.
+      t.status = FeedMapper(tconf, *pairs, *lane_hasher, reporter);
+    } else if (num_reduce_ > 0 && tconf.HasCombiner()) {
+      auto partitioner = api::MakePartitioner(tconf);
+      bool combiner_immutable =
+          e_.options_.respect_immutable && CombineOutputImmutable(tconf);
+      CombiningShuffleCollector collector(tconf, &*shuffle_, partitioner.get(),
+                                          place, lane, num_reduce_, immutable,
+                                          combiner_immutable, &reporter);
+      t.status = FeedMapper(tconf, *pairs, collector, reporter);
+      if (t.status.ok()) t.status = collector.Flush();
+    } else if (num_reduce_ > 0) {
+      auto partitioner = api::MakePartitioner(tconf);
+      ShuffleCollector collector(&*shuffle_, partitioner.get(), place, lane,
+                                 num_reduce_, immutable, &reporter);
+      t.status = FeedMapper(tconf, *pairs, collector, reporter);
+    } else {
+      // Map-only: mapper output goes straight to the job output.
+      t.status = WriteTaskOutput(
+          static_cast<int>(i), place, immutable,
+          api::counters::kMapOutputRecords, reporter, sw, &t.output_bytes,
+          [&](api::OutputCollector& out) {
+            return FeedMapper(tconf, *pairs, out, reporter);
+          });
+    }
+    if (!t.status.ok()) return;
+    t.cpu_seconds = sw.ElapsedSeconds();
+    task_done_[i] = 1;
+    membership_.Heartbeat(place);
+    const size_t done = ++map_tasks_done_;
+    SyncMemgov();
+    ReportMapProgress(done);
+  }
+
+  /// The split's pair sequence: the cached block, or a RecordReader pass
+  /// whose result is cached at `place` for the next job.
+  Status ReadSplit(const TaskPlan& t, const JobConf& tconf,
+                   const api::InputSplit& base_split, int place,
+                   kvstore::KVSeqPtr* pairs) {
+    if (t.empty_hit) {
+      *pairs = std::make_shared<const KVSeq>();
+      return Status::OK();
+    }
+    if (t.cache_hit) {
+      std::optional<Cache::Block> block =
+          e_.cache_.GetBlock(*t.cache_path, t.block_name);
+      if (!block) {
+        // Evicted between planning and execution (e.g. a sibling block of the
+        // path failed its check); retriable at job granularity.
+        return Status::DataLoss("cache block evicted: " + *t.cache_path + "#" +
+                                t.block_name);
+      }
+      // Verify the fill-time fingerprint before serving; an unrepairable
+      // mismatch evicts the path and fails the job with DataLoss, and the
+      // retried job re-reads the DFS.
+      M3R_RETURN_NOT_OK(e_.cache_.CheckBlock(*t.cache_path, *block));
+      *pairs = block->pairs;
+      return Status::OK();
+    }
+    Stopwatch fill_sw;
+    M3R_ASSIGN_OR_RETURN(KVSeq seq, ReadAllPairs(tconf, base_split, *e_.fs_));
+    auto owned = std::make_shared<const KVSeq>(std::move(seq));
+    if (e_.options_.enable_cache && t.cache_path) {
+      // Droppable: the split is DFS-backed, so a budget-constrained admission
+      // may bypass the cache and the next job re-reads it.
+      M3R_RETURN_NOT_OK(e_.cache_.PutBlock(*t.cache_path, t.block_name, place,
+                                           *owned, t.input_bytes,
+                                           fill_sw.ElapsedSeconds(),
+                                           /*droppable=*/true));
+    }
+    *pairs = std::move(owned);
+    return Status::OK();
+  }
+
+  /// Recovers from the places that died this round (DESIGN.md §14.3):
+  /// re-homes their shuffle partitions, heals evicted inputs, and re-plans
+  /// their tasks onto survivors for the next round. Returns false when the
+  /// crash lost data that cannot be rebuilt (recovery_abandoned_ says what).
+  bool Recover(const std::vector<int>& newly_dead,
+               const std::vector<int>& alive) {
     // Re-home the dead places' partitions and lanes onto the survivors
     // (partition-map version bump; orphan lanes delivered at the barrier).
-    if (num_reduce > 0) {
+    if (num_reduce_ > 0) {
       ShuffleExchange::RecoveryStats rs =
-          shuffle.DropDeadPlaces(newly_dead, alive);
-      pmap_version = shuffle.map_version();
+          shuffle_->DropDeadPlaces(newly_dead, alive);
+      pmap_version_ = shuffle_->map_version();
       M3R_LOG(Warn) << "recovery: re-homed " << rs.rehomed_partitions
                     << " partitions, dropped " << rs.dropped_local_pairs
                     << " pre-barrier pairs, " << rs.dropped_lanes
                     << " dead lanes and " << rs.dropped_runs
-                    << " shipped runs (map v" << pmap_version << ")";
+                    << " shipped runs (map v" << pmap_version_ << ")";
     }
-
-    // Heal evicted inputs from the checkpoint (the PR 7 lease/heal path);
-    // the DFS reads are charged to the recovery span.
-    if (ckpt_policy != "off" || governor_.governed()) {
-      int healed_files = 0;
-      uint64_t healed_bytes = 0;
-      for (const std::string& in : conf.InputPaths()) {
-        // Surviving L2 shards heal first: a promotion is a memory move
-        // (or one network hop), charged well below the checkpoint's DFS
-        // re-read that covers whatever the dead shards took down.
-        uint64_t promoted_bytes = 0;
-        tiered_->PromoteUnder(path::Canonicalize(in), /*only_unbacked=*/true,
-                              &promoted_bytes);
-        if (promoted_bytes > 0) {
-          recovery_heal_seconds +=
-              cost_.L2Read(promoted_bytes, /*local=*/false);
-        }
-        Status st = RestoreDirFromCheckpoint(in, /*only_missing=*/true,
-                                             &healed_files, &healed_bytes,
-                                             integrity.get());
-        if (!st.ok()) {
-          M3R_LOG(Warn) << "recovery heal of " << in
-                        << " failed: " << st.ToString();
-        }
-      }
-      if (healed_bytes > 0) {
-        recovery_heal_seconds += cost_.DfsRead(healed_bytes, false);
-      }
-    }
-    // Cache-only inputs must still be complete after the heal; anything
-    // short is unrecoverable in-flight (same contract as job entry).
-    if (options_.enable_cache) {
-      for (const std::string& in : conf.InputPaths()) {
-        std::vector<std::string> missing =
-            cache_.ManifestMissing(path::Canonicalize(in));
-        if (!missing.empty()) {
-          recovery_abandoned = Status::DataLoss(
-              "place crash lost cache-only input '" + in + "': " +
-              missing.front());
-          break;
-        }
-      }
+    // The heal's reads are charged to the recovery span.
+    recovery_heal_seconds_ += HealInputs();
+    // Cache-only inputs must still be complete after the heal; anything short
+    // is unrecoverable in-flight (same contract as job entry).
+    std::vector<std::string> missing;
+    const std::string lost = IncompleteInput(&missing);
+    if (!lost.empty()) {
+      recovery_abandoned_ =
+          Status::DataLoss("place crash lost cache-only input '" + lost +
+                           "': " + missing.front());
+      return false;
     }
 
     // Classify the dead places' tasks: never-started work is reassigned as
@@ -2014,621 +1705,900 @@ api::JobResult M3REngine::SubmitImpl(const api::JobConf& submitted_conf) {
     // state, or a cache-only output) is replayed. Completed map-only tasks
     // with materialized output keep their DFS files — never re-committed.
     int64_t replayed_round = 0;
-    for (size_t i = 0; i < tasks.size() && recovery_abandoned.ok(); ++i) {
-      TaskPlan& t = tasks[i];
-      if (!std::binary_search(newly_dead.begin(), newly_dead.end(),
-                              t.place)) {
+    for (size_t i = 0; i < tasks_.size(); ++i) {
+      TaskPlan& t = tasks_[i];
+      if (!std::binary_search(newly_dead.begin(), newly_dead.end(), t.place)) {
         continue;
       }
-      if (task_done[i]) {
-        if (num_reduce == 0 && !temporary) continue;
-        task_done[i] = 0;
+      if (task_done_[i]) {
+        if (num_reduce_ == 0 && !temporary_) continue;
+        task_done_[i] = 0;
         t.replayed = true;
         t.status = Status::OK();
         t.output_bytes = 0;
-        map_tasks_done.fetch_sub(1, std::memory_order_relaxed);
+        map_tasks_done_.fetch_sub(1, std::memory_order_relaxed);
         ++replayed_round;
       }
-      // Revalidate the cache plan: the dead place took its blocks with it.
-      // A DFS-backed split degrades to a re-read; a cache-only block that
-      // the heal could not restore is lost for good.
-      if (t.cache_hit && !cache_.GetBlock(*t.cache_path, t.block_name)) {
+      // Revalidate the cache plan: the dead place took its blocks with it. A
+      // DFS-backed split degrades to a re-read; a cache-only block that the
+      // heal could not restore is lost for good.
+      if (t.cache_hit && !e_.cache_.GetBlock(*t.cache_path, t.block_name)) {
         if (t.whole_file_hit || t.empty_hit ||
-            !base_fs_->Exists(*t.cache_path)) {
-          recovery_abandoned = Status::DataLoss(
+            !e_.base_fs_->Exists(*t.cache_path)) {
+          recovery_abandoned_ = Status::DataLoss(
               "place crash lost cached input block " + *t.cache_path + "#" +
               t.block_name);
-          break;
+          return false;
         }
         t.cache_hit = false;
         t.l2_hit = false;
         t.block_name = Cache::BlockNameForSplit(*t.split);
       }
-      // Re-plan onto a survivor: partitioned splits follow the re-homed
-      // partition map (stability within the new epoch); everything else
-      // keeps its planning preference, deterministically re-hashed onto
-      // the alive list when the preferred place died.
-      auto locations = t.split->GetLocations();
-      int pref;
-      if (const auto* placed = FindPlacedSplit(*t.split)) {
-        const int part = placed->GetPlacedPartition();
-        pref = num_reduce > 0 && part >= 0 && part < shuffle_partitions
-                   ? shuffle.PlaceOfPartition(part)
-                   : (options_.partition_stability
-                          ? StablePlaceOfPartition(part, num_places)
-                          : (part + salt) % num_places);
-      } else if (t.cache_hit) {
-        pref = cache_.GetBlock(*t.cache_path, t.block_name)->info.place;
-      } else if (!locations.empty()) {
-        pref = locations[0] % num_places;
-      } else {
-        pref = alive[i % alive.size()];
-      }
-      if (membership.IsSuspectOrDead(pref)) {
-        pref = alive[static_cast<size_t>(pref) % alive.size()];
-      }
-      t.place = pref;
-      t.local_read =
-          t.cache_hit ||
-          std::find_if(locations.begin(), locations.end(), [&](int n) {
-            return n % num_places == t.place;
-          }) != locations.end();
+      PlaceOnSurvivor(i, alive);
     }
-    if (!recovery_abandoned.ok()) break;
 
-    recovered_map_tasks_total += replayed_round;
-    result.counters.Increment(api::counters::kM3rGroup,
-                              api::counters::kRecoveredMapTasks,
-                              replayed_round);
-    // This crash is handled; clear the verdict so a later crash (next
-    // round, or mid-reduce) is judged on its own.
+    recovered_map_tasks_ += replayed_round;
+    result_.counters.Increment(api::counters::kM3rGroup,
+                               api::counters::kRecoveredMapTasks,
+                               replayed_round);
+    // This crash is handled; clear the verdict so a later crash (next round,
+    // or mid-reduce) is judged on its own.
     {
-      std::lock_guard<std::mutex> lock(crash_mu);
-      crash_status = Status::OK();
+      std::lock_guard<std::mutex> lock(crash_mu_);
+      crash_status_ = Status::OK();
     }
     // Next round runs exactly the not-done work (all of it re-planned onto
     // survivors — a finished round leaves nothing pending anywhere else).
-    for (auto& v : tasks_of_place) v.clear();
-    for (size_t i = 0; i < tasks.size(); ++i) {
-      if (!task_done[i]) {
-        tasks_of_place[static_cast<size_t>(tasks[i].place)].push_back(i);
+    for (auto& v : tasks_of_place_) v.clear();
+    for (size_t i = 0; i < tasks_.size(); ++i) {
+      if (!task_done_[i]) {
+        tasks_of_place_[static_cast<size_t>(tasks_[i].place)].push_back(i);
       }
     }
-    ReportProgress(0.05 + 0.55 * static_cast<double>(map_tasks_done.load()) /
-                              static_cast<double>(std::max<size_t>(
-                                  tasks.size(), 1)),
-                   &result.counters);
+    ReportMapProgress(map_tasks_done_.load());
+    return true;
   }
 
-  Status map_crash;
-  {
-    std::lock_guard<std::mutex> lock(crash_mu);
-    map_crash = crash_status;
-  }
-  if (!map_crash.ok()) {
-    // Unrecovered crash (recovery off, horizon passed, or data loss): the
-    // whole-job retriable failure, charging the work that did complete so
-    // the failed attempt has an honest simulated cost.
-    sim::SlotTimeline part_tl(spec, t0);
-    for (size_t i = 0; i < tasks.size(); ++i) {
-      if (!task_done[i]) continue;
-      const TaskPlan& t = tasks[i];
-      double d = t.cpu_seconds * spec.data_scale;
-      if (!t.cache_hit) d += cost_.DfsRead(t.input_bytes, t.local_read);
-      else if (t.l2_hit) d += cost_.L2Read(t.input_bytes, !t.l2_remote);
-      if (num_reduce == 0 && !temporary) d += cost_.DfsWrite(t.output_bytes);
-      part_tl.ScheduleOnNode(t.place, t0, d);
-    }
-    result.time_breakdown["map_phase_partial"] = part_tl.Makespan() - t0;
-    result.sim_seconds = part_tl.Makespan() + recovery_heal_seconds;
-    return fail_job(recovery_abandoned.ok() ? std::move(map_crash)
-                                            : std::move(recovery_abandoned));
-  }
-  if (cancelled.load()) return fail_job(Status::Cancelled("job cancelled"));
-  for (const TaskPlan& t : tasks) {
-    if (!t.status.ok()) return fail_job(t.status);
-  }
-  {
-    std::lock_guard<std::mutex> lock(hash_mu);
-    if (!hash_status.ok()) return fail_job(hash_status);
-  }
-
-  // --- Simulated map phase time ---
-  result.metrics["hdfs_read_bytes"] = 0;
-  result.metrics["hdfs_write_bytes"] = 0;
-  sim::SlotTimeline map_tl(spec, t0);
-  int64_t replayed_tasks = 0;
-  for (const TaskPlan& t : tasks) {
-    double d = t.cpu_seconds * spec.data_scale;
-    if (!t.cache_hit) d += cost_.DfsRead(t.input_bytes, t.local_read);
-    // L2-promoted splits pay the tier's memory/network cost, not a DFS
-    // re-read — the hierarchy the paper's in-memory thesis predicts.
-    else if (t.l2_hit) d += cost_.L2Read(t.input_bytes, !t.l2_remote);
-    if (num_reduce == 0 && !temporary) d += cost_.DfsWrite(t.output_bytes);
-    if (t.replayed) {
-      ++replayed_tasks;  // charged to the recovery span below
+  /// Re-plans task `i` onto a survivor: partitioned splits follow the
+  /// re-homed partition map (stability within the new epoch); everything
+  /// else keeps its planning preference, deterministically re-hashed onto
+  /// the alive list when the preferred place died.
+  void PlaceOnSurvivor(size_t i, const std::vector<int>& alive) {
+    TaskPlan& t = tasks_[i];
+    auto locations = t.split->GetLocations();
+    int pref;
+    if (const auto* placed = FindPlacedSplit(*t.split)) {
+      const int part = placed->GetPlacedPartition();
+      pref = num_reduce_ > 0 && part >= 0 && part < num_reduce_
+                 ? shuffle_->PlaceOfPartition(part)
+                 : PlacedHome(part);
+    } else if (t.cache_hit) {
+      pref = e_.cache_.GetBlock(*t.cache_path, t.block_name)->info.place;
+    } else if (!locations.empty()) {
+      pref = locations[0] % num_places_;
     } else {
-      map_tl.ScheduleOnNode(t.place, t0, d);
+      pref = alive[i % alive.size()];
     }
-    if (!t.cache_hit) {
-      result.metrics["hdfs_read_bytes"] += static_cast<int64_t>(
-          t.input_bytes);
-      result.counters.Increment(api::counters::kFsGroup,
-                                api::counters::kHdfsBytesRead,
-                                static_cast<int64_t>(t.input_bytes));
+    if (membership_.IsSuspectOrDead(pref)) {
+      pref = alive[static_cast<size_t>(pref) % alive.size()];
     }
+    t.place = pref;
+    t.local_read = LocalRead(t, locations, num_places_);
   }
-  double map_end = tasks.empty() ? t0 : map_tl.Makespan();
-  result.time_breakdown["map_phase"] = map_end - t0;
 
-  // Replayed work runs after the crash-free portion of the phase, on the
-  // survivors, plus the checkpoint heal reads — the price of surviving the
-  // crash instead of re-running the whole job. (The dead places' wasted
-  // pre-crash work is parallel loss and does not extend the makespan.)
-  double recovery_span = recovery_heal_seconds;
-  if (replayed_tasks > 0) {
-    sim::SlotTimeline rec_tl(spec, map_end);
-    for (const TaskPlan& t : tasks) {
-      if (!t.replayed) continue;
-      double d = t.cpu_seconds * spec.data_scale;
-      if (!t.cache_hit) d += cost_.DfsRead(t.input_bytes, t.local_read);
-      else if (t.l2_hit) d += cost_.L2Read(t.input_bytes, !t.l2_remote);
-      if (num_reduce == 0 && !temporary) d += cost_.DfsWrite(t.output_bytes);
-      rec_tl.ScheduleOnNode(t.place, map_end, d);
+  void ChargePartialMapPhase() {
+    sim::SlotTimeline part_tl(spec_, t0_);
+    for (size_t i = 0; i < tasks_.size(); ++i) {
+      if (!task_done_[i]) continue;
+      part_tl.ScheduleOnNode(tasks_[i].place, t0_, MapTaskSeconds(tasks_[i]));
     }
-    recovery_span += rec_tl.Makespan() - map_end;
+    result_.time_breakdown["map_phase_partial"] = part_tl.Makespan() - t0_;
+    if (recovery_heal_seconds_ > 0) {
+      result_.time_breakdown["recovery"] = recovery_heal_seconds_;
+    }
+    result_.sim_seconds = part_tl.Makespan() + recovery_heal_seconds_;
   }
-  if (recovery_span > 0) {
-    const int64_t ms = static_cast<int64_t>(
-        std::llround(recovery_span * 1000.0));
-    result.time_breakdown["recovery"] = recovery_span;
-    result.metrics["recovery_millis"] = ms;
-    result.counters.Increment(api::counters::kM3rGroup,
-                              api::counters::kRecoveryMillis, ms);
-  }
-  const double phase_end = map_end + recovery_span;
 
-  double total;
-  if (num_reduce == 0) {
-    total = phase_end + spec.m3r_barrier_s;
-    for (const TaskPlan& t : tasks) {
-      result.metrics["hdfs_write_bytes"] +=
-          static_cast<int64_t>(t.output_bytes);
+  void ChargeMapPhase() {
+    result_.metrics["hdfs_read_bytes"] = 0;
+    result_.metrics["hdfs_write_bytes"] = 0;
+    sim::SlotTimeline map_tl(spec_, t0_);
+    int64_t replayed_tasks = 0;
+    for (const TaskPlan& t : tasks_) {
+      if (t.replayed) {
+        ++replayed_tasks;  // charged to the recovery span below
+      } else {
+        map_tl.ScheduleOnNode(t.place, t0_, MapTaskSeconds(t));
+      }
+      if (!t.cache_hit) {
+        result_.metrics["hdfs_read_bytes"] +=
+            static_cast<int64_t>(t.input_bytes);
+        result_.counters.Increment(api::counters::kFsGroup,
+                                   api::counters::kHdfsBytesRead,
+                                   static_cast<int64_t>(t.input_bytes));
+      }
     }
-  } else {
-    // --- Shuffle delivery (after the Team barrier, §5.1) ---
+    const double map_end = tasks_.empty() ? t0_ : map_tl.Makespan();
+    result_.time_breakdown["map_phase"] = map_end - t0_;
+
+    // Replayed work runs after the crash-free portion of the phase, on the
+    // survivors, plus the checkpoint heal reads — the price of surviving the
+    // crash instead of re-running the whole job. (The dead places' wasted
+    // pre-crash work is parallel loss and does not extend the makespan.)
+    double recovery_span = recovery_heal_seconds_;
+    if (replayed_tasks > 0) {
+      sim::SlotTimeline rec_tl(spec_, map_end);
+      for (const TaskPlan& t : tasks_) {
+        if (!t.replayed) continue;
+        rec_tl.ScheduleOnNode(t.place, map_end, MapTaskSeconds(t));
+      }
+      recovery_span += rec_tl.Makespan() - map_end;
+    }
+    if (recovery_span > 0) {
+      const int64_t ms =
+          static_cast<int64_t>(std::llround(recovery_span * 1000.0));
+      result_.time_breakdown["recovery"] = recovery_span;
+      result_.metrics["recovery_millis"] = ms;
+      result_.counters.Increment(api::counters::kM3rGroup,
+                                 api::counters::kRecoveryMillis, ms);
+    }
+    phase_end_ = map_end + recovery_span;
+    if (num_reduce_ == 0) {
+      total_ = phase_end_ + spec_.m3r_barrier_s;
+      for (const TaskPlan& t : tasks_) {
+        result_.metrics["hdfs_write_bytes"] +=
+            static_cast<int64_t>(t.output_bytes);
+      }
+    }
+  }
+
+  /// Shuffle delivery after the Team barrier (§5.1; DESIGN.md §15).
+  Status Shuffle() {
     // Dead places deliver nothing; their inbound (orphan) lanes are
     // delivered by round-robin survivors inside DeliverTo.
-    places_.FinishForAll([&](int place) {
-      if (membership.IsDead(place)) return;
-      shuffle.DeliverTo(place, workers > 1 ? &places_.pool() : nullptr,
-                        workers);
+    e_.places_.FinishForAll([this](int place) {
+      if (membership_.IsDead(place)) return;
+      shuffle_->DeliverTo(place, workers_ > 1 ? &e_.places_.pool() : nullptr,
+                          workers_);
     });
-    // A dropped lane means a partition silently lost pairs: never reduce
-    // over partial shuffle data.
-    if (!shuffle.status().ok()) return fail_job(shuffle.status());
+    // A dropped lane means a partition silently lost pairs: never reduce over
+    // partial shuffle data.
+    M3R_RETURN_NOT_OK(shuffle_->status());
 
     double shuffle_span = 0;
-    const double map_phase_span = phase_end - t0;
-    for (int p = 0; p < num_places; ++p) {
-      if (membership.IsDead(p)) continue;  // no lanes, no decode
+    const double map_phase_span = phase_end_ - t0_;
+    for (int p = 0; p < num_places_; ++p) {
+      if (membership_.IsDead(p)) continue;  // no lanes, no decode
       uint64_t send = 0;
       // Orphan lanes this survivor delivers for dead destinations count as
       // its received traffic (it pulls them over the wire to decode).
-      uint64_t recv = shuffle.OrphanWireBytesFor(p);
-      // Runs shipped before the barrier overlap the map phase's compute;
-      // only the residual barrier drain — plus whatever pre-barrier wire
-      // time exceeded the map phase itself — extends the post-barrier
-      // span. With flush_bytes 0 BarrierWireBytes equals WireBytes and the
-      // pre-barrier terms are zero: the paper's barrier charge.
+      uint64_t recv = shuffle_->OrphanWireBytesFor(p);
+      // Runs shipped before the barrier overlap the map phase's compute; only
+      // the residual barrier drain — plus whatever pre-barrier wire time
+      // exceeded the map phase itself — extends the post-barrier span. With
+      // flush_bytes 0 BarrierWireBytes equals WireBytes and the pre-barrier
+      // terms are zero: the paper's barrier charge.
       uint64_t pre_send = 0, pre_recv = 0;
-      for (int q = 0; q < num_places; ++q) {
-        if (q != p) {
-          uint64_t s_total = shuffle.WireBytes(p, q);
-          uint64_t s_resid = shuffle.BarrierWireBytes(p, q);
-          uint64_t r_total = shuffle.WireBytes(q, p);
-          uint64_t r_resid = shuffle.BarrierWireBytes(q, p);
-          send += s_resid;
-          recv += r_resid;
-          pre_send += s_total - s_resid;
-          pre_recv += r_total - r_resid;
-        }
+      for (int q = 0; q < num_places_; ++q) {
+        if (q == p) continue;
+        uint64_t s_total = shuffle_->WireBytes(p, q);
+        uint64_t s_resid = shuffle_->BarrierWireBytes(p, q);
+        uint64_t r_total = shuffle_->WireBytes(q, p);
+        uint64_t r_resid = shuffle_->BarrierWireBytes(q, p);
+        send += s_resid;
+        recv += r_resid;
+        pre_send += s_total - s_resid;
+        pre_recv += r_total - r_resid;
       }
-      // Deserialization at a place is spread across its worker threads
-      // (the paper's "8 worker threads to exploit the 8 cores"): pack the
-      // measured per-stream decode CPU seconds onto the place's simulated
-      // slots in deterministic stream order; the longest slot is the
-      // place's decode time. A single fat stream cannot be split, which
-      // the old "divide the total by the slot count" shortcut got wrong.
+      // Deserialization at a place is spread across its worker threads (the
+      // paper's "8 worker threads to exploit the 8 cores"): pack the measured
+      // per-stream decode CPU seconds onto the place's simulated slots in
+      // deterministic stream order; the longest slot is the place's decode
+      // time. A single fat stream cannot be split.
       std::vector<double> slot_busy(
-          static_cast<size_t>(std::max(spec.slots_per_node, 1)), 0.0);
-      for (double stream_seconds : shuffle.DecodeSeconds(p)) {
+          static_cast<size_t>(std::max(spec_.slots_per_node, 1)), 0.0);
+      for (double stream_seconds : shuffle_->DecodeSeconds(p)) {
         *std::min_element(slot_busy.begin(), slot_busy.end()) +=
-            stream_seconds * spec.data_scale;
+            stream_seconds * spec_.data_scale;
       }
       double decode = *std::max_element(slot_busy.begin(), slot_busy.end());
-      double comm = cost_.NetTransfer(send) + cost_.NetTransfer(recv) +
+      double comm = e_.cost_.NetTransfer(send) + e_.cost_.NetTransfer(recv) +
                     decode;
       if (pre_send > 0 || pre_recv > 0) {
-        double pre = cost_.NetTransfer(pre_send) + cost_.NetTransfer(pre_recv);
+        double pre =
+            e_.cost_.NetTransfer(pre_send) + e_.cost_.NetTransfer(pre_recv);
         comm += std::max(0.0, pre - map_phase_span);
       }
       shuffle_span = std::max(shuffle_span, comm);
     }
-    ShuffleExchange::Stats sstats = shuffle.ComputeStats();
-    result.metrics["shuffle_local_pairs"] =
-        static_cast<int64_t>(sstats.local_pairs);
-    result.metrics["shuffle_remote_pairs"] =
-        static_cast<int64_t>(sstats.remote_pairs);
-    result.metrics["shuffle_wire_bytes"] =
-        static_cast<int64_t>(sstats.total_wire_bytes);
-    result.metrics["dedup_objects"] =
-        static_cast<int64_t>(sstats.deduped_objects);
-    result.metrics["dedup_saved_bytes"] =
-        static_cast<int64_t>(sstats.dedup_saved_bytes);
-    result.metrics["aliased_pairs"] =
-        static_cast<int64_t>(sstats.aliased_pairs);
-    // Combine-path clones are tracked via the counter; fold both sources.
-    result.metrics["cloned_pairs"] =
-        static_cast<int64_t>(sstats.cloned_pairs) +
-        result.counters.Get(api::counters::kM3rGroup,
-                            api::counters::kClonedPairs);
-    result.counters.Increment(api::counters::kM3rGroup,
-                              api::counters::kLocalShufflePairs,
-                              static_cast<int64_t>(sstats.local_pairs));
-    result.counters.Increment(api::counters::kM3rGroup,
-                              api::counters::kRemoteShufflePairs,
-                              static_cast<int64_t>(sstats.remote_pairs));
-    result.counters.Increment(api::counters::kM3rGroup,
-                              api::counters::kDedupedObjects,
-                              static_cast<int64_t>(sstats.deduped_objects));
-    result.counters.Increment(api::counters::kM3rGroup,
-                              api::counters::kDedupSavedBytes,
-                              static_cast<int64_t>(sstats.dedup_saved_bytes));
-    result.counters.Increment(api::counters::kM3rGroup,
-                              api::counters::kAliasedPairs,
-                              static_cast<int64_t>(sstats.aliased_pairs));
-    result.counters.Increment(api::counters::kM3rGroup,
-                              api::counters::kClonedPairs,
-                              static_cast<int64_t>(sstats.cloned_pairs));
-    result.metrics["shuffle_runs_shipped"] =
-        static_cast<int64_t>(sstats.runs_shipped);
-    result.metrics["shuffle_runs_compacted"] =
-        static_cast<int64_t>(sstats.runs_compacted);
-    result.metrics["shuffle_overflow_spills"] =
-        static_cast<int64_t>(sstats.overflow_spills);
-    result.metrics["shuffle_pool_peak_bytes"] =
-        static_cast<int64_t>(sstats.peak_resident_run_bytes);
-    result.metrics["shuffle_max_partition_run_bytes"] =
-        static_cast<int64_t>(sstats.max_partition_run_bytes);
-    result.counters.Increment(api::counters::kM3rGroup,
-                              api::counters::kShuffleRunsShipped,
-                              static_cast<int64_t>(sstats.runs_shipped));
-    result.counters.Increment(api::counters::kM3rGroup,
-                              api::counters::kShuffleOverflowSpills,
-                              static_cast<int64_t>(sstats.overflow_spills));
-    result.time_breakdown["shuffle"] = shuffle_span + spec.m3r_barrier_s;
-    const double reduce_start = phase_end + spec.m3r_barrier_s + shuffle_span;
+
+    const ShuffleExchange::Stats s = shuffle_->ComputeStats();
+    namespace c = api::counters;
+    auto n = [](uint64_t v) { return static_cast<int64_t>(v); };
+    Publish({
+        {"shuffle_local_pairs", c::kLocalShufflePairs, n(s.local_pairs)},
+        {"shuffle_remote_pairs", c::kRemoteShufflePairs, n(s.remote_pairs)},
+        {"shuffle_wire_bytes", nullptr, n(s.total_wire_bytes)},
+        {"dedup_objects", c::kDedupedObjects, n(s.deduped_objects)},
+        {"dedup_saved_bytes", c::kDedupSavedBytes, n(s.dedup_saved_bytes)},
+        {"aliased_pairs", c::kAliasedPairs, n(s.aliased_pairs)},
+        // Combine-path clones are already on the counter; fold both sources.
+        {"cloned_pairs", c::kClonedPairs,
+         n(s.cloned_pairs) +
+             result_.counters.Get(c::kM3rGroup, c::kClonedPairs)},
+        {"shuffle_runs_shipped", c::kShuffleRunsShipped, n(s.runs_shipped)},
+        {"shuffle_runs_compacted", nullptr, n(s.runs_compacted)},
+        {"shuffle_overflow_spills", c::kShuffleOverflowSpills,
+         n(s.overflow_spills)},
+        {"shuffle_pool_peak_bytes", nullptr, n(s.peak_resident_run_bytes)},
+        {"shuffle_max_partition_run_bytes", nullptr,
+         n(s.max_partition_run_bytes)},
+    });
+    result_.time_breakdown["shuffle"] = shuffle_span + spec_.m3r_barrier_s;
+    reduce_start_ = phase_end_ + spec_.m3r_barrier_s + shuffle_span;
     // First reducer starts the moment the barrier drain lands — the
     // pipeline's headline latency win.
-    result.metrics["time_to_first_reduce_ms"] =
-        static_cast<int64_t>(std::llround(reduce_start * 1000.0));
+    result_.metrics["time_to_first_reduce_ms"] =
+        static_cast<int64_t>(std::llround(reduce_start_ * 1000.0));
+    return Status::OK();
+  }
 
-    // --- Reduce phase ---
-    struct ReduceResult {
-      Status status;
-      double cpu_seconds = 0;
-      uint64_t output_bytes = 0;
-    };
-    std::vector<ReduceResult> reduce_results(
-        static_cast<size_t>(num_reduce));
-    bool reduce_immutable =
-        options_.respect_immutable && ReduceOutputImmutable(conf);
-    // Sort-kernel CPU across every reduce task (including work stolen by
-    // pool strands), charged to time_breakdown["sort"] below.
-    std::mutex sort_mu;
-    double sort_cpu_total = 0;
-
-    auto run_reduce_task = [&](int p, int place) {
-        ReduceResult& rr = reduce_results[static_cast<size_t>(p)];
-        if (cancelled.load(std::memory_order_relaxed)) return;
-        if (CancelRequested()) {
-          cancelled.store(true, std::memory_order_relaxed);
-          return;
-        }
-        if (fault != nullptr) {
-          rr.status = fault->Check("m3r.reduce", std::to_string(p));
-          if (!rr.status.ok()) return;
-        }
-        CpuStopwatch sw;
-        api::CountersReporter reporter(&result.counters);
-
-        // Sort + group (in-memory, same comparator semantics as Hadoop).
-        const KVSeq& incoming = shuffle.PartitionPairs(p);
-        std::vector<api::KeyedPair> pairs;
-        pairs.reserve(incoming.size());
-        for (const auto& [k, v] : incoming) {
-          api::KeyedPair kp;
-          kp.key_bytes = serialize::SerializeToString(*k);
-          kp.key = k;
-          kp.value = v;
-          pairs.push_back(std::move(kp));
-        }
-        api::SortOptions sort_options;
-        if (workers > 1) {
-          sort_options.executor = &places_.pool();
-          sort_options.max_workers = workers;
-        }
-        api::SortStats sort_stats;
-        api::SortPairs(conf, &pairs, sort_options, &sort_stats);
-        {
-          std::lock_guard<std::mutex> lock(sort_mu);
-          sort_cpu_total += sort_stats.cpu_seconds;
-        }
-        // The caller-thread share of the sort is already inside `sw`;
-        // remember it so the task's generic compute isn't double-charged.
-        const double sort_caller = sort_stats.caller_cpu_seconds;
-        // The partition's remote pairs arrived as sorted runs; k-way merge
-        // them with the (sorted) local pairs instead of re-sorting the
-        // whole partition. Equal keys drain local-first, then in (source
-        // place, lane, flush seq) order — the order a barrier exchange's
-        // lane splice gives a stable sort.
-        std::vector<SortedRun> runs;
-        rr.status = shuffle.CollectPartitionRuns(p, &runs);
-        if (!rr.status.ok()) return;
-        if (!runs.empty()) {
-          sortkit::RunMerger merger(shuffle_options.run_comparator);
-          size_t fed = 0;
-          merger.AddRun(
-              [&pairs, &fed](std::string_view* k, std::string_view* v) {
-                if (fed >= pairs.size()) return false;
-                *k = pairs[fed].key_bytes;
-                *v = std::string_view();
-                ++fed;
-                return true;
-              },
-              /*ordinal=*/0);
-          std::vector<serialize::DataInput> ins;
-          ins.reserve(runs.size());
-          uint64_t remote_records = 0;
-          for (const SortedRun& run : runs) {
-            remote_records += run.records;
-            ins.emplace_back(std::string_view(run.bytes));
-          }
-          // Each run's record types are resolved once; every record is
-          // then built straight from its span, one Writable per field.
-          struct RunTypes {
-            WritablePtr key;
-            WritablePtr value;
-          };
-          std::unordered_map<uint64_t, RunTypes> types_of;
-          types_of.reserve(runs.size());
-          auto& registry = serialize::WritableRegistry::Instance();
-          for (size_t i = 0; i < runs.size(); ++i) {
-            serialize::DataInput* in = &ins[i];
-            const uint64_t ord = RunOrdinal(runs[i].src_place,
-                                            runs[i].worker_lane,
-                                            runs[i].seq);
-            types_of.emplace(ord,
-                             RunTypes{registry.Create(runs[i].key_type),
-                                      registry.Create(runs[i].value_type)});
-            merger.AddRun(
-                [in](std::string_view* k, std::string_view* v) {
-                  if (in->AtEnd()) return false;
-                  *k = in->ReadStringView();
-                  *v = in->ReadStringView();
-                  return true;
-                },
-                ord);
-          }
-          std::vector<api::KeyedPair> merged;
-          merged.reserve(pairs.size() + remote_records);
-          std::string_view mk, mv;
-          uint64_t ord = 0;
-          size_t consumed = 0;
-          while (merger.Next(&mk, &mv, &ord)) {
-            if (ord == 0) {
-              merged.push_back(std::move(pairs[consumed++]));
-              continue;
-            }
-            const RunTypes& types = types_of.find(ord)->second;
-            api::KeyedPair kp;
-            kp.key_bytes.assign(mk.data(), mk.size());
-            kp.key = types.key->NewInstance();
-            serialize::DeserializeFromString(mk, kp.key.get());
-            kp.value = types.value->NewInstance();
-            serialize::DeserializeFromString(mv, kp.value.get());
-            merged.push_back(std::move(kp));
-          }
-          pairs = std::move(merged);
-        }
-        reporter.IncrCounter(api::counters::kTaskGroup,
-                             api::counters::kReduceInputRecords,
-                             static_cast<int64_t>(pairs.size()));
-
-        std::unique_ptr<api::RecordWriter> writer;
-        if (!temporary) {
-          std::string temp_path =
-              api::file_output::TempPath(conf, p, /*attempt=*/0);
-          auto writer_or =
-              output_format->GetRecordWriter(conf, *fs_, temp_path, place);
-          if (!writer_or.ok()) {
-            rr.status = writer_or.status();
-            return;
-          }
-          writer = writer_or.take();
-        }
-
-        M3RNamedOutputSink named_sink(conf, *fs_, &cache_, p, place,
-                                      temporary);
-        api::ScopedNamedOutputSink scoped(&named_sink);
-        OutputSeqCollector collector(reduce_immutable, writer.get(),
-                                     &reporter,
-                                     api::counters::kReduceOutputRecords);
-        api::SortedPairsGroupSource groups(conf, &pairs);
-        bool imm_unused = false;
-        rr.status = api::RunReduceTask(conf, groups, collector, reporter,
-                                       &imm_unused);
-        if (!rr.status.ok()) return;
-        if (writer != nullptr) {
-          rr.status = writer->Close();
-          if (!rr.status.ok()) return;
-          rr.output_bytes = writer->BytesWritten();
-          api::FileOutputCommitter committer;
-          rr.status = committer.CommitTask(conf, *fs_, p, /*attempt=*/0);
-          if (!rr.status.ok()) return;
-        }
-        uint64_t named_bytes = 0;
-        rr.status = named_sink.Finish(&named_bytes);
-        if (!rr.status.ok()) return;
-        rr.output_bytes += named_bytes;
-
-        // Cache the partition's output at this place — the key move that
-        // makes the next job's input land here again (§3.2.2.2).
-        if (options_.enable_cache) {
-          std::string out_file = api::file_output::FinalPath(conf, p);
-          rr.status = cache_.PutBlock(out_file, "0", place,
-                                      collector.TakeSeq(),
-                                      collector.bytes(), sw.ElapsedSeconds(),
-                                      /*droppable=*/!temporary,
-                                      /*whole_file=*/true);
-          if (!rr.status.ok()) return;
-        }
-        rr.cpu_seconds += std::max(0.0, sw.ElapsedSeconds() - sort_caller);
-        membership.Heartbeat(place);
-    };
-    places_.FinishForAll([&](int place) {
-      if (membership.IsDead(place)) return;
-      if (!place_alive(place)) return;
+  Status Reduce() {
+    reduce_results_.resize(static_cast<size_t>(num_reduce_));
+    reduce_immutable_ =
+        e_.options_.respect_immutable && ReduceOutputImmutable(conf_);
+    e_.places_.FinishForAll([this](int place) {
+      if (membership_.IsDead(place)) return;
+      if (!PlaceAlive(place)) return;
       std::vector<int> mine;
-      for (int p = 0; p < num_reduce; ++p) {
-        if (shuffle.PlaceOfPartition(p) == place) mine.push_back(p);
+      for (int p = 0; p < num_reduce_; ++p) {
+        if (shuffle_->PlaceOfPartition(p) == place) mine.push_back(p);
       }
-      if (mine.size() <= 1 || workers <= 1) {
-        for (int p : mine) run_reduce_task(p, place);
+      if (mine.size() <= 1 || workers_ <= 1) {
+        for (int p : mine) RunReduceTask(p, place);
       } else {
-        places_.pool().ParallelFor(
-            mine.size(),
-            [&](size_t k) { run_reduce_task(mine[k], place); }, workers);
+        e_.places_.pool().ParallelFor(
+            mine.size(), [&](size_t k) { RunReduceTask(mine[k], place); },
+            workers_);
       }
     });
-    Status reduce_crash;
-    {
-      std::lock_guard<std::mutex> lock(crash_mu);
-      reduce_crash = crash_status;
-    }
-    if (!reduce_crash.ok()) {
-      // A crash past the map barrier is past the recovery horizon: the
-      // dead place's reduce state (sorted runs, partial writers) is not
-      // reconstructible from retained shuffle lanes. Tear the place down
-      // so its cache blocks don't serve stale data, then fall back to the
+    if (Status crash = CrashStatus(); !crash.ok()) {
+      // A crash past the map barrier is past the recovery horizon: the dead
+      // place's reduce state (sorted runs, partial writers) is not
+      // reconstructible from retained shuffle lanes. Tear the place down so
+      // its cache blocks don't serve stale data, then fall back to the
       // whole-job retriable failure — the resubmitted attempt heals its
       // inputs from the checkpoint.
-      confirm_and_teardown();
-      result.sim_seconds = reduce_start;
-      return fail_job(std::move(reduce_crash));
+      ConfirmAndTeardown();
+      result_.sim_seconds = reduce_start_;
+      return crash;
     }
-    if (cancelled.load()) {
-      return fail_job(Status::Cancelled("job cancelled"));
-    }
-    for (const ReduceResult& rr : reduce_results) {
-      if (!rr.status.ok()) return fail_job(rr.status);
-    }
+    if (cancelled_.load()) return Status::Cancelled("job cancelled");
+    for (const ReduceResult& rr : reduce_results_) M3R_RETURN_NOT_OK(rr.status);
 
-    sim::SlotTimeline red_tl(spec, reduce_start);
-    for (int p = 0; p < num_reduce; ++p) {
-      const ReduceResult& rr = reduce_results[static_cast<size_t>(p)];
-      double d = rr.cpu_seconds * spec.data_scale;
-      if (!temporary) d += cost_.DfsWrite(rr.output_bytes);
-      red_tl.ScheduleOnNode(shuffle.PlaceOfPartition(p), reduce_start, d);
-      result.metrics["hdfs_write_bytes"] +=
+    sim::SlotTimeline red_tl(spec_, reduce_start_);
+    for (int p = 0; p < num_reduce_; ++p) {
+      const ReduceResult& rr = reduce_results_[static_cast<size_t>(p)];
+      double d = rr.cpu_seconds * spec_.data_scale;
+      if (!temporary_) d += e_.cost_.DfsWrite(rr.output_bytes);
+      red_tl.ScheduleOnNode(shuffle_->PlaceOfPartition(p), reduce_start_, d);
+      result_.metrics["hdfs_write_bytes"] +=
           static_cast<int64_t>(rr.output_bytes);
-      result.counters.Increment(api::counters::kFsGroup,
-                                api::counters::kHdfsBytesWritten,
-                                static_cast<int64_t>(rr.output_bytes));
+      result_.counters.Increment(api::counters::kFsGroup,
+                                 api::counters::kHdfsBytesWritten,
+                                 static_cast<int64_t>(rr.output_bytes));
     }
-    double reduce_end = red_tl.Makespan();
-    result.time_breakdown["reduce_phase"] = reduce_end - reduce_start;
-    result.metrics["reduce_tasks"] = num_reduce;
-    total = reduce_end + spec.m3r_barrier_s;
-    // Sort kernel CPU, amortized per slot (same treatment as the
-    // integrity charge below).
-    if (sort_cpu_total > 0) {
-      double sort_s = sort_cpu_total * spec.data_scale / spec.total_slots();
-      result.time_breakdown["sort"] = sort_s;
-      total += sort_s;
+    const double reduce_end = red_tl.Makespan();
+    result_.time_breakdown["reduce_phase"] = reduce_end - reduce_start_;
+    result_.metrics["reduce_tasks"] = num_reduce_;
+    total_ = reduce_end + spec_.m3r_barrier_s;
+    // Sort kernel CPU, amortized per slot (same treatment as the integrity
+    // charge).
+    if (sort_cpu_total_ > 0) {
+      double sort_s = sort_cpu_total_ * spec_.data_scale / spec_.total_slots();
+      result_.time_breakdown["sort"] = sort_s;
+      total_ += sort_s;
+    }
+    return Status::OK();
+  }
+
+  void RunReduceTask(int p, int place) {
+    ReduceResult& rr = reduce_results_[static_cast<size_t>(p)];
+    if (cancelled_.load(std::memory_order_relaxed)) return;
+    if (e_.CancelRequested()) {
+      cancelled_.store(true, std::memory_order_relaxed);
+      return;
+    }
+    if (fault_ != nullptr) {
+      rr.status = fault_->Check("m3r.reduce", std::to_string(p));
+      if (!rr.status.ok()) return;
+    }
+    CpuStopwatch sw;
+    api::CountersReporter reporter(&result_.counters);
+
+    // Sort + group (in-memory, same comparator semantics as Hadoop).
+    const KVSeq& incoming = shuffle_->PartitionPairs(p);
+    std::vector<api::KeyedPair> pairs;
+    pairs.reserve(incoming.size());
+    for (const auto& [k, v] : incoming) {
+      api::KeyedPair kp;
+      kp.key_bytes = serialize::SerializeToString(*k);
+      kp.key = k;
+      kp.value = v;
+      pairs.push_back(std::move(kp));
+    }
+    api::SortOptions sort_options;
+    if (workers_ > 1) {
+      sort_options.executor = &e_.places_.pool();
+      sort_options.max_workers = workers_;
+    }
+    api::SortStats sort_stats;
+    api::SortPairs(conf_, &pairs, sort_options, &sort_stats);
+    {
+      std::lock_guard<std::mutex> lock(sort_mu_);
+      sort_cpu_total_ += sort_stats.cpu_seconds;
+    }
+    rr.status = MergeShippedRuns(p, &pairs);
+    if (!rr.status.ok()) return;
+    reporter.IncrCounter(api::counters::kTaskGroup,
+                         api::counters::kReduceInputRecords,
+                         static_cast<int64_t>(pairs.size()));
+    rr.status = WriteTaskOutput(
+        p, place, reduce_immutable_, api::counters::kReduceOutputRecords,
+        reporter, sw, &rr.output_bytes, [&](api::OutputCollector& out) {
+          api::SortedPairsGroupSource groups(conf_, &pairs);
+          bool imm_unused = false;
+          return api::RunReduceTask(conf_, groups, out, reporter, &imm_unused);
+        });
+    if (!rr.status.ok()) return;
+    // The caller-thread share of the sort is already inside `sw`; subtract it
+    // so the task's generic compute isn't double-charged.
+    rr.cpu_seconds +=
+        std::max(0.0, sw.ElapsedSeconds() - sort_stats.caller_cpu_seconds);
+    membership_.Heartbeat(place);
+  }
+
+  /// The partition's remote pairs arrived as sorted runs; k-way merge them
+  /// with the (sorted) local `pairs` instead of re-sorting the whole
+  /// partition. Equal keys drain local-first, then in (source place, lane,
+  /// flush seq) order — the order a barrier exchange's lane splice gives a
+  /// stable sort.
+  Status MergeShippedRuns(int p, std::vector<api::KeyedPair>* local) {
+    std::vector<api::KeyedPair>& pairs = *local;
+    std::vector<SortedRun> runs;
+    M3R_RETURN_NOT_OK(shuffle_->CollectPartitionRuns(p, &runs));
+    if (runs.empty()) return Status::OK();
+    sortkit::RunMerger merger(shuffle_options_.run_comparator);
+    size_t fed = 0;
+    merger.AddRun(
+        [&pairs, &fed](std::string_view* k, std::string_view* v) {
+          if (fed >= pairs.size()) return false;
+          *k = pairs[fed].key_bytes;
+          *v = std::string_view();
+          ++fed;
+          return true;
+        },
+        /*ordinal=*/0);
+    std::vector<serialize::DataInput> ins;
+    ins.reserve(runs.size());
+    uint64_t remote_records = 0;
+    for (const SortedRun& run : runs) {
+      remote_records += run.records;
+      ins.emplace_back(std::string_view(run.bytes));
+    }
+    // Each run's record types are resolved once; every record is then built
+    // straight from its span, one Writable per field.
+    struct RunTypes {
+      WritablePtr key;
+      WritablePtr value;
+    };
+    std::unordered_map<uint64_t, RunTypes> types_of;
+    types_of.reserve(runs.size());
+    auto& registry = serialize::WritableRegistry::Instance();
+    for (size_t i = 0; i < runs.size(); ++i) {
+      serialize::DataInput* in = &ins[i];
+      const uint64_t ord =
+          RunOrdinal(runs[i].src_place, runs[i].worker_lane, runs[i].seq);
+      types_of.emplace(ord, RunTypes{registry.Create(runs[i].key_type),
+                                     registry.Create(runs[i].value_type)});
+      merger.AddRun(
+          [in](std::string_view* k, std::string_view* v) {
+            if (in->AtEnd()) return false;
+            *k = in->ReadStringView();
+            *v = in->ReadStringView();
+            return true;
+          },
+          ord);
+    }
+    std::vector<api::KeyedPair> merged;
+    merged.reserve(pairs.size() + remote_records);
+    std::string_view mk, mv;
+    uint64_t ord = 0;
+    size_t consumed = 0;
+    while (merger.Next(&mk, &mv, &ord)) {
+      if (ord == 0) {
+        merged.push_back(std::move(pairs[consumed++]));
+        continue;
+      }
+      const RunTypes& types = types_of.find(ord)->second;
+      api::KeyedPair kp;
+      kp.key_bytes.assign(mk.data(), mk.size());
+      kp.key = types.key->NewInstance();
+      serialize::DeserializeFromString(mk, kp.key.get());
+      kp.value = types.value->NewInstance();
+      serialize::DeserializeFromString(mv, kp.value.get());
+      merged.push_back(std::move(kp));
+    }
+    pairs = std::move(merged);
+    return Status::OK();
+  }
+
+  Status Commit() {
+    if (e_.CancelRequested()) return Status::Cancelled("job cancelled");
+    if (!temporary_) {
+      api::FileOutputCommitter committer;
+      M3R_RETURN_NOT_OK(committer.CommitJob(conf_, *e_.fs_));
+    }
+    // Commit the cache-only output's manifest: the file set a consumer is
+    // entitled to. If a place crash later takes blocks with it, the consumer
+    // compares against this record and fails loudly instead of silently
+    // computing on the survivors (DESIGN.md §13).
+    if (temporary_ && e_.options_.enable_cache) {
+      e_.cache_.RecordManifest(path::Canonicalize(conf_.OutputPath()));
+    }
+    // Spill cache-only outputs to the DFS in the background: "tempout"
+    // covers this job's temporary output, "all" sweeps every cache-only file
+    // (named outputs, earlier jobs' outputs that predate the policy).
+    if (checkpoint_ == CheckpointPolicy::kAll) {
+      e_.ScheduleCheckpoint(e_.AllCacheOnlyFiles());
+    } else if (checkpoint_ == CheckpointPolicy::kTempOut && temporary_) {
+      e_.ScheduleCheckpoint(e_.cache_.FilesUnder(conf_.OutputPath()));
+    }
+    // Checksum CPU, amortized over the cluster's slots (the stamps and
+    // verifies ran inside tasks on every place).
+    if (integrity_ != nullptr && integrity_->enabled()) {
+      double integrity_s =
+          e_.cost_.Checksum(static_cast<uint64_t>(
+              integrity_->counters->bytes_checksummed.load())) /
+          spec_.total_slots();
+      result_.time_breakdown["integrity"] = integrity_s;
+      total_ += integrity_s;
+    }
+    // Register the finished output for cross-job reuse: a later submission
+    // with the same lineage signature short-circuits to these cached files.
+    if (!lineage_sig_.empty() && e_.options_.enable_cache) {
+      const std::string out = path::Canonicalize(conf_.OutputPath());
+      std::vector<std::string> out_files = e_.cache_.FilesUnder(out);
+      if (!out_files.empty()) {
+        e_.cache_manager_->RegisterReuse(lineage_sig_, out, out_files);
+      }
+    }
+    // Settle the budget before declaring success: the job is done, so its
+    // pins come off and anything admitted above the cache's share is evicted
+    // (spilling through the checkpoint path) — steady-state residency honors
+    // the configured budget between jobs.
+    pins_.ReleaseAll();
+    if (e_.governor_.governed()) e_.cache_manager_->EvictToBudget();
+    // Both paths end on one Team barrier; attribute it explicitly so the
+    // per-phase breakdown sums exactly to sim_seconds.
+    result_.time_breakdown["exit_barrier"] = spec_.m3r_barrier_s;
+    result_.sim_seconds = total_;
+    return Status::OK();
+  }
+
+  /// The one exit. A failure after the output was claimed removes whatever
+  /// the job produced and pings the FAILED job-end notification — the
+  /// contract JobClient's retry loop and external workflow managers rely on.
+  /// Every exit that gets that far reports its crash, integrity and
+  /// memory-governance tallies, and a time_breakdown that sums to
+  /// sim_seconds.
+  api::JobResult Finish(Status status) {
+    if (!status.ok() && !output_claimed_) {
+      // Rejected before the output was ours: nothing to undo, no ping.
+      api::JobResult rejected;
+      rejected.status = std::move(status);
+      return rejected;
+    }
+    if (!status.ok()) {
+      if (!temporary_) {
+        api::FileOutputCommitter committer;
+        committer.AbortJob(conf_, *e_.fs_);
+        e_.fs_->Delete(conf_.OutputPath(), true);
+      } else {
+        e_.cache_.Delete(conf_.OutputPath());
+      }
+      // A failure that charges no simulated time reports no breakdown.
+      if (result_.sim_seconds == 0) result_.time_breakdown.clear();
+    }
+    if (fault_ != nullptr) {
+      result_.metrics["injected_faults"] = fault_->InjectedCount();
+    }
+    // Runs post-join (no concurrent strand mutates the tallies), so no lock
+    // is needed.
+    if (place_crashes_ > 0) {
+      result_.metrics["place_crashes"] = place_crashes_;
+      result_.metrics["cache_evicted_by_crash_blocks"] = crash_evicted_blocks_;
+      result_.metrics["recovered_map_tasks"] = recovered_map_tasks_;
+      result_.metrics["membership_epoch"] =
+          static_cast<int64_t>(membership_.epoch());
+      result_.metrics["partition_map_version"] =
+          static_cast<int64_t>(pmap_version_);
+    }
+    if (integrity_ != nullptr && integrity_->enabled()) {
+      result_.metrics["integrity_detected"] =
+          integrity_->counters->detected.load();
+      result_.metrics["integrity_repaired"] =
+          integrity_->counters->repaired.load();
+      result_.metrics["integrity_bytes_checksummed"] =
+          integrity_->counters->bytes_checksummed.load();
+    }
+    Publish(MemgovValues());
+    result_.status = std::move(status);
+    result_.wall_seconds = wall_.ElapsedSeconds();
+    if (result_.ok()) e_.ReportProgress(1.0, &result_.counters);
+    e_.NotifyJobEnd(conf_, result_);
+    return std::move(result_);
+  }
+
+  /// Simulated seconds of one map task on its place: measured CPU scaled to
+  /// the paper's data size, plus its input read (DFS on a miss; the L2
+  /// tier's memory or network cost for a promoted split — the hierarchy the
+  /// paper's in-memory thesis predicts) and its materialized output write.
+  double MapTaskSeconds(const TaskPlan& t) const {
+    double d = t.cpu_seconds * spec_.data_scale;
+    if (!t.cache_hit) {
+      d += e_.cost_.DfsRead(t.input_bytes, t.local_read);
+    } else if (t.l2_hit) {
+      d += e_.cost_.L2Read(t.input_bytes, !t.l2_remote);
+    }
+    if (num_reduce_ == 0 && !temporary_) d += e_.cost_.DfsWrite(t.output_bytes);
+    return d;
+  }
+
+  /// Runs `produce` into task `index`'s share of the job output at `place`:
+  /// a RecordWriter on the task's temp path (unless the output is
+  /// temporary), named outputs, and the cached copy of the task's output
+  /// file — the key move that makes the next job's input land here again
+  /// (§3.2.2.2). Adds the bytes written to the DFS to `*output_bytes`.
+  Status WriteTaskOutput(
+      int index, int place, bool immutable, const char* records_counter,
+      api::Reporter& reporter, const CpuStopwatch& sw, uint64_t* output_bytes,
+      const std::function<Status(api::OutputCollector&)>& produce) {
+    dfs::FileSystem& fs = *e_.fs_;
+    std::unique_ptr<api::RecordWriter> writer;
+    if (!temporary_) {
+      std::string temp_path =
+          api::file_output::TempPath(conf_, index, /*attempt=*/0);
+      M3R_ASSIGN_OR_RETURN(writer, output_format_->GetRecordWriter(
+                                       conf_, fs, temp_path, place));
+    }
+    M3RNamedOutputSink named_sink(conf_, fs, &e_.cache_, index, place,
+                                  temporary_);
+    api::ScopedNamedOutputSink scoped(&named_sink);
+    OutputSeqCollector collector(immutable, writer.get(), &reporter,
+                                 records_counter);
+    M3R_RETURN_NOT_OK(produce(collector));
+    if (writer != nullptr) {
+      M3R_RETURN_NOT_OK(writer->Close());
+      *output_bytes = writer->BytesWritten();
+      api::FileOutputCommitter committer;
+      M3R_RETURN_NOT_OK(committer.CommitTask(conf_, fs, index, /*attempt=*/0));
+    }
+    uint64_t named_bytes = 0;
+    M3R_RETURN_NOT_OK(named_sink.Finish(&named_bytes));
+    *output_bytes += named_bytes;
+    if (!e_.options_.enable_cache) return Status::OK();
+    return e_.cache_.PutBlock(api::file_output::FinalPath(conf_, index), "0",
+                              place, collector.TakeSeq(), collector.bytes(),
+                              sw.ElapsedSeconds(), /*droppable=*/!temporary_,
+                              /*whole_file=*/true);
+  }
+
+  /// Restores cache-only input blocks that are gone (a fresh instance, a
+  /// place crash, or a governor spill, which lands in the checkpoint layout
+  /// even with checkpointing otherwise off): demoted files come back from
+  /// the L2 tier first (a memory move, or one network hop), and the
+  /// checkpoint fills whatever the tier no longer holds. Without the
+  /// promote, a demoted file would trip IncompleteInput as a false DataLoss.
+  /// Returns the simulated seconds of the heal's reads.
+  double HealInputs() {
+    if (checkpoint_ == CheckpointPolicy::kOff && !e_.governor_.governed()) {
+      return 0;
+    }
+    double seconds = 0;
+    uint64_t restored_bytes = 0;
+    for (const std::string& in : conf_.InputPaths()) {
+      uint64_t promoted_bytes = 0;
+      e_.tiered_->PromoteUnder(path::Canonicalize(in), /*only_unbacked=*/true,
+                               &promoted_bytes);
+      seconds += e_.cost_.L2Read(promoted_bytes, /*local=*/false);
+      Status st = e_.RestoreDirFromCheckpoint(in, /*only_missing=*/true,
+                                              nullptr, &restored_bytes,
+                                              integrity_.get());
+      if (!st.ok()) {
+        M3R_LOG(Warn) << "checkpoint heal of " << in
+                      << " failed: " << st.ToString();
+      }
+    }
+    return seconds + e_.cost_.DfsRead(restored_bytes, /*local=*/false);
+  }
+
+  /// Cache-only inputs must be complete: a committed temp directory's
+  /// manifest says which files the producer published. Returns the first
+  /// input that is short, with its missing files, or "" when all are whole.
+  std::string IncompleteInput(std::vector<std::string>* missing) const {
+    if (!e_.options_.enable_cache) return "";
+    for (const std::string& in : conf_.InputPaths()) {
+      *missing = e_.cache_.ManifestMissing(path::Canonicalize(in));
+      if (!missing->empty()) return in;
+    }
+    return "";
+  }
+
+  /// The place a PlacedSplit's partition maps to outside any re-homing.
+  int PlacedHome(int partition) const {
+    return e_.options_.partition_stability
+               ? StablePlaceOfPartition(partition, num_places_)
+               : (partition + salt_) % num_places_;
+  }
+
+  std::vector<Published> MemgovValues() const {
+    namespace c = api::counters;
+    const memgov::CacheManager& mgr = *e_.cache_manager_;
+    const memgov::CacheManager::Counters now = mgr.counters();
+    auto since = [](auto now_value, auto base) {
+      return static_cast<int64_t>(now_value - base);
+    };
+    std::vector<Published> values = {
+        {"cache_bytes_resident", c::kCacheBytesResident,
+         static_cast<int64_t>(mgr.ResidentBytes())},
+        {"cache_evictions", c::kCacheEvictions,
+         since(now.evictions, mg0_.evictions)},
+        {"cache_evicted_bytes", c::kCacheEvictedBytes,
+         since(now.evicted_bytes, mg0_.evicted_bytes)},
+        {"cache_spilled_evictions", nullptr,
+         since(now.spilled_evictions, mg0_.spilled_evictions)},
+        {"cache_rejected_fills", c::kCacheRejectedFills,
+         since(now.rejected_fills, mg0_.rejected_fills)},
+        {"cache_forced_fills", nullptr,
+         since(now.forced_fills, mg0_.forced_fills)},
+        {"cache_aborted_evictions", c::kCacheAbortedEvictions,
+         since(now.aborted_evictions, mg0_.aborted_evictions)},
+        // Protocol-health gauges, not deltas: current leases (readers + open
+        // fills) and evictions claimed but not yet published.
+        {"cache_leases_active", c::kCacheLeasesActive,
+         static_cast<int64_t>(mgr.LeasesActive())},
+        {"cache_evictor_inflight", c::kCacheEvictorInflight,
+         static_cast<int64_t>(mgr.EvictorInflight())},
+    };
+    if (e_.governor_.governed()) {
+      values.push_back({"memory_budget_bytes", nullptr,
+                        static_cast<int64_t>(e_.governor_.budget())});
+      values.push_back({"memory_peak_bytes", nullptr,
+                        static_cast<int64_t>(e_.governor_.PeakUsage())});
+    }
+    if (l2_on_) {
+      const l2cache::L2Counters l2 = e_.tiered_->l2_counters();
+      values.insert(
+          values.end(),
+          {{"l2_hits", c::kL2Hits, since(l2.hits, l20_.hits)},
+           {"l2_misses", c::kL2Misses, since(l2.misses, l20_.misses)},
+           {"l2_demotions", c::kL2Demotions,
+            since(l2.demotions, l20_.demotions)},
+           {"l2_remote_bytes", c::kL2RemoteBytes,
+            since(l2.remote_bytes, l20_.remote_bytes)},
+           {"l2_ring_heals", c::kL2RingHeals,
+            since(l2.ring_heals, l20_.ring_heals)},
+           {"l2_overflow_fills", nullptr,
+            since(l2.overflow_fills, l20_.overflow_fills)},
+           {"l2_bytes_resident", nullptr,
+            static_cast<int64_t>(e_.tiered_->L2ResidentBytes())}});
+    }
+    return values;
+  }
+
+  /// Moves an M3R-group counter to `value`. Caller holds publish_mu_.
+  void SetCounter(const char* name, int64_t value) {
+    result_.counters.Increment(
+        api::counters::kM3rGroup, name,
+        value - result_.counters.Get(api::counters::kM3rGroup, name));
+  }
+
+  /// Mid-job: brings the live counters up to date (task strands call this
+  /// concurrently); the metrics are written once, by Finish.
+  void SyncMemgov() {
+    const std::vector<Published> values = MemgovValues();
+    std::lock_guard<std::mutex> lock(publish_mu_);
+    for (const Published& v : values) {
+      if (v.counter != nullptr) SetCounter(v.counter, v.value);
     }
   }
 
-  // --- Commit ---
-  if (CancelRequested()) {
-    return fail_job(Status::Cancelled("job cancelled"));
-  }
-  if (!temporary) {
-    api::FileOutputCommitter committer;
-    Status st = committer.CommitJob(conf, *fs_);
-    if (!st.ok()) return fail_job(std::move(st));
-  }
-
-  // Commit the cache-only output's manifest: the file set a consumer is
-  // entitled to. If a place crash later takes blocks with it, the consumer
-  // compares against this record and fails loudly instead of silently
-  // computing on the survivors (DESIGN.md §13).
-  if (temporary && options_.enable_cache) {
-    cache_.RecordManifest(path::Canonicalize(conf.OutputPath()));
-  }
-
-  // Spill cache-only outputs to the DFS in the background: "tempout"
-  // covers this job's temporary output, "all" sweeps every cache-only file
-  // (named outputs, earlier jobs' outputs that predate the policy).
-  if (ckpt_policy == "all") {
-    ScheduleCheckpoint(AllCacheOnlyFiles());
-  } else if (ckpt_policy == "tempout" && temporary) {
-    ScheduleCheckpoint(cache_.FilesUnder(conf.OutputPath()));
-  }
-  if (fault != nullptr) {
-    result.metrics["injected_faults"] = fault->InjectedCount();
-  }
-  // A recovered job still reports its crash history.
-  record_crashes();
-  // Integrity tallies + checksum CPU, amortized over the cluster's slots
-  // (the stamps and verifies ran inside tasks on every place).
-  record_integrity();
-  if (integrity != nullptr && integrity->enabled()) {
-    double integrity_s =
-        cost_.Checksum(static_cast<uint64_t>(
-            integrity->counters->bytes_checksummed.load())) /
-        spec.total_slots();
-    result.time_breakdown["integrity"] = integrity_s;
-    total += integrity_s;
-  }
-
-  // Register the finished output for cross-job reuse: a later submission
-  // with the same lineage signature short-circuits to these cached files.
-  if (!lineage_sig.empty() && options_.enable_cache) {
-    const std::string out = path::Canonicalize(conf.OutputPath());
-    std::vector<std::string> out_files = cache_.FilesUnder(out);
-    if (!out_files.empty()) {
-      cache_manager_->RegisterReuse(lineage_sig, out, out_files);
+  void Publish(const std::vector<Published>& values) {
+    std::lock_guard<std::mutex> lock(publish_mu_);
+    for (const Published& v : values) {
+      result_.metrics[v.metric] = v.value;
+      if (v.counter != nullptr) SetCounter(v.counter, v.value);
     }
   }
-  // Settle the budget before declaring success: the job is done, so its
-  // pins come off and anything admitted above the cache's share is evicted
-  // (spilling through the checkpoint path) — steady-state residency honors
-  // the configured budget between jobs.
-  pins.ReleaseAll();
-  if (governor_.governed()) cache_manager_->EvictToBudget();
-  record_memgov();
 
-  result.time_breakdown["job_overhead"] = t0;
-  // Both paths end on one Team barrier; attribute it explicitly so the
-  // per-phase breakdown sums exactly to sim_seconds.
-  result.time_breakdown["exit_barrier"] = spec.m3r_barrier_s;
-  result.sim_seconds = total;
-  result.wall_seconds = wall.ElapsedSeconds();
-  result.status = Status::OK();
-  ReportProgress(1.0, &result.counters);
-  NotifyJobEnd(conf, result);
+  /// Whole-place crash ("m3r.place" site or the scripted knob, keyed by place
+  /// id): the place goes Suspect immediately — its strands stop taking work
+  /// at the next task boundary — and the heavyweight teardown (cache
+  /// eviction, reconcile, partition re-homing) runs exactly once per place,
+  /// at the next quiesce point.
+  void ReportCrash(int place, Status st) {
+    if (!membership_.Suspect(place, st.ToString())) return;
+    M3R_LOG(Warn) << "place " << place << " crashed: " << st.ToString();
+    std::lock_guard<std::mutex> lock(crash_mu_);
+    ++place_crashes_;
+    if (crash_status_.ok()) crash_status_ = std::move(st);
+  }
+
+  bool PlaceAlive(int place) {
+    if (membership_.IsSuspectOrDead(place)) return false;
+    if (fault_ == nullptr) return true;
+    Status st = fault_->Check("m3r.place", std::to_string(place));
+    if (st.ok()) return true;
+    ReportCrash(place, std::move(st));
+    return false;
+  }
+
+  /// Scripted mid-map crash points: the per-place counter ticks once per task
+  /// this place starts, so "P:N" kills it between its N-th and (N+1)-th task
+  /// — deterministic mid-phase timing whatever the strand interleaving
+  /// (exactly N tasks begin before the place dies).
+  bool ScriptedCrash(int place) {
+    if (crash_script_.empty()) return false;
+    auto it = crash_script_.find(place);
+    if (it == crash_script_.end()) return false;
+    if (place_attempts_[static_cast<size_t>(place)].fetch_add(
+            1, std::memory_order_relaxed) < it->second) {
+      return false;
+    }
+    ReportCrash(place, Status::Unavailable("scripted crash of place " +
+                                           std::to_string(place)));
+    return true;
+  }
+
+  /// Quiesce-point teardown: confirm every suspect dead (one epoch bump per
+  /// batch), evict exactly the dead places' cache blocks, and reconcile the
+  /// cache manager once for the batch.
+  std::vector<int> ConfirmAndTeardown() {
+    std::vector<int> newly_dead = membership_.ConfirmDeaths();
+    if (newly_dead.empty()) return newly_dead;
+    int64_t evicted = 0;
+    for (int d : newly_dead) {
+      int64_t e = e_.cache_.store().EvictPlace(d);
+      evicted += e;
+      M3R_LOG(Warn) << "place " << d << " confirmed dead: evicted " << e
+                    << " cache blocks";
+    }
+    // EvictPlace bypasses the manager's per-file notifications; re-derive the
+    // entry table and resident bytes from what actually survived.
+    e_.cache_manager_->Reconcile(
+        [this](const std::string& p) { return e_.cache_.FileBytes(p); });
+    // Ring heal (DESIGN.md §16): the dead places' L2 shards died with them —
+    // hand their hash ranges to the survivors and drop the lost entries; the
+    // data heals lazily from DFS/checkpoint on first touch.
+    e_.tiered_->RingHeal(newly_dead);
+    crash_evicted_blocks_ += evicted;
+    result_.counters.Increment(api::counters::kM3rGroup,
+                               api::counters::kPlaceCrashes,
+                               static_cast<int64_t>(newly_dead.size()));
+    result_.counters.Increment(api::counters::kM3rGroup,
+                               api::counters::kCacheEvictedByCrashBlocks,
+                               evicted);
+    return newly_dead;
+  }
+
+  Status CrashStatus() {
+    std::lock_guard<std::mutex> lock(crash_mu_);
+    return crash_status_;
+  }
+
+  void ReportMapProgress(size_t done) {
+    e_.ReportProgress(0.05 + 0.55 * static_cast<double>(done) /
+                                 static_cast<double>(
+                                     std::max<size_t>(tasks_.size(), 1)),
+                      &result_.counters);
+  }
+
+  M3REngine& e_;
+  const sim::ClusterSpec& spec_;
+  const int num_places_;
+  const double t0_;
+  /// The submitted conf with distributed-cache contents installed.
+  api::JobConf conf_;
+  Stopwatch wall_;
+  api::JobResult result_;
+
+  // Set by Configure.
+  int num_reduce_ = 0;
+  int salt_ = 0;
+  bool temporary_ = false;
+  CheckpointPolicy checkpoint_ = CheckpointPolicy::kOff;
+  int max_crashes_ = 0;
+  std::map<int, int> crash_script_;
+  bool reuse_exact_ = false;
+  std::shared_ptr<FaultInjector> fault_;
+  std::shared_ptr<IntegrityContext> integrity_;
+  FaultGuard fault_guard_;
+  PinGuard pins_;
+  /// Engine-lifetime cache-manager counters at job start: deltas against
+  /// them become this job's counters and metrics.
+  memgov::CacheManager::Counters mg0_;
+  l2cache::L2Counters l20_;
+  bool l2_on_ = false;
+  std::mutex publish_mu_;
+
+  std::string lineage_sig_;
+  std::shared_ptr<api::OutputFormat> output_format_;
+  /// Output specs passed and the output is ours: a failure from here on
+  /// removes what the job produced and pings the FAILED notification.
+  bool output_claimed_ = false;
+
+  // Place membership for this submission (DESIGN.md §14): suspicion is
+  // raised mid-round from any strand; deaths are confirmed (and torn down
+  // exactly once per place) only at quiesce points.
+  MembershipService membership_;
+  std::mutex crash_mu_;
+  Status crash_status_;  // first *unrecovered* crash; cleared per recovery
+  int64_t place_crashes_ = 0;
+  int64_t crash_evicted_blocks_ = 0;
+  int64_t recovered_map_tasks_ = 0;
+  uint64_t pmap_version_ = 1;
+
+  // Set by Plan. The run comparator and the spill sink are declared before
+  // the exchange (reverse destruction order): they must outlive it.
+  std::vector<TaskPlan> tasks_;
+  std::vector<std::vector<size_t>> tasks_of_place_;
+  int workers_ = 1;
+  ShuffleOptions shuffle_options_;
+  serialize::RawComparatorPtr run_sort_cmp_;
+  sortkit::RawCompareFn run_cmp_;
+  std::optional<CheckpointRunSpillSink> run_spill_sink_;
+  std::optional<ShuffleExchange> shuffle_;
+
+  // Map phase.
+  bool lane_hash_combine_ = false;
+  /// Per-task completion, read at quiesce points (after the round's join)
+  /// to tell lost-and-replayable work from never-started work. Each index
+  /// is written by exactly one strand per round.
+  std::vector<char> task_done_;
+  std::atomic<size_t> map_tasks_done_{0};
+  std::atomic<bool> map_aborted_{false};
+  std::atomic<bool> cancelled_{false};
+  /// Map tasks each place has started, for the scripted crash points.
+  std::vector<std::atomic<int>> place_attempts_;
+  std::mutex hash_mu_;
+  Status hash_status_;
+  double recovery_heal_seconds_ = 0;
+  Status recovery_abandoned_;  // recovery gave up (lost data) mid-flight
+
+  // Simulated clock, advanced phase by phase.
+  double phase_end_ = 0;     // map phase plus recovery
+  double reduce_start_ = 0;  // after the barrier drain
+  double total_ = 0;         // job end, exit barrier included
+
+  // Reduce phase.
+  std::vector<ReduceResult> reduce_results_;
+  bool reduce_immutable_ = false;
+  /// Sort-kernel CPU across every reduce task (including work stolen by
+  /// pool strands), charged to time_breakdown["sort"].
+  std::mutex sort_mu_;
+  double sort_cpu_total_ = 0;
+};
+
+api::JobResult M3REngine::Submit(const api::JobConf& conf) {
+  api::JobResult result = JobRun(this, conf).Run();
+  if (result.status.code() == StatusCode::kCancelled) {
+    // The job's shuffle exchange is gone and has returned its lane buffers
+    // to the pool — but a cancelled job's decayed size hints describe work
+    // that never finished, and would pin that memory until the next job.
+    // Drop the retained buffers outright.
+    buffer_pool_.Trim();
+  }
   return result;
 }
 

@@ -52,8 +52,8 @@ struct M3REngineOptions {
 /// Like the paper's engine it does not retry failed *tasks*: any task
 /// failure fails the whole instance's job. Whole-place crashes are a
 /// different story (DESIGN.md §14): a per-job membership service tracks
-/// places Healthy -> Suspect -> Dead in epoch-numbered views, and with
-/// m3r.place.recovery=replay (the default) a crash inside the map phase is
+/// places Healthy -> Suspect -> Dead in epoch-numbered views, and within
+/// the m3r.place.recovery.max.crashes budget a crash in the map phase is
 /// survived in-flight — at the next quiesce point the dead place's cache
 /// blocks are evicted, its shuffle partitions are re-homed onto survivors
 /// under a versioned partition map, evicted inputs are healed from the
@@ -117,12 +117,8 @@ class M3REngine : public api::Engine {
   Result<int> PrepopulateCache(const api::JobConf& conf);
 
  private:
-  struct TaskPlan;
-
-  /// Submit minus the cross-cutting teardown the wrapper owns (buffer-pool
-  /// trim after a cancelled job, once the shuffle exchange has released
-  /// its lanes back to the pool).
-  api::JobResult SubmitImpl(const api::JobConf& conf);
+  /// One submission's state and phases (m3r_engine.cc).
+  class JobRun;
 
   /// Every cached file with no DFS backing (temporary outputs, named
   /// outputs under temp paths) — the "all" checkpoint policy's spill set.

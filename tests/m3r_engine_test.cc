@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <string>
+
 #include "api/sequence_file.h"
+#include "common/logging.h"
 #include "dfs/local_fs.h"
 #include "hadoop/hadoop_engine.h"
 #include "m3r/m3r_engine.h"
@@ -310,6 +314,361 @@ TEST(M3REngineTest, RemovedModeKeysFailNamingTheirReplacement) {
   job.Set("m3r.place.recovery", "replay");
   auto result = m3r.Submit(job);
   EXPECT_TRUE(result.ok()) << result.status.ToString();
+}
+
+TEST(M3REngineTest, BadConfValuesFailNamingTheKeyBeforeClaimingOutput) {
+  auto fs = dfs::MakeSimDfs(4, 8 * 1024);
+  ASSERT_TRUE(workloads::GenerateText(*fs, "/in", 16 * 1024, 1, 5).ok());
+  M3REngine m3r(fs, DefaultOptions());
+  struct Bad {
+    const char* key;
+    const char* value;
+  };
+  for (const Bad& bad : {Bad{api::conf::kCacheCheckpoint, "bogus"},
+                         Bad{api::conf::kPlaceRecoveryMaxCrashes, "-1"},
+                         Bad{api::conf::kPlaceCrashAt, "1"},
+                         Bad{api::conf::kPlaceCrashAt, "1:"},
+                         Bad{api::conf::kPlaceCrashAt, ":1"},
+                         Bad{api::conf::kPlaceCrashAt, "a:1"},
+                         Bad{api::conf::kPlaceCrashAt, "1:2x"},
+                         Bad{api::conf::kPlaceCrashAt, "-1:1"},
+                         Bad{api::conf::kPlaceCrashAt, "1:-1"},
+                         Bad{api::conf::kCacheL2Share, "-0.1"},
+                         Bad{api::conf::kCacheL2Share, "1.5"},
+                         Bad{api::conf::kCacheReuse, "fuzzy"},
+                         Bad{api::conf::kCachePolicy, "mru"}}) {
+    api::JobConf job = workloads::MakeWordCountJob("/in", "/bad", 1, true);
+    job.Set(bad.key, bad.value);
+    auto result = m3r.Submit(job);
+    const std::string what = std::string(bad.key) + "=" + bad.value;
+    EXPECT_TRUE(result.status.IsInvalidArgument())
+        << what << ": " << result.status.ToString();
+    EXPECT_NE(result.status.ToString().find(bad.key), std::string::npos)
+        << what << ": " << result.status.ToString();
+    EXPECT_FALSE(m3r.Fs()->Exists("/bad")) << what;
+  }
+  int n = 0;
+  for (const char* crash_at : {"", "1:1,", "0:2,3:1"}) {
+    api::JobConf job = workloads::MakeWordCountJob(
+        "/in", "/good" + std::to_string(n++), 1, true);
+    job.Set(api::conf::kPlaceCrashAt, crash_at);
+    auto result = m3r.Submit(job);
+    EXPECT_TRUE(result.ok()) << "'" << crash_at
+                             << "': " << result.status.ToString();
+  }
+}
+
+/// Every way a submission can end, on one small WordCount input with the
+/// governor off and one worker strand per place (so wire bytes and crash
+/// timing are deterministic).
+enum class Exit {
+  kReduce,
+  kMapOnlyDfs,
+  kMapOnlyTemp,
+  kReuseHit,
+  kCheckpointRestore,
+  kRecoveredCrash,
+  kUnrecoveredCrash,
+  kReduceFault,
+};
+
+api::JobResult RunExit(Exit exit) {
+  auto fs = dfs::MakeSimDfs(4, 8 * 1024);
+  M3R_CHECK_OK(workloads::GenerateText(*fs, "/in", 64 * 1024, 4, 11));
+  auto job = [](const std::string& out, int reducers,
+                bool immutable = true) {
+    api::JobConf j =
+        workloads::MakeWordCountJob("/in", out, reducers, immutable);
+    j.SetInt(api::conf::kPlaceWorkers, 1);
+    return j;
+  };
+  M3REngine m3r(fs, DefaultOptions());
+  switch (exit) {
+    case Exit::kReduce:
+      return m3r.Submit(job("/out", 2, /*immutable=*/false));
+    case Exit::kMapOnlyDfs:
+      return m3r.Submit(job("/out", 0));
+    case Exit::kMapOnlyTemp:
+      return m3r.Submit(job("/temp-out", 0));
+    case Exit::kReuseHit: {
+      api::JobConf j = job("/temp-r1", 2);
+      j.Set(api::conf::kCacheReuse, "exact");
+      M3R_CHECK_OK(m3r.Submit(j).status);
+      j.SetOutputPath("/temp-r2");
+      return m3r.Submit(j);
+    }
+    case Exit::kCheckpointRestore: {
+      api::JobConf j = job("/temp-c", 2);
+      j.Set(api::conf::kCacheCheckpoint, "tempout");
+      {
+        M3REngine first(fs, DefaultOptions());
+        M3R_CHECK_OK(first.Submit(j).status);
+        first.WaitForCheckpoints();
+      }
+      return m3r.Submit(j);
+    }
+    case Exit::kRecoveredCrash: {
+      api::JobConf j = job("/out", 2);
+      j.Set(api::conf::kPlaceCrashAt, "1:1");
+      return m3r.Submit(j);
+    }
+    case Exit::kUnrecoveredCrash: {
+      api::JobConf j = job("/out", 2);
+      j.Set(api::conf::kPlaceCrashAt, "1:1");
+      j.SetInt(api::conf::kPlaceRecoveryMaxCrashes, 0);
+      return m3r.Submit(j);
+    }
+    case Exit::kReduceFault: {
+      api::JobConf j = job("/out", 2);
+      j.Set("m3r.fault.m3r.reduce.prob", "1");
+      return m3r.Submit(j);
+    }
+  }
+  return {};
+}
+
+/// The exit's status code, its metric and counter keys, and the values of
+/// the metrics that depend only on the input and the conf.
+std::string ExitSummary(const api::JobResult& r) {
+  static constexpr const char* kPinned[] = {
+      "map_tasks", "cache_hit_splits", "cache_miss_splits", "place_workers",
+      "reduce_tasks", "hdfs_read_bytes", "hdfs_write_bytes",
+      "shuffle_local_pairs", "shuffle_remote_pairs", "shuffle_wire_bytes",
+      "dedup_objects", "dedup_saved_bytes", "aliased_pairs", "cloned_pairs",
+      "shuffle_runs_shipped", "shuffle_overflow_spills", "reused_from_cache",
+      "recovered_from_checkpoint", "recovered_files", "recovered_bytes",
+      "place_crashes", "recovered_map_tasks", "cache_evicted_by_crash_blocks",
+      "membership_epoch", "partition_map_version", "injected_faults"};
+  std::string s = StatusCodeName(r.status.code());
+  s += "\nmetrics:";
+  for (const auto& [name, value] : r.metrics) s += " " + name;
+  s += "\ncounters:";
+  for (const auto& [key, value] : r.counters.Snapshot()) {
+    s += " " + key.first + "/" + key.second;
+  }
+  s += "\nvalues:";
+  for (const char* name : kPinned) {
+    auto it = r.metrics.find(name);
+    if (it != r.metrics.end()) {
+      s += std::string(" ") + name + "=" + std::to_string(it->second);
+    }
+  }
+  return s;
+}
+
+struct ExitCase {
+  const char* name;
+  Exit exit;
+  bool ok;
+  const char* golden;
+};
+
+/// `golden` is the exit's ExitSummary: a change to one is a change in what
+/// a job reports on that path, and must be made on purpose.
+const ExitCase kExitCases[] = {
+    {"reduce", Exit::kReduce, true,
+      "OK\n"
+      "metrics: aliased_pairs cache_aborted_evictions cache_bytes_resident "
+      "cache_evicted_bytes cache_evictions cache_evictor_inflight "
+      "cache_forced_fills cache_hit_splits cache_leases_active "
+      "cache_miss_splits cache_rejected_fills cache_spilled_evictions "
+      "cloned_pairs dedup_objects dedup_saved_bytes hdfs_read_bytes "
+      "hdfs_write_bytes map_tasks place_workers reduce_tasks "
+      "shuffle_local_pairs shuffle_max_partition_run_bytes "
+      "shuffle_overflow_spills shuffle_pool_peak_bytes shuffle_remote_pairs "
+      "shuffle_runs_compacted shuffle_runs_shipped shuffle_wire_bytes "
+      "time_to_first_reduce_ms\n"
+      "counters: FileSystemCounters/HDFS_BYTES_READ "
+      "FileSystemCounters/HDFS_BYTES_WRITTEN M3R/ALIASED_PAIRS "
+      "M3R/CACHE_ABORTED_EVICTIONS M3R/CACHE_BYTES_RESIDENT "
+      "M3R/CACHE_EVICTED_BYTES M3R/CACHE_EVICTIONS "
+      "M3R/CACHE_EVICTOR_INFLIGHT M3R/CACHE_HIT_SPLITS "
+      "M3R/CACHE_LEASES_ACTIVE M3R/CACHE_MISS_SPLITS "
+      "M3R/CACHE_REJECTED_FILLS M3R/CLONED_PAIRS M3R/DEDUPED_OBJECTS "
+      "M3R/DEDUP_SAVED_BYTES M3R/LOCAL_SHUFFLE_PAIRS "
+      "M3R/REMOTE_SHUFFLE_PAIRS M3R/SHUFFLE_OVERFLOW_SPILLS "
+      "M3R/SHUFFLE_RUNS_SHIPPED "
+      "org.apache.hadoop.mapred.Task$Counter/COMBINE_INPUT_RECORDS "
+      "org.apache.hadoop.mapred.Task$Counter/COMBINE_OUTPUT_RECORDS "
+      "org.apache.hadoop.mapred.Task$Counter/MAP_INPUT_RECORDS "
+      "org.apache.hadoop.mapred.Task$Counter/MAP_OUTPUT_RECORDS "
+      "org.apache.hadoop.mapred.Task$Counter/REDUCE_INPUT_GROUPS "
+      "org.apache.hadoop.mapred.Task$Counter/REDUCE_INPUT_RECORDS "
+      "org.apache.hadoop.mapred.Task$Counter/REDUCE_OUTPUT_RECORDS\n"
+      "values: map_tasks=8 cache_hit_splits=0 cache_miss_splits=8 "
+      "place_workers=1 reduce_tasks=2 hdfs_read_bytes=65691 "
+      "hdfs_write_bytes=39168 shuffle_local_pairs=1482 "
+      "shuffle_remote_pairs=4535 shuffle_wire_bytes=68351 dedup_objects=0 "
+      "dedup_saved_bytes=0 aliased_pairs=1482 cloned_pairs=12120 "
+      "shuffle_runs_shipped=6 shuffle_overflow_spills=0"},
+    {"map-only-dfs", Exit::kMapOnlyDfs, true,
+      "OK\n"
+      "metrics: cache_aborted_evictions cache_bytes_resident "
+      "cache_evicted_bytes cache_evictions cache_evictor_inflight "
+      "cache_forced_fills cache_hit_splits cache_leases_active "
+      "cache_miss_splits cache_rejected_fills cache_spilled_evictions "
+      "hdfs_read_bytes hdfs_write_bytes map_tasks place_workers\n"
+      "counters: FileSystemCounters/HDFS_BYTES_READ "
+      "M3R/CACHE_ABORTED_EVICTIONS M3R/CACHE_BYTES_RESIDENT "
+      "M3R/CACHE_EVICTED_BYTES M3R/CACHE_EVICTIONS "
+      "M3R/CACHE_EVICTOR_INFLIGHT M3R/CACHE_HIT_SPLITS "
+      "M3R/CACHE_LEASES_ACTIVE M3R/CACHE_MISS_SPLITS "
+      "M3R/CACHE_REJECTED_FILLS "
+      "org.apache.hadoop.mapred.Task$Counter/MAP_INPUT_RECORDS "
+      "org.apache.hadoop.mapred.Task$Counter/MAP_OUTPUT_RECORDS\n"
+      "values: map_tasks=8 cache_hit_splits=0 cache_miss_splits=8 "
+      "place_workers=1 hdfs_read_bytes=65691 hdfs_write_bytes=89931"},
+    {"map-only-temp", Exit::kMapOnlyTemp, true,
+      "OK\n"
+      "metrics: cache_aborted_evictions cache_bytes_resident "
+      "cache_evicted_bytes cache_evictions cache_evictor_inflight "
+      "cache_forced_fills cache_hit_splits cache_leases_active "
+      "cache_miss_splits cache_rejected_fills cache_spilled_evictions "
+      "hdfs_read_bytes hdfs_write_bytes map_tasks place_workers\n"
+      "counters: FileSystemCounters/HDFS_BYTES_READ "
+      "M3R/CACHE_ABORTED_EVICTIONS M3R/CACHE_BYTES_RESIDENT "
+      "M3R/CACHE_EVICTED_BYTES M3R/CACHE_EVICTIONS "
+      "M3R/CACHE_EVICTOR_INFLIGHT M3R/CACHE_HIT_SPLITS "
+      "M3R/CACHE_LEASES_ACTIVE M3R/CACHE_MISS_SPLITS "
+      "M3R/CACHE_REJECTED_FILLS "
+      "org.apache.hadoop.mapred.Task$Counter/MAP_INPUT_RECORDS "
+      "org.apache.hadoop.mapred.Task$Counter/MAP_OUTPUT_RECORDS\n"
+      "values: map_tasks=8 cache_hit_splits=0 cache_miss_splits=8 "
+      "place_workers=1 hdfs_read_bytes=65691 hdfs_write_bytes=0"},
+    {"reuse-hit", Exit::kReuseHit, true,
+      "OK\n"
+      "metrics: cache_aborted_evictions cache_bytes_resident "
+      "cache_evicted_bytes cache_evictions cache_evictor_inflight "
+      "cache_forced_fills cache_leases_active cache_rejected_fills "
+      "cache_spilled_evictions reused_from_cache\n"
+      "counters: M3R/CACHE_ABORTED_EVICTIONS M3R/CACHE_BYTES_RESIDENT "
+      "M3R/CACHE_EVICTED_BYTES M3R/CACHE_EVICTIONS "
+      "M3R/CACHE_EVICTOR_INFLIGHT M3R/CACHE_LEASES_ACTIVE "
+      "M3R/CACHE_REJECTED_FILLS M3R/REUSED_FROM_CACHE\n"
+      "values: reused_from_cache=1"},
+    {"checkpoint-restore", Exit::kCheckpointRestore, true,
+      "OK\n"
+      "metrics: cache_aborted_evictions cache_bytes_resident "
+      "cache_evicted_bytes cache_evictions cache_evictor_inflight "
+      "cache_forced_fills cache_leases_active cache_rejected_fills "
+      "cache_spilled_evictions recovered_bytes recovered_files "
+      "recovered_from_checkpoint\n"
+      "counters: M3R/CACHE_ABORTED_EVICTIONS M3R/CACHE_BYTES_RESIDENT "
+      "M3R/CACHE_EVICTED_BYTES M3R/CACHE_EVICTIONS "
+      "M3R/CACHE_EVICTOR_INFLIGHT M3R/CACHE_LEASES_ACTIVE "
+      "M3R/CACHE_REJECTED_FILLS\n"
+      "values: recovered_from_checkpoint=1 recovered_files=2 "
+      "recovered_bytes=48674"},
+    {"recovered-crash", Exit::kRecoveredCrash, true,
+      "OK\n"
+      "metrics: aliased_pairs cache_aborted_evictions cache_bytes_resident "
+      "cache_evicted_by_crash_blocks cache_evicted_bytes cache_evictions "
+      "cache_evictor_inflight cache_forced_fills cache_hit_splits "
+      "cache_leases_active cache_miss_splits cache_rejected_fills "
+      "cache_spilled_evictions cloned_pairs dedup_objects dedup_saved_bytes "
+      "hdfs_read_bytes hdfs_write_bytes map_tasks membership_epoch "
+      "partition_map_version place_crashes place_workers "
+      "recovered_map_tasks recovery_millis reduce_tasks shuffle_local_pairs "
+      "shuffle_max_partition_run_bytes shuffle_overflow_spills "
+      "shuffle_pool_peak_bytes shuffle_remote_pairs shuffle_runs_compacted "
+      "shuffle_runs_shipped shuffle_wire_bytes time_to_first_reduce_ms\n"
+      "counters: FileSystemCounters/HDFS_BYTES_READ "
+      "FileSystemCounters/HDFS_BYTES_WRITTEN M3R/ALIASED_PAIRS "
+      "M3R/CACHE_ABORTED_EVICTIONS M3R/CACHE_BYTES_RESIDENT "
+      "M3R/CACHE_EVICTED_BYTES M3R/CACHE_EVICTED_BY_CRASH_BLOCKS "
+      "M3R/CACHE_EVICTIONS M3R/CACHE_EVICTOR_INFLIGHT M3R/CACHE_HIT_SPLITS "
+      "M3R/CACHE_LEASES_ACTIVE M3R/CACHE_MISS_SPLITS "
+      "M3R/CACHE_REJECTED_FILLS M3R/CLONED_PAIRS M3R/DEDUPED_OBJECTS "
+      "M3R/DEDUP_SAVED_BYTES M3R/LOCAL_SHUFFLE_PAIRS M3R/PLACE_CRASHES "
+      "M3R/RECOVERED_MAP_TASKS M3R/RECOVERY_MILLIS M3R/REMOTE_SHUFFLE_PAIRS "
+      "M3R/SHUFFLE_OVERFLOW_SPILLS M3R/SHUFFLE_RUNS_SHIPPED "
+      "org.apache.hadoop.mapred.Task$Counter/COMBINE_INPUT_RECORDS "
+      "org.apache.hadoop.mapred.Task$Counter/COMBINE_OUTPUT_RECORDS "
+      "org.apache.hadoop.mapred.Task$Counter/MAP_INPUT_RECORDS "
+      "org.apache.hadoop.mapred.Task$Counter/MAP_OUTPUT_RECORDS "
+      "org.apache.hadoop.mapred.Task$Counter/REDUCE_INPUT_GROUPS "
+      "org.apache.hadoop.mapred.Task$Counter/REDUCE_INPUT_RECORDS "
+      "org.apache.hadoop.mapred.Task$Counter/REDUCE_OUTPUT_RECORDS\n"
+      "values: map_tasks=8 cache_hit_splits=0 cache_miss_splits=8 "
+      "place_workers=1 reduce_tasks=2 hdfs_read_bytes=65691 "
+      "hdfs_write_bytes=39168 shuffle_local_pairs=1482 "
+      "shuffle_remote_pairs=4535 shuffle_wire_bytes=68336 dedup_objects=0 "
+      "dedup_saved_bytes=0 aliased_pairs=1482 cloned_pairs=0 "
+      "shuffle_runs_shipped=5 shuffle_overflow_spills=0 place_crashes=1 "
+      "recovered_map_tasks=1 cache_evicted_by_crash_blocks=1 "
+      "membership_epoch=2 partition_map_version=2"},
+    {"unrecovered-crash", Exit::kUnrecoveredCrash, false,
+      "Unavailable\n"
+      "metrics: cache_aborted_evictions cache_bytes_resident "
+      "cache_evicted_by_crash_blocks cache_evicted_bytes cache_evictions "
+      "cache_evictor_inflight cache_forced_fills cache_hit_splits "
+      "cache_leases_active cache_miss_splits cache_rejected_fills "
+      "cache_spilled_evictions map_tasks membership_epoch "
+      "partition_map_version place_crashes place_workers "
+      "recovered_map_tasks\n"
+      "counters: M3R/CACHE_ABORTED_EVICTIONS M3R/CACHE_BYTES_RESIDENT "
+      "M3R/CACHE_EVICTED_BYTES M3R/CACHE_EVICTED_BY_CRASH_BLOCKS "
+      "M3R/CACHE_EVICTIONS M3R/CACHE_EVICTOR_INFLIGHT M3R/CACHE_HIT_SPLITS "
+      "M3R/CACHE_LEASES_ACTIVE M3R/CACHE_MISS_SPLITS "
+      "M3R/CACHE_REJECTED_FILLS M3R/PLACE_CRASHES "
+      "org.apache.hadoop.mapred.Task$Counter/COMBINE_INPUT_RECORDS "
+      "org.apache.hadoop.mapred.Task$Counter/COMBINE_OUTPUT_RECORDS "
+      "org.apache.hadoop.mapred.Task$Counter/MAP_INPUT_RECORDS "
+      "org.apache.hadoop.mapred.Task$Counter/MAP_OUTPUT_RECORDS\n"
+      "values: map_tasks=8 cache_hit_splits=0 cache_miss_splits=8 "
+      "place_workers=1 place_crashes=1 recovered_map_tasks=0 "
+      "cache_evicted_by_crash_blocks=1 membership_epoch=2 "
+      "partition_map_version=1"},
+    {"reduce-fault", Exit::kReduceFault, false,
+      "Unavailable\n"
+      "metrics: aliased_pairs cache_aborted_evictions cache_bytes_resident "
+      "cache_evicted_bytes cache_evictions cache_evictor_inflight "
+      "cache_forced_fills cache_hit_splits cache_leases_active "
+      "cache_miss_splits cache_rejected_fills cache_spilled_evictions "
+      "cloned_pairs dedup_objects dedup_saved_bytes hdfs_read_bytes "
+      "hdfs_write_bytes injected_faults map_tasks place_workers "
+      "shuffle_local_pairs shuffle_max_partition_run_bytes "
+      "shuffle_overflow_spills shuffle_pool_peak_bytes shuffle_remote_pairs "
+      "shuffle_runs_compacted shuffle_runs_shipped shuffle_wire_bytes "
+      "time_to_first_reduce_ms\n"
+      "counters: FileSystemCounters/HDFS_BYTES_READ M3R/ALIASED_PAIRS "
+      "M3R/CACHE_ABORTED_EVICTIONS M3R/CACHE_BYTES_RESIDENT "
+      "M3R/CACHE_EVICTED_BYTES M3R/CACHE_EVICTIONS "
+      "M3R/CACHE_EVICTOR_INFLIGHT M3R/CACHE_HIT_SPLITS "
+      "M3R/CACHE_LEASES_ACTIVE M3R/CACHE_MISS_SPLITS "
+      "M3R/CACHE_REJECTED_FILLS M3R/CLONED_PAIRS M3R/DEDUPED_OBJECTS "
+      "M3R/DEDUP_SAVED_BYTES M3R/LOCAL_SHUFFLE_PAIRS "
+      "M3R/REMOTE_SHUFFLE_PAIRS M3R/SHUFFLE_OVERFLOW_SPILLS "
+      "M3R/SHUFFLE_RUNS_SHIPPED "
+      "org.apache.hadoop.mapred.Task$Counter/COMBINE_INPUT_RECORDS "
+      "org.apache.hadoop.mapred.Task$Counter/COMBINE_OUTPUT_RECORDS "
+      "org.apache.hadoop.mapred.Task$Counter/MAP_INPUT_RECORDS "
+      "org.apache.hadoop.mapred.Task$Counter/MAP_OUTPUT_RECORDS\n"
+      "values: map_tasks=8 cache_hit_splits=0 cache_miss_splits=8 "
+      "place_workers=1 hdfs_read_bytes=65691 hdfs_write_bytes=0 "
+      "shuffle_local_pairs=1482 shuffle_remote_pairs=4535 "
+      "shuffle_wire_bytes=68351 dedup_objects=0 dedup_saved_bytes=0 "
+      "aliased_pairs=1482 cloned_pairs=0 shuffle_runs_shipped=6 "
+      "shuffle_overflow_spills=0 injected_faults=2"},
+};
+
+TEST(M3REngineTest, EveryExitReportsItsPinnedMetricsAndCounters) {
+  for (const ExitCase& c : kExitCases) {
+    api::JobResult r = RunExit(c.exit);
+    EXPECT_EQ(r.ok(), c.ok) << c.name << ": " << r.status.ToString();
+    EXPECT_EQ(ExitSummary(r), c.golden) << c.name;
+  }
+}
+
+TEST(M3REngineTest, TimeBreakdownSumsToSimSecondsOnEveryExit) {
+  for (const ExitCase& c : kExitCases) {
+    api::JobResult r = RunExit(c.exit);
+    ASSERT_EQ(r.ok(), c.ok) << c.name << ": " << r.status.ToString();
+    double sum = 0;
+    for (const auto& [phase, seconds] : r.time_breakdown) sum += seconds;
+    EXPECT_LE(std::fabs(sum - r.sim_seconds), 1e-9)
+        << c.name << ": breakdown " << sum << " vs sim " << r.sim_seconds;
+  }
 }
 
 }  // namespace

@@ -14,6 +14,20 @@
 
 namespace m3r::api {
 
+/// Engine-side extension a HashCombineCollector's downstream may implement
+/// to receive forwarded pairs together with their serialized bytes.
+/// `key_bytes` / `value_bytes` are exactly SerializeToString of `key` /
+/// `value`, valid only for the duration of the call; the objects are fresh
+/// instances no one else references.
+class SerializedPairSink {
+ public:
+  virtual ~SerializedPairSink() = default;
+  virtual void CollectSerialized(const WritablePtr& key,
+                                 const WritablePtr& value,
+                                 std::string_view key_bytes,
+                                 std::string_view value_bytes) = 0;
+};
+
 /// Map-side hash aggregation (paper §3.2: once the job is in memory, the
 /// sort/serialize path *is* the cost — so shrink what enters it). Wraps a
 /// map task's real collector with an open-addressed hash table keyed on
@@ -35,6 +49,13 @@ namespace m3r::api {
 ///
 /// Memory is bounded by m3r.map.hash.combine.memory.mb: overflow drains
 /// the whole table downstream (a map-side "spill") and starts empty.
+///
+/// Records stay bytes from Collect to the drain: an emission is serialized
+/// into reusable buffers, a key already in the table appends its value to
+/// the entry's flat pending buffer (no allocation), and when downstream
+/// implements SerializedPairSink every forwarded pair is handed over with
+/// the bytes it was deserialized from, so the shuffle can write them to the
+/// wire without serializing the pair again.
 class HashCombineCollector : public OutputCollector {
  public:
   /// True when the job's shape permits hash aggregation: it has a
@@ -49,7 +70,9 @@ class HashCombineCollector : public OutputCollector {
   /// be called before downstream is flushed. Every pair forwarded
   /// downstream — drained, folded, or passed through — is a freshly
   /// deserialized object, so downstream may alias it freely regardless of
-  /// the mapper's immutability promise.
+  /// the mapper's immutability promise. When downstream is also a
+  /// SerializedPairSink, pairs arrive through CollectSerialized with the
+  /// bytes they were deserialized from; otherwise through Collect.
   ///
   /// The wrapper may outlive a single map task: M3R keeps one per worker
   /// lane for the whole map phase (an "in-node combiner"), so keys
@@ -59,7 +82,10 @@ class HashCombineCollector : public OutputCollector {
   /// `memory_gauge`, when non-null, receives the table's live byte
   /// footprint as deltas (this instance's contribution is withdrawn on
   /// destruction) — the engine aggregates every lane's table into one
-  /// gauge the memory governor polls ("hashcombine" consumer).
+  /// gauge the memory governor polls ("hashcombine" consumer). A delta is
+  /// published once the footprint has moved kGaugeStep bytes from the last
+  /// published value, and always after a drain, so the gauge never lags a
+  /// table by more than kGaugeStep and reads this table's 0 once drained.
   HashCombineCollector(const JobConf& conf, OutputCollector* downstream,
                        Reporter* reporter,
                        std::atomic<int64_t>* memory_gauge = nullptr);
@@ -78,14 +104,30 @@ class HashCombineCollector : public OutputCollector {
   uint64_t overflow_spills() const { return overflow_spills_; }
   /// Distinct keys currently held.
   size_t table_entries() const { return entries_.size(); }
+  /// Footprint charged against the memory budget (what the gauge tracks).
+  size_t table_bytes() const { return bytes_; }
+
+  /// Footprint change that triggers a gauge publish.
+  static constexpr int64_t kGaugeStep = int64_t{64} << 10;
 
  private:
   struct Entry {
     uint64_t hash = 0;
     std::string key_bytes;
-    /// Serialized pending values; folded down to one by the combiner
-    /// whenever kFoldThreshold accumulate.
-    std::vector<std::string> values;
+    /// Serialized pending values, each as a native u32 length followed by
+    /// its bytes; folded down to one by the combiner whenever
+    /// kFoldThreshold accumulate. Its capacity survives folds, so a key
+    /// that keeps hitting stops allocating.
+    std::string pending;
+    uint32_t count = 0;  // values in `pending`
+    /// Summed value sizes in `pending` (its size less the prefixes).
+    size_t payload() const { return pending.size() - count * sizeof(count); }
+  };
+  /// Open-addressing slot: entry index (-1 empty) plus the high half of
+  /// the key hash, so a probe past another key reads no entry.
+  struct Slot {
+    int32_t index = -1;
+    uint32_t tag = 0;
   };
 
   /// Pending values per key before the combiner folds them. Folding in
@@ -96,7 +138,7 @@ class HashCombineCollector : public OutputCollector {
   static constexpr size_t kEntryOverhead = 64;
   static constexpr size_t kValueOverhead = 16;
 
-  void Insert(std::string key_bytes, std::string value_bytes);
+  void Insert(std::string_view key_bytes, std::string_view value_bytes);
   /// Runs the combiner over one entry's pending values. On a conforming
   /// result the entry holds one value afterwards; otherwise the results go
   /// downstream and the table is disabled.
@@ -107,11 +149,13 @@ class HashCombineCollector : public OutputCollector {
   void EmitSerialized(std::string_view key_bytes,
                       std::string_view value_bytes);
   void Rehash(size_t new_slot_count);
-  /// Pushes the change in bytes_ since the last report into memory_gauge_.
-  void ReportGauge();
+  /// Pushes the change in bytes_ since the last publish into memory_gauge_
+  /// once it reaches kGaugeStep (any change at all when `force`).
+  void ReportGauge(bool force);
 
   const JobConf& conf_;
   OutputCollector* downstream_;
+  SerializedPairSink* sink_;  // downstream_'s bytes path, or null
   Reporter* reporter_;
   std::atomic<int64_t>* memory_gauge_;
   int64_t gauge_reported_ = 0;
@@ -121,8 +165,12 @@ class HashCombineCollector : public OutputCollector {
   WritablePtr value_proto_;
   size_t budget_bytes_;
 
-  /// Open-addressing index: slot -> entry index, -1 empty. Linear probing.
-  std::vector<int32_t> slots_;
+  /// Collect's serialization buffers, reused across emissions.
+  std::string key_buf_;
+  std::string value_buf_;
+
+  /// Open-addressing index over entries_. Linear probing.
+  std::vector<Slot> slots_;
   std::vector<Entry> entries_;  // insertion order
   size_t bytes_ = 0;
 

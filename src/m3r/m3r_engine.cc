@@ -302,8 +302,11 @@ class CombiningShuffleCollector : public api::OutputCollector {
   std::vector<std::vector<api::KeyedPair>> buffered_;
 };
 
-/// Routes mapper output into the shuffle.
-class ShuffleCollector : public api::OutputCollector {
+/// Routes mapper output into the shuffle. A lane's hash-combine table
+/// drains through CollectSerialized, handing over the bytes it already
+/// holds so remote pairs are not serialized a second time.
+class ShuffleCollector : public api::OutputCollector,
+                         public api::SerializedPairSink {
  public:
   ShuffleCollector(ShuffleExchange* shuffle, api::Partitioner* partitioner,
                    int src_place, int worker_lane, int num_partitions,
@@ -319,6 +322,16 @@ class ShuffleCollector : public api::OutputCollector {
         partitioner_->GetPartition(*key, *value, num_partitions_);
     shuffle_->Emit(src_place_, partition, key, value, immutable_,
                    worker_lane_);
+    output_records_.Add();
+  }
+
+  void CollectSerialized(const WritablePtr& key, const WritablePtr& value,
+                         std::string_view key_bytes,
+                         std::string_view value_bytes) override {
+    int partition =
+        partitioner_->GetPartition(*key, *value, num_partitions_);
+    shuffle_->EmitSerialized(src_place_, partition, key, value, key_bytes,
+                             value_bytes, worker_lane_);
     output_records_.Add();
   }
 
@@ -1595,7 +1608,8 @@ class M3REngine::JobRun {
       // at emit time across every task this strand runs, and only the folded
       // pairs reach the shuffle (drained once, at end of the map phase).
       // Everything it forwards is freshly deserialized, so the shuffle
-      // aliases it regardless of the mapper's immutability.
+      // aliases it regardless of the mapper's immutability, and it comes
+      // with its bytes, so remote pairs go to the wire as they are.
       t.status = FeedMapper(tconf, *pairs, *lane_hasher, reporter);
     } else if (num_reduce_ > 0 && tconf.HasCombiner()) {
       auto partitioner = api::MakePartitioner(tconf);

@@ -93,15 +93,51 @@ const ShuffleExchange::Lane& ShuffleExchange::LaneAt(int src, int dst,
                 worker];
 }
 
-void ShuffleExchange::Emit(int src_place, int partition,
-                           const serialize::WritablePtr& key,
-                           const serialize::WritablePtr& value,
-                           bool immutable, int worker_lane) {
+int ShuffleExchange::DestinationOf(int partition, int worker_lane) const {
   M3R_CHECK(partition >= 0 && partition < num_partitions_)
       << "bad partition " << partition;
   M3R_CHECK(worker_lane >= 0 && worker_lane < workers_)
       << "bad worker lane " << worker_lane;
-  int dst = PlaceOfPartition(partition);
+  return PlaceOfPartition(partition);
+}
+
+template <typename WritePair>
+void ShuffleExchange::EmitRemote(int src_place, int dst, int partition,
+                                 int worker_lane, WritePair&& write_pair) {
+  remote_pairs_[static_cast<size_t>(src_place)].fetch_add(
+      1, std::memory_order_relaxed);
+  // Lane-confined: only the strand owning `worker_lane` touches this
+  // stream, so no lock is needed and its bytes are deterministic.
+  Lane& lane = LaneFor(src_place, dst, worker_lane);
+  if (lane.out == nullptr) {
+    lane.out = pool_ != nullptr
+                   ? std::make_unique<serialize::DedupOutputStream>(
+                         dedup_mode_, pool_->Acquire(kLaneWireCategory))
+                   : std::make_unique<serialize::DedupOutputStream>(
+                         dedup_mode_);
+  }
+  lane.out->WriteControl(static_cast<uint64_t>(partition));
+  write_pair(*lane.out);
+
+  // Crossing the flush threshold seals the lane segment as a sorted run and
+  // ships it now, on the emitting strand — the sort and decode CPU lands
+  // inside the map task's stopwatch, which is exactly the overlap the
+  // pipeline buys (cpu_seconds stays null). A zero threshold never flushes
+  // early: the lane ships whole at the barrier.
+  if (flush_bytes_ != 0 && lane.out->buffer().size() >= flush_bytes_) {
+    std::string lane_key = std::to_string(src_place) + "->" +
+                           std::to_string(dst) + "#" +
+                           std::to_string(worker_lane);
+    FlushLane(&lane, lane_key, src_place, worker_lane, dst,
+              /*orphan=*/false, /*barrier=*/false, nullptr);
+  }
+}
+
+void ShuffleExchange::Emit(int src_place, int partition,
+                           const serialize::WritablePtr& key,
+                           const serialize::WritablePtr& value,
+                           bool immutable, int worker_lane) {
+  const int dst = DestinationOf(partition, worker_lane);
 
   // Without the ImmutableOutput promise the HMR contract lets the caller
   // mutate the objects after collect(), so the engine must conservatively
@@ -132,34 +168,30 @@ void ShuffleExchange::Emit(int src_place, int partition,
                                                              std::move(v));
     return;
   }
-  remote_pairs_[static_cast<size_t>(src_place)].fetch_add(
-      1, std::memory_order_relaxed);
-  // Lane-confined: only the strand owning `worker_lane` touches this
-  // stream, so no lock is needed and its bytes are deterministic.
-  Lane& lane = LaneFor(src_place, dst, worker_lane);
-  if (lane.out == nullptr) {
-    lane.out = pool_ != nullptr
-                   ? std::make_unique<serialize::DedupOutputStream>(
-                         dedup_mode_, pool_->Acquire(kLaneWireCategory))
-                   : std::make_unique<serialize::DedupOutputStream>(
-                         dedup_mode_);
-  }
-  lane.out->WriteControl(static_cast<uint64_t>(partition));
-  lane.out->WriteObject(k);
-  lane.out->WriteObject(v);
+  EmitRemote(src_place, dst, partition, worker_lane,
+             [&](serialize::DedupOutputStream& out) {
+               out.WriteObject(k);
+               out.WriteObject(v);
+             });
+}
 
-  // Crossing the flush threshold seals the lane segment as a sorted run and
-  // ships it now, on the emitting strand — the sort and decode CPU lands
-  // inside the map task's stopwatch, which is exactly the overlap the
-  // pipeline buys (cpu_seconds stays null). A zero threshold never flushes
-  // early: the lane ships whole at the barrier.
-  if (flush_bytes_ != 0 && lane.out->buffer().size() >= flush_bytes_) {
-    std::string lane_key = std::to_string(src_place) + "->" +
-                           std::to_string(dst) + "#" +
-                           std::to_string(worker_lane);
-    FlushLane(&lane, lane_key, src_place, worker_lane, dst,
-              /*orphan=*/false, /*barrier=*/false, nullptr);
+void ShuffleExchange::EmitSerialized(int src_place, int partition,
+                                     const serialize::WritablePtr& key,
+                                     const serialize::WritablePtr& value,
+                                     std::string_view key_bytes,
+                                     std::string_view value_bytes,
+                                     int worker_lane) {
+  const int dst = DestinationOf(partition, worker_lane);
+  if (dst == src_place) {
+    // Fresh objects: the co-location alias path needs no bytes.
+    Emit(src_place, partition, key, value, /*immutable=*/true, worker_lane);
+    return;
   }
+  EmitRemote(src_place, dst, partition, worker_lane,
+             [&](serialize::DedupOutputStream& out) {
+               out.WriteSerialized(key->TypeName(), key_bytes);
+               out.WriteSerialized(value->TypeName(), value_bytes);
+             });
 }
 
 void ShuffleExchange::RecordFailure(Status s) {

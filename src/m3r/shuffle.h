@@ -6,6 +6,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -160,6 +161,18 @@ class ShuffleExchange {
             const serialize::WritablePtr& value, bool immutable,
             int worker_lane = 0);
 
+  /// Emit for a pair that arrives with its serialized bytes (`key_bytes` /
+  /// `value_bytes` are exactly SerializeToString of `key` / `value`). The
+  /// objects must be fresh instances no one else references or mutates: a
+  /// local destination aliases them, a remote one writes the bytes as new
+  /// objects without serializing or pinning the pair. Wire bytes equal
+  /// Emit's for fresh objects.
+  void EmitSerialized(int src_place, int partition,
+                      const serialize::WritablePtr& key,
+                      const serialize::WritablePtr& value,
+                      std::string_view key_bytes,
+                      std::string_view value_bytes, int worker_lane = 0);
+
   /// Map barrier has passed: ship each lane inbound to `dst_place` that
   /// still holds unflushed records as one last sorted run (the whole lane
   /// when flush_bytes is 0). When `executor` is non-null the lanes are cut
@@ -268,6 +281,16 @@ class ShuffleExchange {
 
   Lane& LaneFor(int src, int dst, int worker);
   const Lane& LaneAt(int src, int dst, int worker) const;
+  /// Home place of an emission's partition, after checking the partition
+  /// and the emitting worker lane.
+  int DestinationOf(int partition, int worker_lane) const;
+  /// Remote leg shared by Emit and EmitSerialized: counts the pair, opens
+  /// the lane's stream on first use, writes the partition control and then
+  /// the pair through `write_pair(stream)`, and seals and ships the lane
+  /// segment once it crosses flush_bytes.
+  template <typename WritePair>
+  void EmitRemote(int src_place, int dst, int partition, int worker_lane,
+                  WritePair&& write_pair);
   /// Seals the lane segment, ships it (fault + CRC checks at send time),
   /// splits it into (key, value) byte spans of the frame and appends one
   /// sorted run per partition touched; no Writable is built. `orphan`

@@ -60,6 +60,31 @@ uint32_t DedupOutputStream::TypeIdFor(const char* name, bool* first) {
   return it->second;
 }
 
+void DedupOutputStream::WriteNewHeader(const char* type_name) {
+  bool first = false;
+  const uint32_t tid = TypeIdFor(type_name, &first);
+  if (first) {
+    out_.WriteByte(kNewType);
+    out_.WriteString(type_name);
+  } else {
+    out_.WriteByte(kNew);
+    out_.WriteVarU64(tid);
+  }
+}
+
+void DedupOutputStream::WriteSerialized(const char* type_name,
+                                        std::string_view bytes) {
+  ++objects_written_;
+  WriteNewHeader(type_name);
+  out_.WriteRaw(bytes.data(), bytes.size());
+  if (mode_ == DedupMode::kConsecutive) {
+    // The slot still ages out a window entry, as WriteObject's would.
+    recent_[recent_pos_] = {nullptr, next_index_};
+    recent_pos_ = (recent_pos_ + 1) % kWindow;
+  }
+  ++next_index_;
+}
+
 void DedupOutputStream::WriteObject(const WritablePtr& obj) {
   ++objects_written_;
   if (mode_ != DedupMode::kOff) {
@@ -88,16 +113,7 @@ void DedupOutputStream::WriteObject(const WritablePtr& obj) {
     }
   }
 
-  const char* type = obj->TypeName();
-  bool first = false;
-  const uint32_t tid = TypeIdFor(type, &first);
-  if (first) {
-    out_.WriteByte(kNewType);
-    out_.WriteString(type);
-  } else {
-    out_.WriteByte(kNew);
-    out_.WriteVarU64(tid);
-  }
+  WriteNewHeader(obj->TypeName());
   obj->Write(out_);
 
   if (mode_ == DedupMode::kFull) {

@@ -49,6 +49,13 @@ class DedupOutputStream {
   /// de-duplication, mirroring X10's heap-graph serializer.
   void WriteObject(const WritablePtr& obj);
 
+  /// Appends an object given as its type's registry name (TypeName()) and
+  /// its serialized fields: exactly the bytes WriteObject writes for an
+  /// object this stream has never seen. The object is taken to be fresh —
+  /// no one else may write it — so it enters no identity table and is not
+  /// pinned; kConsecutive gives it a window slot no object can match.
+  void WriteSerialized(const char* type_name, std::string_view bytes);
+
   /// Writes a raw control varint (e.g. the destination partition of the
   /// following key/value pair). The reader must consume it with
   /// ReadControl() at the matching position.
@@ -77,6 +84,9 @@ class DedupOutputStream {
   void InsertSeen(const Writable* obj, uint64_t index);
   /// Stream type id for `name`; `*first` is set on the name's first use.
   uint32_t TypeIdFor(const char* name, bool* first);
+  /// Writes a new object's tag and type reference (the name on its first
+  /// use in this stream).
+  void WriteNewHeader(const char* type_name);
 
   DedupMode mode_;
   DataOutput out_;

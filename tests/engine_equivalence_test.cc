@@ -678,6 +678,9 @@ TEST(HashCombineEquivalence, ByteIdenticalAndCutsWireBytes) {
   EXPECT_LE(m_on.wire_bytes * 2, m_off.wire_bytes)
       << "hash combine on: " << m_on.wire_bytes
       << " off: " << m_off.wire_bytes;
+  // The drain writes the table's own bytes to the wire; pinned so that any
+  // drift from what serializing each pair writes shows up here.
+  EXPECT_EQ(m_on.wire_bytes, 771827);
 
   // Multi-strand places: one table per lane, same bytes out (wire bytes
   // shift with lane assignment, so only output is compared).

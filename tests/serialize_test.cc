@@ -717,6 +717,77 @@ TEST(DedupTest, ObjectBytesFollowMixedTypeBackReferences) {
   EXPECT_FALSE(spans.ReadObjectBytes(&bytes, &type_id));
 }
 
+TEST(DedupTest, WriteSerializedMatchesWriteObjectForFreshObjects) {
+  // Fresh keys and values go through WriteSerialized; three shared objects
+  // go through WriteObject and repeat both two writes later (inside the
+  // kConsecutive window) and thirty writes later (outside it), so the
+  // serialized writes must take window slots and stream indices exactly
+  // as WriteObject would.
+  for (DedupMode mode :
+       {DedupMode::kFull, DedupMode::kConsecutive, DedupMode::kOff}) {
+    SCOPED_TRACE(static_cast<int>(mode));
+    const std::vector<WritablePtr> shared = {
+        std::make_shared<Text>("broadcast"), std::make_shared<IntWritable>(7),
+        std::make_shared<LongWritable>(9)};
+    DedupOutputStream by_object(mode);
+    DedupOutputStream by_bytes(mode);
+    std::vector<WritablePtr> sent;
+    auto write = [&](const WritablePtr& obj, bool fresh) {
+      by_object.WriteObject(obj);
+      if (fresh) {
+        by_bytes.WriteSerialized(obj->TypeName(), SerializeToString(*obj));
+      } else {
+        by_bytes.WriteObject(obj);
+      }
+      sent.push_back(obj);
+    };
+    WritablePtr value;
+    for (int i = 0; i < 400; ++i) {
+      by_object.WriteControl(static_cast<uint64_t>(i % 7));
+      by_bytes.WriteControl(static_cast<uint64_t>(i % 7));
+      write(std::make_shared<Text>("k" + std::to_string(i)), true);
+      if (i % 5 == 0) {
+        value = shared[static_cast<size_t>(i / 5) % shared.size()];
+        write(value, false);
+      } else if (i % 5 == 1) {
+        write(value, false);  // the previous pair's value again
+      } else {
+        write(std::make_shared<LongWritable>(i), true);
+      }
+    }
+    EXPECT_EQ(by_bytes.objects_written(), by_object.objects_written());
+    EXPECT_EQ(by_bytes.objects_deduped(), by_object.objects_deduped());
+    if (mode != DedupMode::kOff) EXPECT_GT(by_bytes.objects_deduped(), 0u);
+    ASSERT_EQ(by_bytes.buffer(), by_object.buffer());
+
+    // The stream decodes back to the sent objects, as objects and as spans,
+    // and a kFull repeat is an alias of its first copy.
+    DedupInputStream objects{std::string_view(by_bytes.buffer())};
+    DedupInputStream spans{std::string_view(by_bytes.buffer())};
+    std::map<const Writable*, const Writable*> decoded_of;
+    for (size_t i = 0; i < sent.size(); ++i) {
+      if (i % 2 == 0) {
+        EXPECT_EQ(objects.ReadControl(), (i / 2) % 7);
+        EXPECT_EQ(spans.ReadControl(), (i / 2) % 7);
+      }
+      WritablePtr decoded = objects.ReadObject();
+      ASSERT_NE(decoded, nullptr);
+      EXPECT_EQ(SerializeToString(*decoded), SerializeToString(*sent[i]));
+      std::string_view bytes;
+      uint32_t type_id = 0;
+      ASSERT_TRUE(spans.ReadObjectBytes(&bytes, &type_id));
+      EXPECT_EQ(std::string(bytes), SerializeToString(*sent[i]));
+      EXPECT_EQ(spans.TypeName(type_id), sent[i]->TypeName());
+      auto [it, first] = decoded_of.emplace(sent[i].get(), decoded.get());
+      if (!first && mode == DedupMode::kFull) {
+        EXPECT_EQ(it->second, decoded.get());
+      }
+    }
+    EXPECT_TRUE(objects.AtEnd());
+    EXPECT_TRUE(spans.AtEnd());
+  }
+}
+
 TEST(ComparatorTest, RegistryAndDeserializing) {
   auto& reg = ComparatorRegistry::Instance();
   ASSERT_TRUE(reg.Contains(BytesComparator::kName));

@@ -17,6 +17,7 @@
 
 #include <gtest/gtest.h>
 
+#include "api/class_registry.h"
 #include "api/counters.h"
 #include "api/hash_combine.h"
 #include "api/task_runner.h"
@@ -26,6 +27,7 @@
 #include "common/sort.h"
 #include "serialize/basic_writables.h"
 #include "serialize/registry.h"
+#include "serialize/writable.h"
 #include "workloads/wordcount.h"
 
 namespace m3r {
@@ -316,6 +318,214 @@ TEST(HashCombineTest, BudgetOverflowDrainsAndStaysCorrect) {
   EXPECT_EQ(counters.Get(api::counters::kTaskGroup,
                          api::counters::kMapOutputRecords),
             kEmissions);
+}
+
+/// Downstream that also takes the bytes path, checking that every pair's
+/// bytes are exactly its serialization.
+class RecordingSink : public RecordingCollector,
+                      public api::SerializedPairSink {
+ public:
+  using RecordingCollector::RecordingCollector;
+  void CollectSerialized(const WritablePtr& key, const WritablePtr& value,
+                         std::string_view key_bytes,
+                         std::string_view value_bytes) override {
+    EXPECT_EQ(key_bytes, serialize::SerializeToString(*key));
+    EXPECT_EQ(value_bytes, serialize::SerializeToString(*value));
+    ++serialized;
+    Collect(key, value);
+  }
+
+  size_t serialized = 0;
+};
+
+int32_t SumValues(api::ValuesIterator& values) {
+  int32_t sum = 0;
+  while (values.HasNext()) {
+    sum += dynamic_cast<const IntWritable&>(*values.Next()).Get();
+  }
+  return sum;
+}
+
+/// Sums like WordCount's reducer but appends ' to the key: every fold
+/// re-keys, so the table must give up after its first fold.
+class ReKeyingSumCombiner : public api::mapred::Reducer {
+ public:
+  static constexpr const char* kClassName = "ReKeyingSumCombiner";
+  void Reduce(const WritablePtr& key, api::ValuesIterator& values,
+              api::OutputCollector& output, api::Reporter&) override {
+    const int32_t sum = SumValues(values);
+    output.Collect(
+        std::make_shared<Text>(dynamic_cast<const Text&>(*key).Get() + "'"),
+        std::make_shared<IntWritable>(sum));
+  }
+};
+M3R_REGISTER_CLASS_AS(api::mapred::Reducer, ReKeyingSumCombiner,
+                      ReKeyingSumCombiner)
+
+/// Splits each fold's sum over two pairs of the same key (a fan-out).
+class FanOutSumCombiner : public api::mapred::Reducer {
+ public:
+  static constexpr const char* kClassName = "FanOutSumCombiner";
+  void Reduce(const WritablePtr& key, api::ValuesIterator& values,
+              api::OutputCollector& output, api::Reporter&) override {
+    const int32_t sum = SumValues(values);
+    output.Collect(key, std::make_shared<IntWritable>(sum / 2));
+    output.Collect(key, std::make_shared<IntWritable>(sum - sum / 2));
+  }
+};
+M3R_REGISTER_CLASS_AS(api::mapred::Reducer, FanOutSumCombiner,
+                      FanOutSumCombiner)
+
+int64_t TaskCount(const api::Counters& counters, const char* name) {
+  return counters.Get(api::counters::kTaskGroup, name);
+}
+
+/// A non-conforming combiner (re-keying or fan-out) disables the table on
+/// its first fold. Sums, MAP_OUTPUT_RECORDS and the combine-counter
+/// identity must all survive, and later emits pass straight through.
+void CheckNonConformingCombiner(const char* combiner, bool bytes_sink) {
+  SCOPED_TRACE(combiner);
+  api::JobConf conf = WordCountStyleConf();
+  conf.SetCombinerClass(combiner);
+  api::Counters counters;
+  api::CountersReporter reporter(&counters);
+  RecordingSink downstream(&reporter);
+  RecordingCollector plain(&reporter);
+  RecordingCollector& seen =
+      bytes_sink ? static_cast<RecordingCollector&>(downstream) : plain;
+  api::HashCombineCollector collector(
+      conf, bytes_sink ? static_cast<api::OutputCollector*>(&downstream)
+                       : &plain,
+      &reporter);
+
+  std::map<std::string, int64_t> expected;
+  int64_t emissions = 0;
+  auto emit = [&](const std::string& w, int32_t v) {
+    expected[w] += v;
+    ++emissions;
+    collector.Collect(std::make_shared<Text>(w),
+                      std::make_shared<IntWritable>(v));
+  };
+  // A few cold keys, then one hot key until its first fold runs.
+  for (int i = 0; i < 20; ++i) emit("cold" + std::to_string(i), i + 1);
+  int hot = 0;
+  while (collector.table_entries() != 0) {
+    emit("hot", 3);
+    ASSERT_LT(++hot, 100) << "the table never gave up";
+  }
+  EXPECT_EQ(hot, 16);  // kFoldThreshold values trigger the fold
+  // Everything buffered went downstream with the disabling emit; later
+  // emits pass straight through.
+  const size_t drained = seen.pairs.size();
+  EXPECT_GT(drained, 0u);
+  for (int i = 0; i < 10; ++i) {
+    emit("late" + std::to_string(i % 3), 2);
+    EXPECT_EQ(seen.pairs.size(), drained + static_cast<size_t>(i) + 1);
+    EXPECT_EQ(collector.table_entries(), 0u);
+  }
+  ASSERT_TRUE(collector.Flush().ok());
+
+  std::map<std::string, int64_t> sums;
+  for (const auto& [w, c] : seen.pairs) {
+    std::string word = w;
+    while (!word.empty() && word.back() == '\'') word.pop_back();
+    sums[word] += c;
+  }
+  EXPECT_EQ(sums, expected);
+  EXPECT_EQ(TaskCount(counters, api::counters::kMapOutputRecords),
+            emissions);
+  EXPECT_EQ(TaskCount(counters, api::counters::kCombineInputRecords), 16);
+  // What a reducer would see is what the mapper emitted less what the
+  // folds removed (MAP_OUTPUT_RECORDS here also carries downstream's
+  // per-pair tally, so the identity is checked on the pair count).
+  EXPECT_EQ(static_cast<int64_t>(seen.pairs.size()),
+            emissions -
+                TaskCount(counters, api::counters::kCombineInputRecords) +
+                TaskCount(counters, api::counters::kCombineOutputRecords));
+  if (bytes_sink) {
+    EXPECT_EQ(downstream.serialized, seen.pairs.size());
+  }
+}
+
+TEST(HashCombineTest, ReKeyingCombinerDisablesTableAndStaysCorrect) {
+  CheckNonConformingCombiner(ReKeyingSumCombiner::kClassName, /*bytes_sink=*/false);
+  CheckNonConformingCombiner(ReKeyingSumCombiner::kClassName, /*bytes_sink=*/true);
+}
+
+TEST(HashCombineTest, FanOutCombinerDisablesTableAndStaysCorrect) {
+  CheckNonConformingCombiner(FanOutSumCombiner::kClassName, /*bytes_sink=*/false);
+  CheckNonConformingCombiner(FanOutSumCombiner::kClassName, /*bytes_sink=*/true);
+}
+
+TEST(HashCombineTest, DisablingFoldPublishesTheDrainedGauge) {
+  api::JobConf conf = WordCountStyleConf();
+  conf.SetCombinerClass(ReKeyingSumCombiner::kClassName);
+  api::Counters counters;
+  api::CountersReporter reporter(&counters);
+  RecordingCollector downstream(&reporter);
+  std::atomic<int64_t> gauge{0};
+  api::HashCombineCollector collector(conf, &downstream, &reporter, &gauge);
+  auto one = std::make_shared<IntWritable>(1);
+  // Enough distinct keys that the stepped gauge has published.
+  for (int i = 0; i < 3000; ++i) {
+    collector.Collect(std::make_shared<Text>("w" + std::to_string(i)), one);
+  }
+  ASSERT_GT(gauge.load(), 0);
+  // The hot key's first fold re-keys: the table disables and drains, and
+  // the governor must see it empty straight away, not at Flush.
+  auto hot = std::make_shared<Text>("hot");
+  while (collector.table_entries() != 0) collector.Collect(hot, one);
+  EXPECT_EQ(gauge.load(), 0);
+  collector.Collect(hot, one);  // pass-through
+  EXPECT_EQ(gauge.load(), 0);
+  ASSERT_TRUE(collector.Flush().ok());
+  EXPECT_EQ(gauge.load(), 0);
+}
+
+TEST(HashCombineTest, SharedGaugeTracksEachTableWithinOneStep) {
+  constexpr int64_t kStep = api::HashCombineCollector::kGaugeStep;
+  api::JobConf conf = WordCountStyleConf();
+  api::Counters counters;
+  api::CountersReporter reporter(&counters);
+  RecordingCollector down_a(&reporter);
+  RecordingCollector down_b(&reporter);
+  std::atomic<int64_t> gauge{0};
+  auto within_step = [&](int64_t share, size_t table_bytes) {
+    const int64_t gap = share - static_cast<int64_t>(table_bytes);
+    return gap < kStep && gap > -kStep;
+  };
+  {
+    api::HashCombineCollector a(conf, &down_a, &reporter, &gauge);
+    api::HashCombineCollector b(conf, &down_b, &reporter, &gauge);
+    auto one = std::make_shared<IntWritable>(1);
+    // 2500 distinct keys per table, each emitted a few times.
+    auto key = [](char table, int i) {
+      return std::make_shared<Text>(std::string(1, table) +
+                                    std::to_string(i % 2500));
+    };
+    for (int i = 0; i < 6000; ++i) {  // a alone: b's share is 0
+      a.Collect(key('a', i), one);
+      ASSERT_TRUE(within_step(gauge.load(), a.table_bytes())) << i;
+    }
+    const int64_t share_a = gauge.load();
+    EXPECT_GT(share_a, 0);
+    for (int i = 0; i < 6000; ++i) {  // b alone: a's share is fixed
+      b.Collect(key('b', i), one);
+      ASSERT_TRUE(within_step(gauge.load() - share_a, b.table_bytes())) << i;
+    }
+    const int64_t share_b = gauge.load() - share_a;
+    EXPECT_GT(share_b, 0);
+    ASSERT_TRUE(a.Flush().ok());
+    EXPECT_EQ(gauge.load(), share_b);
+    ASSERT_TRUE(b.Flush().ok());
+    EXPECT_EQ(gauge.load(), 0);
+
+    // An unflushed table withdraws its share on destruction.
+    api::HashCombineCollector c(conf, &down_a, &reporter, &gauge);
+    for (int i = 0; i < 3000; ++i) c.Collect(key('c', i), one);
+    EXPECT_GT(gauge.load(), 0);
+  }
+  EXPECT_EQ(gauge.load(), 0);
 }
 
 // ---------------------------------------------------------------------------

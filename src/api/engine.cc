@@ -5,6 +5,7 @@
 #include <chrono>
 #include <condition_variable>
 
+#include "api/knobs.h"
 #include "common/logging.h"
 #include "common/retry.h"
 
@@ -167,7 +168,7 @@ void Engine::NotifyJobEnd(const JobConf& conf, const JobResult& result) {
 }
 
 Engine& JobClient::EngineFor(const JobConf& conf) {
-  if (conf.GetBool(conf::kForceHadoopEngine) && fallback_ != nullptr) {
+  if (knobs::Bool(conf, conf::kForceHadoopEngine) && fallback_ != nullptr) {
     return *fallback_;
   }
   return *primary_;
@@ -180,17 +181,15 @@ JobHandle JobClient::SubmitJobAsync(const JobConf& conf) {
 JobResult JobClient::SubmitJob(const JobConf& conf) {
   BackoffPolicy policy;
   policy.max_attempts =
-      std::max<int>(1, static_cast<int>(conf.GetInt(conf::kJobMaxAttempts,
-                                                    1)));
+      static_cast<int>(knobs::Int(conf, conf::kJobMaxAttempts));
   policy.initial_backoff_us =
-      static_cast<double>(conf.GetInt(conf::kJobRetryBackoffMs, 10)) * 1000;
+      static_cast<double>(knobs::Int(conf, conf::kJobRetryBackoffMs)) * 1000;
   policy.max_backoff_us = policy.initial_backoff_us * 64;
   // Decorrelated jitter de-synchronizes the retry storms of concurrent
   // clients; seeding from m3r.fault.seed keeps resilience drills
   // reproducible end to end.
   policy.decorrelated_jitter = true;
-  policy.jitter_seed =
-      static_cast<uint64_t>(conf.GetInt(conf::kFaultSeed, 1));
+  policy.jitter_seed = knobs::Uint64(conf, conf::kFaultSeed);
   Backoff backoff(policy);
   JobResult result;
   while (backoff.Next()) {

@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "api/counters.h"
+#include "api/knobs.h"
 #include "api/task_runner.h"
 #include "common/logging.h"
 #include "serialize/comparators.h"
@@ -130,7 +131,7 @@ HashCombineCollector::HashCombineCollector(const JobConf& conf,
       reporter_(reporter),
       memory_gauge_(memory_gauge),
       budget_bytes_(static_cast<size_t>(
-          conf.GetDouble(conf::kMapHashCombineMemoryMb, 64.0) *
+          knobs::Double(conf, conf::kMapHashCombineMemoryMb) *
           static_cast<double>(size_t{1} << 20))),
       slots_(64) {
   M3R_CHECK(Eligible(conf)) << "hash combine on an ineligible job";

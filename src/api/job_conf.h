@@ -9,7 +9,8 @@
 namespace m3r::api {
 
 /// Well-known configuration keys, mirroring Hadoop's property names so that
-/// ported jobs read naturally.
+/// ported jobs read naturally. Every `m3r.*` key here is a row of the knob
+/// table (api/knobs.h), which holds its type, default and range.
 namespace conf {
 inline constexpr char kJobName[] = "mapred.job.name";
 inline constexpr char kNumReduceTasks[] = "mapred.reduce.tasks";
@@ -74,7 +75,7 @@ inline constexpr char kMapHashCombineMemoryMb[] =
 /// (parallel sorted runs + pairwise merges).
 inline constexpr char kSortParallelThreshold[] =
     "m3r.sort.parallel.threshold";
-/// Removed: the shuffle always streams. Kept so existing confs that set the
+/// Retired: the shuffle always streams. Kept so existing confs that set the
 /// former default "on" still compile and run; any other value fails the
 /// job (use kShuffleFlushBytes = 0 for a barrier exchange).
 inline constexpr char kShufflePipeline[] = "m3r.shuffle.pipeline";
@@ -139,10 +140,10 @@ inline constexpr char kIntegrityMode[] = "m3r.integrity.mode";
 /// buffer pool, hash-combine tables, checkpoint spill queue), in MiB.
 /// 0 (default) = ungoverned: cache without bound, as the paper does.
 inline constexpr char kMemoryBudgetMb[] = "m3r.memory.budget.mb";
-/// Per-consumer share of the budget, a fraction in [0,1]:
-/// m3r.memory.share.<consumer> for consumers "cache", "shuffle.pool",
-/// "hashcombine", "checkpoint.queue". Unset = 1.0 (only the total binds).
-inline constexpr char kMemorySharePrefix[] = "m3r.memory.share.";
+/// The cache's share of the budget, a fraction in [0,1] (default 1.0: only
+/// the total binds). Set on every submission; the serving front end clamps
+/// it to the dispatching tenant's quota.
+inline constexpr char kMemoryShareCache[] = "m3r.memory.share.cache";
 /// Watermarks (fractions of the cache's share) driving background
 /// eviction: crossing `high` wakes the evictor, which evicts to `low`.
 inline constexpr char kMemoryHighWatermark[] = "m3r.memory.high.watermark";
@@ -169,27 +170,6 @@ inline constexpr char kCacheReuse[] = "m3r.cache.reuse";
 inline constexpr char kFaultSeed[] = "m3r.fault.seed";
 
 // --- Serving front end (m3r::engine::JobServer; DESIGN.md §12) ---
-/// Jobs the server keeps dispatched into the engine at once (in-flight
-/// slots). The engine still serializes execution internally; extra slots
-/// pipeline dispatch so the engine never idles between jobs.
-inline constexpr char kServerMaxInflight[] = "m3r.server.max.inflight";
-/// Bounded admission: per-queue cap on jobs waiting for dispatch. A full
-/// queue rejects (typed Overloaded) or blocks, per m3r.server.admission.
-inline constexpr char kServerQueueDepth[] = "m3r.server.queue.depth";
-/// "reject" (default; Submit returns Overloaded) or "block" (Submit waits
-/// for space — producer backpressure).
-inline constexpr char kServerAdmission[] = "m3r.server.admission";
-/// Allow a strictly higher-priority submission to cancel-and-requeue a
-/// running lower-priority job (default true).
-inline constexpr char kServerPreemption[] = "m3r.server.preemption";
-/// Fair-share weight of one named queue: m3r.server.queue.weight.<queue>,
-/// default 1.0. Service (completed simulated seconds) is divided among
-/// backlogged queues in proportion to weight.
-inline constexpr char kServerQueueWeightPrefix[] = "m3r.server.queue.weight.";
-/// Explicit memory-quota fraction for one tenant:
-/// m3r.server.tenant.quota.<tenant>. Tenants without an explicit quota
-/// split the unreserved remainder evenly (rebalanced on join/leave).
-inline constexpr char kServerTenantQuotaPrefix[] = "m3r.server.tenant.quota.";
 /// Conf-key fallbacks for the typed Submission fields, read by
 /// Submission::FromConf for bare-conf clients (port-based submission).
 /// Queue falls back to mapred.job.queue.name.
@@ -207,17 +187,6 @@ inline constexpr char kJobTimeoutSec[] = "m3r.job.timeout.sec";
 /// declared stalled and killed the same way. 0 (default) = disabled.
 inline constexpr char kJobHeartbeatStallSec[] = "m3r.job.heartbeat.stall.sec";
 
-// --- Chaos schedules (common/chaos; tests/chaos_soak_test) ---
-/// Master seed for a ChaosSchedule: per-job fault sites, budget pressure,
-/// and scenario actions all derive deterministically from it. 0 (default)
-/// = chaos off.
-inline constexpr char kChaosSeed[] = "m3r.chaos.seed";
-/// Fraction in [0,1] scaling how many fault sites each job arms and how
-/// hard the memory budget is squeezed (default 0.5).
-inline constexpr char kChaosIntensity[] = "m3r.chaos.intensity";
-/// Comma list restricting the fault-site vocabulary the schedule draws
-/// from; empty (default) = every site the injector knows.
-inline constexpr char kChaosSites[] = "m3r.chaos.sites";
 }  // namespace conf
 
 /// Job configuration: a Configuration plus convenience accessors for the

@@ -5,6 +5,7 @@
 #include <thread>
 #include <utility>
 
+#include "api/knobs.h"
 #include "common/logging.h"
 
 namespace m3r::api {
@@ -113,7 +114,7 @@ JobControl::RunSummary JobControl::Run() {
           // kWaiting and let the submit loop redispatch it — bounded by the
           // job's own retry budget.
           int allowed = std::max<int64_t>(
-              2, nodes_[id].submission.conf.GetInt(conf::kJobMaxAttempts, 2));
+              2, knobs::Int(nodes_[id].submission.conf, conf::kJobMaxAttempts));
           if (attempts[id] < allowed) {
             reaped = true;
             continue;

@@ -2,6 +2,7 @@
 
 #include <utility>
 
+#include "api/knobs.h"
 #include "common/logging.h"
 
 namespace m3r::api {
@@ -45,9 +46,9 @@ Status Submission::Validate() const {
 Submission Submission::FromConf(JobConf conf) {
   Submission s;
   s.queue = conf.Get(conf::kQueueName, "default");
-  s.tenant = conf.Get(conf::kSubmissionTenant, "default");
-  s.priority = static_cast<int>(conf.GetInt(conf::kSubmissionPriority, 0));
-  s.deadline_hint = conf.GetDouble(conf::kSubmissionDeadlineHint, 0);
+  s.tenant = knobs::String(conf, conf::kSubmissionTenant);
+  s.priority = static_cast<int>(knobs::Int(conf, conf::kSubmissionPriority));
+  s.deadline_hint = knobs::Double(conf, conf::kSubmissionDeadlineHint);
   s.conf = std::move(conf);
   return s;
 }

@@ -23,11 +23,11 @@ namespace m3r::api {
 /// invalid submission is rejected with InvalidArgument before it ever
 /// reaches a queue.
 struct Submission {
-  /// Accounting identity: maps onto a memory-governor tenant quota
-  /// (m3r.memory.share.<tenant>) while this tenant has jobs in the system.
+  /// Accounting identity: maps onto a memory-governor tenant quota while
+  /// this tenant has jobs in the system.
   std::string tenant = "default";
   /// Named scheduler queue; fair-share weight comes from the server's
-  /// m3r.server.queue.weight.<queue> (default 1.0).
+  /// JobServer::Options::queue_weights (default 1.0).
   std::string queue = "default";
   /// Higher runs first; with preemption enabled, a strictly higher
   /// priority may cancel-and-requeue a running lower-priority job.

@@ -4,6 +4,7 @@
 #include <cstring>
 
 #include "api/class_registry.h"
+#include "api/knobs.h"
 #include "api/text_formats.h"
 #include "common/sort.h"
 
@@ -283,9 +284,8 @@ void SortPairs(const JobConf& conf, std::vector<KeyedPair>* pairs,
   }
   kopts.executor = options.executor;
   kopts.max_workers = options.max_workers;
-  kopts.parallel_threshold = static_cast<size_t>(
-      conf.GetInt(conf::kSortParallelThreshold,
-                  static_cast<int64_t>(sortkit::kDefaultParallelThreshold)));
+  kopts.parallel_threshold =
+      static_cast<size_t>(knobs::Int(conf, conf::kSortParallelThreshold));
 
   sortkit::SortStats kstats;
   std::vector<uint32_t> perm =

@@ -1,21 +1,11 @@
 #include "common/chaos.h"
 
 #include <algorithm>
-#include <cstdlib>
+
+#include "common/fault_injector.h"
 
 namespace m3r::chaos {
 namespace {
-
-/// Every injector site the code base instruments, grouped so a schedule
-/// mixes flavors: transient errors (dfs/channel/task), a place crash, and
-/// byte-level corruption.
-const char* const kDefaultSites[] = {
-    "dfs.read",        "dfs.write",       "m3r.map",
-    "m3r.reduce",      "hadoop.map",      "hadoop.reduce",
-    "channel.send",    "channel.decode",  "m3r.place",
-    "corrupt.dfs.block", "corrupt.cache.block", "corrupt.channel.frame",
-    "corrupt.spill",
-};
 
 uint64_t SplitMix(uint64_t x) {
   x += 0x9e3779b97f4a7c15ull;
@@ -30,31 +20,8 @@ ChaosSchedule::ChaosSchedule(ChaosOptions options)
     : options_(std::move(options)) {
   options_.intensity = std::clamp(options_.intensity, 0.0, 1.0);
   if (options_.sites.empty()) {
-    for (const char* site : kDefaultSites) options_.sites.push_back(site);
+    for (const char* site : kFaultSites) options_.sites.push_back(site);
   }
-}
-
-ChaosSchedule ChaosSchedule::FromConf(
-    const std::map<std::string, std::string>& raw) {
-  ChaosOptions options;
-  if (auto it = raw.find("m3r.chaos.seed"); it != raw.end()) {
-    options.seed = std::strtoull(it->second.c_str(), nullptr, 10);
-  }
-  if (auto it = raw.find("m3r.chaos.intensity"); it != raw.end()) {
-    options.intensity = std::strtod(it->second.c_str(), nullptr);
-  }
-  if (auto it = raw.find("m3r.chaos.sites"); it != raw.end()) {
-    std::string cur;
-    for (char c : it->second + ",") {
-      if (c == ',') {
-        if (!cur.empty()) options.sites.push_back(cur);
-        cur.clear();
-      } else if (c != ' ') {
-        cur.push_back(c);
-      }
-    }
-  }
-  return ChaosSchedule(std::move(options));
 }
 
 uint64_t ChaosSchedule::Mix(uint64_t stream, uint64_t counter) const {

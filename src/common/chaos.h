@@ -2,14 +2,13 @@
 #define M3R_COMMON_CHAOS_H_
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <utility>
 #include <vector>
 
 namespace m3r::chaos {
 
-/// Parameters of a chaos schedule (m3r.chaos.* keys; DESIGN.md §13).
+/// Parameters of a chaos schedule (DESIGN.md §13.5).
 struct ChaosOptions {
   /// Master seed; every per-job decision is a pure function of it. 0 = the
   /// schedule is disabled and JobOverrides returns nothing.
@@ -17,8 +16,8 @@ struct ChaosOptions {
   /// In [0,1]: scales how many fault sites each job arms and how often the
   /// memory budget is squeezed.
   double intensity = 0.5;
-  /// Fault-site vocabulary to draw from; empty = every site the injector
-  /// instruments (dfs/channel/task/place/corruption).
+  /// Fault-site vocabulary to draw from; empty = every site in
+  /// kFaultSites (dfs/channel/task/place/corruption).
   std::vector<std::string> sites;
 };
 
@@ -36,11 +35,6 @@ struct ChaosOptions {
 class ChaosSchedule {
  public:
   explicit ChaosSchedule(ChaosOptions options);
-
-  /// Builds a schedule from a raw key/value view (a Configuration's raw()
-  /// map), scanning m3r.chaos.seed / m3r.chaos.intensity / m3r.chaos.sites.
-  static ChaosSchedule FromConf(
-      const std::map<std::string, std::string>& raw);
 
   bool enabled() const { return options_.seed != 0; }
   const ChaosOptions& options() const { return options_; }

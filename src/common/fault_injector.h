@@ -12,6 +12,16 @@
 
 namespace m3r {
 
+/// Every instrumented injection site: transient errors, a place crash and
+/// byte corruption. m3r.fault.<site>.* keys and chaos schedules use these.
+inline constexpr const char* kFaultSites[] = {
+    "dfs.read",        "dfs.write",       "m3r.map",
+    "m3r.reduce",      "hadoop.map",      "hadoop.reduce",
+    "channel.send",    "channel.decode",  "m3r.place",
+    "corrupt.dfs.block", "corrupt.cache.block", "corrupt.channel.frame",
+    "corrupt.spill",
+};
+
 /// Seeded, deterministic fault injection.
 ///
 /// The code base is threaded with named *injection sites* — e.g.

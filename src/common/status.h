@@ -30,8 +30,8 @@ enum class StatusCode {
   /// re-reads/re-fetches the data from its authoritative source.
   kDataLoss,
   /// Admission control rejected the request: a serving queue is at its
-  /// configured depth (m3r.server.queue.depth). Backpressure, not failure —
-  /// retriable after the backlog drains.
+  /// configured depth (JobServer::Options::queue_depth). Backpressure, not
+  /// failure — retriable after the backlog drains.
   kOverloaded,
   /// The job watchdog killed a job that exceeded m3r.job.timeout.sec or
   /// stopped heartbeating for m3r.job.heartbeat.stall.sec. Retriable: a

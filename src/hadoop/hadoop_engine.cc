@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "api/distributed_cache.h"
+#include "api/knobs.h"
 #include "api/output_format.h"
 #include "api/task_runner.h"
 #include "common/fault_injector.h"
@@ -46,6 +47,10 @@ HadoopEngine::HadoopEngine(std::shared_ptr<dfs::FileSystem> fs,
       cost_(options_.cluster) {}
 
 api::JobResult HadoopEngine::Submit(const api::JobConf& submitted_conf) {
+  // The same knob table as M3R: a conf either engine would reject fails
+  // here too, before any output is claimed.
+  Status valid = api::knobs::ValidateKnobs(submitted_conf);
+  if (!valid.ok()) return Fail(std::move(valid));
   // Local copy: distributed-cache contents are installed into the
   // configuration tasks see (Hadoop materializes them into each task's
   // working directory).

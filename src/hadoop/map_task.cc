@@ -4,6 +4,7 @@
 
 #include "api/class_registry.h"
 #include "api/hash_combine.h"
+#include "api/knobs.h"
 #include "api/multiple_io.h"
 #include "api/output_format.h"
 #include "api/task_runner.h"
@@ -152,7 +153,7 @@ MapTaskResult RunHadoopMapTask(const api::JobConf& job_conf,
   MapOutputBuffer buffer(conf, num_reduce, &reporter, integrity);
   std::unique_ptr<api::HashCombineCollector> hasher;
   api::OutputCollector* sink = &buffer;
-  if (conf.GetBool(api::conf::kMapHashCombine, false) &&
+  if (api::knobs::Bool(conf, api::conf::kMapHashCombine) &&
       api::HashCombineCollector::Eligible(conf)) {
     hasher = std::make_unique<api::HashCombineCollector>(conf, &buffer,
                                                          &reporter);

@@ -1,6 +1,7 @@
 #include "m3r/cache.h"
 
 #include "api/extensions.h"
+#include "api/knobs.h"
 #include "common/crc32c.h"
 #include "common/path.h"
 #include "serialize/io.h"
@@ -311,11 +312,11 @@ bool Cache::IsTemporary(const api::JobConf& conf,
                         const std::string& output_path) {
   std::string canonical = path::Canonicalize(output_path);
   std::string base = path::BaseName(canonical);
-  std::string prefix = conf.Get(api::conf::kTempPrefix, "temp");
+  std::string prefix = api::knobs::String(conf, api::conf::kTempPrefix);
   if (!prefix.empty() && base.compare(0, prefix.size(), prefix) == 0) {
     return true;
   }
-  for (const std::string& p : conf.GetStrings(api::conf::kTempPaths)) {
+  for (const std::string& p : api::knobs::List(conf, api::conf::kTempPaths)) {
     if (path::Canonicalize(p) == canonical) return true;
   }
   return false;

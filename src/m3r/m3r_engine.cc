@@ -17,6 +17,7 @@
 #include "api/class_registry.h"
 #include "api/distributed_cache.h"
 #include "api/hash_combine.h"
+#include "api/knobs.h"
 #include "api/multiple_io.h"
 #include "api/output_format.h"
 #include "api/task_runner.h"
@@ -450,64 +451,8 @@ class M3RNamedOutputSink : public api::NamedOutputSink {
   std::map<std::string, Entry> entries_;
 };
 
-/// Knobs folded into a numeric knob beside them. A job that still sets one
-/// fails rather than have the setting silently ignored; only the former
-/// default, which the replacement's default reproduces, is still accepted.
-struct RemovedKey {
-  const char* key;
-  const char* former_default;
-  const char* replacement;
-};
-constexpr RemovedKey kRemovedKeys[] = {
-    {api::conf::kShufflePipeline, "on",
-     "m3r.shuffle.flush.bytes (0 = barrier exchange)"},
-    {"m3r.place.recovery", "replay",
-     "m3r.place.recovery.max.crashes (0 = recovery off)"},
-};
-
-Status CheckRemovedKeys(const JobConf& conf) {
-  for (const RemovedKey& removed : kRemovedKeys) {
-    if (!conf.Contains(removed.key)) continue;
-    const std::string value = conf.Get(removed.key, "");
-    if (value == removed.former_default) continue;
-    return Status::InvalidArgument(std::string(removed.key) + "=" + value +
-                                   " is no longer supported; use " +
-                                   removed.replacement);
-  }
-  return Status::OK();
-}
-
-/// Parses m3r.place.crash.at, "P:N[,P:N...]": place P dies when it is about
-/// to start its (N+1)-th map task. Entries for places the job doesn't have
-/// never trigger; empty entries are skipped.
-Status ParseCrashScript(const std::string& script, std::map<int, int>* out) {
-  size_t pos = 0;
-  while (pos < script.size()) {
-    size_t comma = script.find(',', pos);
-    const std::string item = script.substr(
-        pos, comma == std::string::npos ? std::string::npos : comma - pos);
-    pos = comma == std::string::npos ? script.size() : comma + 1;
-    if (item.empty()) continue;
-    char* after_place = nullptr;
-    long p = std::strtol(item.c_str(), &after_place, 10);
-    char* after_ordinal = nullptr;
-    long n = after_place != nullptr && *after_place == ':'
-                 ? std::strtol(after_place + 1, &after_ordinal, 10)
-                 : -1;
-    if (after_place == item.c_str() || *after_place != ':' ||
-        after_ordinal == after_place + 1 ||
-        (after_ordinal != nullptr && *after_ordinal != '\0') || p < 0 ||
-        n < 0) {
-      return Status::InvalidArgument(std::string("bad ") +
-                                     api::conf::kPlaceCrashAt +
-                                     " entry: " + item);
-    }
-    (*out)[static_cast<int>(p)] = static_cast<int>(n);
-  }
-  return Status::OK();
-}
-
-/// m3r.cache.checkpoint: which cache-only outputs spill to the DFS.
+/// m3r.cache.checkpoint: which cache-only outputs spill to the DFS, in the
+/// order of the knob row's values.
 enum class CheckpointPolicy { kOff, kTempOut, kAll };
 
 /// One value a job reports: a metric and, when `counter` is set, the
@@ -1079,7 +1024,7 @@ class M3REngine::JobRun {
   /// Validates the conf, then installs the job's governance, fault and
   /// integrity settings on the engine; a rejected conf installs none.
   Status Configure() {
-    M3R_RETURN_NOT_OK(CheckRemovedKeys(conf_));
+    M3R_RETURN_NOT_OK(api::knobs::ValidateKnobs(conf_));
     // Distributed-cache contents are installed into the configuration tasks
     // see. M3R localizes through its own FS view, so cache-resident
     // (temporary) side files work too; places are long-lived so no per-job
@@ -1096,45 +1041,15 @@ class M3REngine::JobRun {
     temporary_ = e_.options_.enable_cache &&
                  Cache::IsTemporary(conf_, conf_.OutputPath());
 
-    const std::string checkpoint =
-        conf_.Get(api::conf::kCacheCheckpoint, "off");
-    if (checkpoint == "off") {
-      checkpoint_ = CheckpointPolicy::kOff;
-    } else if (checkpoint == "tempout") {
-      checkpoint_ = CheckpointPolicy::kTempOut;
-    } else if (checkpoint == "all") {
-      checkpoint_ = CheckpointPolicy::kAll;
-    } else {
-      return Status::InvalidArgument(std::string("bad ") +
-                                     api::conf::kCacheCheckpoint + ": " +
-                                     checkpoint);
-    }
+    checkpoint_ = static_cast<CheckpointPolicy>(
+        api::knobs::Choice(conf_, api::conf::kCacheCheckpoint));
     // Mid-job place-failure recovery (DESIGN.md §14). A crash budget of 0
     // turns recovery off: any place crash fails the whole job, the paper's
     // behaviour.
     max_crashes_ = static_cast<int>(
-        conf_.GetInt(api::conf::kPlaceRecoveryMaxCrashes, 2));
-    if (max_crashes_ < 0) {
-      return Status::InvalidArgument(std::string("bad ") +
-                                     api::conf::kPlaceRecoveryMaxCrashes);
-    }
-    M3R_RETURN_NOT_OK(ParseCrashScript(conf_.Get(api::conf::kPlaceCrashAt, ""),
-                                       &crash_script_));
-    memgov::EvictionPolicy cache_policy;
-    M3R_RETURN_NOT_OK(memgov::ParseEvictionPolicy(
-        conf_.Get(api::conf::kCachePolicy, "lru"), &cache_policy));
-    const double l2_share = conf_.GetDouble(api::conf::kCacheL2Share, 0.0);
-    if (l2_share < 0.0 || l2_share > 1.0) {
-      return Status::InvalidArgument(std::string("bad ") +
-                                     api::conf::kCacheL2Share + ": " +
-                                     conf_.Get(api::conf::kCacheL2Share, ""));
-    }
-    const std::string reuse = conf_.Get(api::conf::kCacheReuse, "off");
-    if (reuse != "off" && reuse != "exact") {
-      return Status::InvalidArgument(std::string("bad ") +
-                                     api::conf::kCacheReuse + ": " + reuse);
-    }
-    reuse_exact_ = reuse == "exact";
+        api::knobs::Int(conf_, api::conf::kPlaceRecoveryMaxCrashes));
+    crash_script_ = api::knobs::CrashScript(conf_, api::conf::kPlaceCrashAt);
+    reuse_exact_ = api::knobs::String(conf_, api::conf::kCacheReuse) == "exact";
     // Per-job fault injection (tests and resilience drills): faults at the
     // DFS sites fire through the base file system. End-to-end integrity
     // (m3r.integrity.mode) is installed on the base file system (block
@@ -1147,19 +1062,17 @@ class M3REngine::JobRun {
     // Memory governance (DESIGN.md §11): re-read per submission so a job
     // sequence can tighten or lift the budget between jobs.
     memgov::MemoryGovernor& governor = e_.governor_;
-    governor.SetBudget(static_cast<uint64_t>(std::max<int64_t>(
-                           0, conf_.GetInt(api::conf::kMemoryBudgetMb, 0)))
+    governor.SetBudget(static_cast<uint64_t>(api::knobs::Int(
+                           conf_, api::conf::kMemoryBudgetMb))
                        << 20);
-    for (const auto& [key, value] : conf_.raw()) {
-      if (key.rfind(api::conf::kMemorySharePrefix, 0) == 0) {
-        governor.SetShare(
-            key.substr(std::string_view(api::conf::kMemorySharePrefix).size()),
-            conf_.GetDouble(key, 1.0));
-      }
-    }
+    // Set on every job, so one job's share never outlives it.
+    governor.SetShare("cache",
+                      api::knobs::Double(conf_, api::conf::kMemoryShareCache));
     e_.cache_manager_->Configure(
-        cache_policy, conf_.GetDouble(api::conf::kMemoryHighWatermark, 0.90),
-        conf_.GetDouble(api::conf::kMemoryLowWatermark, 0.75));
+        static_cast<memgov::EvictionPolicy>(
+            api::knobs::Choice(conf_, api::conf::kCachePolicy)),
+        api::knobs::Double(conf_, api::conf::kMemoryHighWatermark),
+        api::knobs::Double(conf_, api::conf::kMemoryLowWatermark));
     // Two-tier cache (DESIGN.md §16): every place donates m3r.cache.l2.share
     // of the budget to the tier, so ring-wide capacity is share * budget *
     // places — the aggregate-memory thesis: the cluster holds N times what
@@ -1169,9 +1082,10 @@ class M3REngine::JobRun {
     for (size_t i = 0; i < ring_places.size(); ++i) {
       ring_places[i] = static_cast<int>(i);
     }
+    const double l2_share = api::knobs::Double(conf_, api::conf::kCacheL2Share);
     e_.tiered_->ConfigureL2(
         governor.governed() && l2_share > 0.0, ring_places,
-        conf_.GetInt(api::conf::kCacheL2VNodes, 16),
+        static_cast<int>(api::knobs::Int(conf_, api::conf::kCacheL2VNodes)),
         static_cast<uint64_t>(l2_share *
                               static_cast<double>(governor.budget()) *
                               static_cast<double>(ring_places.size())));
@@ -1333,8 +1247,9 @@ class M3REngine::JobRun {
     // Intra-place worker strands (the paper's "8 worker threads to exploit
     // the 8 cores"): a per-job override, else the engine option, else
     // hardware threads spread across the places.
-    workers_ = static_cast<int>(
-        conf_.GetInt(api::conf::kPlaceWorkers, e_.options_.workers_per_place));
+    workers_ =
+        static_cast<int>(api::knobs::Int(conf_, api::conf::kPlaceWorkers));
+    if (workers_ == 0) workers_ = e_.options_.workers_per_place;
     if (workers_ <= 0) {
       int hw = static_cast<int>(std::thread::hardware_concurrency());
       workers_ = std::max(1, hw / std::max(num_places_, 1));
@@ -1426,10 +1341,10 @@ class M3REngine::JobRun {
     if (num_reduce_ > 0) {
       // Streaming shuffle (DESIGN.md §15): a flush threshold of 0 ships every
       // lane whole at the barrier, the paper's barrier exchange.
-      options.flush_bytes = static_cast<size_t>(std::max<int64_t>(
-          0, conf_.GetInt(api::conf::kShuffleFlushBytes, 256 * 1024)));
+      options.flush_bytes = static_cast<size_t>(
+          api::knobs::Int(conf_, api::conf::kShuffleFlushBytes));
       const int64_t budget_mb =
-          conf_.GetInt(api::conf::kShufflePartitionBudgetMb, 0);
+          api::knobs::Int(conf_, api::conf::kShufflePartitionBudgetMb);
       if (budget_mb > 0) {
         options.partition_budget_bytes = static_cast<size_t>(budget_mb) << 20;
         run_spill_sink_.emplace(e_.base_fs_.get(),
@@ -1464,7 +1379,7 @@ class M3REngine::JobRun {
     // types, and grouping comparator are job-level settings, so per-split
     // conf specialization cannot change eligibility).
     lane_hash_combine_ = num_reduce_ > 0 &&
-                         conf_.GetBool(api::conf::kMapHashCombine, false) &&
+                         api::knobs::Bool(conf_, api::conf::kMapHashCombine) &&
                          api::HashCombineCollector::Eligible(conf_);
     task_done_.assign(tasks_.size(), 0);
     int crashes_handled = 0;

@@ -3,11 +3,11 @@
 #include <algorithm>
 #include <chrono>
 #include <condition_variable>
-#include <cstdlib>
 #include <deque>
 #include <thread>
 #include <utility>
 
+#include "api/knobs.h"
 #include "common/fairshare.h"
 #include "common/logging.h"
 #include "m3r/m3r_engine.h"
@@ -24,10 +24,6 @@ double SecondsBetween(SteadyClock::time_point from, SteadyClock::time_point to) 
     return 0;
   }
   return std::chrono::duration<double>(to - from).count();
-}
-
-std::string CacheShareKey() {
-  return std::string(api::conf::kMemorySharePrefix) + "cache";
 }
 
 }  // namespace
@@ -239,16 +235,15 @@ struct JobServer::Core : std::enable_shared_from_this<JobServer::Core> {
     api::JobConf conf = p.submission.conf;
     if (m3r != nullptr) {
       // Make the tenant quota bind: clamp this job's cache share to its
-      // tenant's current quota (M3REngine re-reads share keys per submit)
-      // and expose the quota itself as a share the governor mirrors.
+      // tenant's current quota (M3REngine sets the share on every submit;
+      // the governor mirrors the quota itself on TenantJoin).
       double quota = m3r->governor().TenantQuota(p.submission.tenant);
       if (quota < 1.0) {
-        conf.SetDouble(CacheShareKey(),
-                       std::min(conf.GetDouble(CacheShareKey(), 1.0), quota));
+        conf.SetDouble(
+            api::conf::kMemoryShareCache,
+            std::min(api::knobs::Double(conf, api::conf::kMemoryShareCache),
+                     quota));
       }
-      conf.SetDouble(std::string(api::conf::kMemorySharePrefix) + "tenant." +
-                         p.submission.tenant,
-                     quota);
     }
 
     int64_t id = p.state->id;
@@ -264,8 +259,9 @@ struct JobServer::Core : std::enable_shared_from_this<JobServer::Core> {
     auto state = r.state;
     // Watchdog budgets come from the job's own conf: a deadline is a
     // property of the submission, not of the server.
-    double timeout_sec = conf.GetDouble(api::conf::kJobTimeoutSec, 0);
-    double stall_sec = conf.GetDouble(api::conf::kJobHeartbeatStallSec, 0);
+    double timeout_sec = api::knobs::Double(conf, api::conf::kJobTimeoutSec);
+    double stall_sec =
+        api::knobs::Double(conf, api::conf::kJobHeartbeatStallSec);
     running.emplace(id, std::move(r));
     monitors[id] = std::thread(
         [this, id, handle, state, queue_name, timeout_sec, stall_sec] {
@@ -484,31 +480,6 @@ struct JobServer::Core : std::enable_shared_from_this<JobServer::Core> {
 // JobServer facade
 // ---------------------------------------------------------------------------
 
-JobServer::Options JobServer::OptionsFromConf(const api::Configuration& conf) {
-  namespace ck = api::conf;
-  Options o;
-  o.max_inflight =
-      std::max<int>(1, static_cast<int>(conf.GetInt(ck::kServerMaxInflight, 1)));
-  o.queue_depth =
-      std::max<int>(1, static_cast<int>(conf.GetInt(ck::kServerQueueDepth, 64)));
-  o.preemption = conf.GetBool(ck::kServerPreemption, true);
-  o.admission = conf.Get(ck::kServerAdmission, "reject") == "block"
-                    ? AdmissionMode::kBlock
-                    : AdmissionMode::kReject;
-  const std::string weight_prefix = ck::kServerQueueWeightPrefix;
-  const std::string quota_prefix = ck::kServerTenantQuotaPrefix;
-  for (const auto& [key, value] : conf.raw()) {
-    if (key.rfind(weight_prefix, 0) == 0) {
-      o.queue_weights[key.substr(weight_prefix.size())] =
-          std::strtod(value.c_str(), nullptr);
-    } else if (key.rfind(quota_prefix, 0) == 0) {
-      o.tenant_quotas[key.substr(quota_prefix.size())] =
-          std::strtod(value.c_str(), nullptr);
-    }
-  }
-  return o;
-}
-
 JobServer::JobServer(std::shared_ptr<api::Engine> engine)
     : JobServer(std::move(engine), Options()) {}
 
@@ -536,6 +507,9 @@ Result<api::JobTicket> JobServer::SubmitInternal(api::Submission submission,
                                                  bool block_when_full) {
   Status valid = submission.Validate();
   if (!valid.ok()) return valid;
+  // The watchdog reads its budgets from the conf at dispatch, so a bad
+  // knob must fail here rather than after the job has waited in a queue.
+  M3R_RETURN_NOT_OK(api::knobs::ValidateKnobs(submission.conf));
 
   std::shared_ptr<Core> core = core_;
   std::unique_lock<std::mutex> lock(core->mu);

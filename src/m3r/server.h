@@ -8,7 +8,6 @@
 #include <string>
 #include <vector>
 
-#include "api/configuration.h"
 #include "api/engine.h"
 #include "api/submission.h"
 
@@ -20,24 +19,24 @@ namespace m3r::engine {
 ///
 ///  - Named queues with weighted fair-share: service (completed simulated
 ///    seconds) is divided among backlogged queues in proportion to
-///    m3r.server.queue.weight.<queue>, via start-time-fair virtual time
+///    Options::queue_weights, via start-time-fair virtual time
 ///    (common/fairshare.h). Priorities are strict bands above the
 ///    fair-share order.
-///  - K in-flight jobs (m3r.server.max.inflight) dispatched through
+///  - K in-flight jobs (Options::max_inflight) dispatched through
 ///    Engine::SubmitAsync. The engine still serializes execution
 ///    internally; extra slots pipeline dispatch so the engine never idles
 ///    between jobs.
-///  - Bounded admission (m3r.server.queue.depth) with typed backpressure:
+///  - Bounded admission (Options::queue_depth) with typed backpressure:
 ///    a full queue rejects with Status::Overloaded or blocks the
-///    submitter, per m3r.server.admission.
-///  - Priority preemption (m3r.server.preemption): a strictly higher
+///    submitter, per Options::admission.
+///  - Priority preemption (Options::preemption): a strictly higher
 ///    priority submission cancels the lowest-priority running job through
 ///    its JobHandle; the preempted job is re-queued, not lost, and runs
 ///    again from scratch (engines abort cancelled jobs cleanly, removing
 ///    partial output).
 ///  - Per-tenant memory quotas: while a tenant has jobs in the system it
 ///    is registered with the M3R engine's MemoryGovernor
-///    (m3r.memory.share.<tenant>); the cache share of each dispatched job
+///    (Options::tenant_quotas); the cache share of each dispatched job
 ///    is clamped to its tenant's quota. Quotas rebalance on tenant
 ///    join/leave.
 ///  - Live metrics: per-queue gauges in every running ticket's
@@ -72,10 +71,6 @@ class JobServer : public api::JobSubmitter {
     /// unreserved remainder evenly (memgov::MemoryGovernor::TenantJoin).
     std::map<std::string, double> tenant_quotas;
   };
-
-  /// Reads the m3r.server.* keys (max.inflight, queue.depth, admission,
-  /// preemption, queue.weight.<q>, tenant.quota.<t>) from `conf`.
-  static Options OptionsFromConf(const api::Configuration& conf);
 
   explicit JobServer(std::shared_ptr<api::Engine> engine);
   JobServer(std::shared_ptr<api::Engine> engine, Options options);

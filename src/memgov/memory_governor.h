@@ -23,9 +23,9 @@ namespace m3r::memgov {
 ///    computes totals. Used by consumers whose bookkeeping already exists
 ///    elsewhere (BufferPool::ResidentBytes, the hash-combine byte gauge).
 ///
-/// Per-consumer shares (m3r.memory.share.<consumer>, a fraction of the
-/// budget) bound what a single consumer may hold; only the cache enforces
-/// its share by evicting — other consumers are metered so the cache's
+/// Per-consumer shares (SetShare, a fraction of the budget) bound what a
+/// single consumer may hold; only the cache has one (m3r.memory.share.cache)
+/// and enforces it by evicting — other consumers are metered so the cache's
 /// admission decisions see the whole heap, and bound themselves through
 /// their own pre-existing budgets (e.g. m3r.map.hash.combine.memory.mb).
 class MemoryGovernor {
@@ -65,7 +65,7 @@ class MemoryGovernor {
   // --- Tenant quotas (serving front end, DESIGN.md §12) ---
   // A tenant is an accounting identity the JobServer registers while that
   // tenant has jobs queued or running. Its quota is a fraction of the
-  // budget: explicit (m3r.server.tenant.quota.<tenant>) or automatic —
+  // budget: explicit (JobServer::Options::tenant_quotas) or automatic —
   // tenants without an explicit quota split the unreserved remainder
   // (1 - sum of explicit quotas) evenly, re-split on every join/leave.
   // Quotas are mirrored into the share table as "tenant.<name>" so

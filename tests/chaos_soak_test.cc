@@ -878,22 +878,8 @@ TEST(ChaosSoak, SchedulesAreDeterministicAndSeedSensitive) {
   EXPECT_EQ(a.PreemptionArmed(), b.PreemptionArmed());
   EXPECT_EQ(a.CancellationArmed(), b.CancellationArmed());
 
-  // FromConf round-trips the knobs.
-  std::map<std::string, std::string> raw = {
-      {"m3r.chaos.seed", "41"},
-      {"m3r.chaos.intensity", "0.9"},
-      {"m3r.chaos.sites", "dfs.read, m3r.map"},
-  };
-  chaos::ChaosSchedule parsed = chaos::ChaosSchedule::FromConf(raw);
-  EXPECT_TRUE(parsed.enabled());
-  EXPECT_EQ(parsed.options().seed, 41u);
-  EXPECT_DOUBLE_EQ(parsed.options().intensity, 0.9);
-  ASSERT_EQ(parsed.options().sites.size(), 2u);
-  EXPECT_EQ(parsed.options().sites[0], "dfs.read");
-  EXPECT_EQ(parsed.options().sites[1], "m3r.map");
-
   // Disabled schedule (seed 0) emits nothing.
-  chaos::ChaosSchedule off = chaos::ChaosSchedule::FromConf({});
+  chaos::ChaosSchedule off{chaos::ChaosOptions{}};
   EXPECT_FALSE(off.enabled());
   EXPECT_TRUE(off.JobOverrides(0).empty());
   EXPECT_FALSE(off.PreemptionArmed());

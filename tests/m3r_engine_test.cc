@@ -320,32 +320,60 @@ TEST(M3REngineTest, BadConfValuesFailNamingTheKeyBeforeClaimingOutput) {
   auto fs = dfs::MakeSimDfs(4, 8 * 1024);
   ASSERT_TRUE(workloads::GenerateText(*fs, "/in", 16 * 1024, 1, 5).ok());
   M3REngine m3r(fs, DefaultOptions());
+  hadoop::HadoopEngine hadoop(fs,
+                              hadoop::HadoopEngineOptions{SmallCluster(), 0});
   struct Bad {
     const char* key;
     const char* value;
+    /// A declared key the message must also name (a typo's nearest key).
+    const char* names = nullptr;
   };
-  for (const Bad& bad : {Bad{api::conf::kCacheCheckpoint, "bogus"},
-                         Bad{api::conf::kPlaceRecoveryMaxCrashes, "-1"},
-                         Bad{api::conf::kPlaceCrashAt, "1"},
-                         Bad{api::conf::kPlaceCrashAt, "1:"},
-                         Bad{api::conf::kPlaceCrashAt, ":1"},
-                         Bad{api::conf::kPlaceCrashAt, "a:1"},
-                         Bad{api::conf::kPlaceCrashAt, "1:2x"},
-                         Bad{api::conf::kPlaceCrashAt, "-1:1"},
-                         Bad{api::conf::kPlaceCrashAt, "1:-1"},
-                         Bad{api::conf::kCacheL2Share, "-0.1"},
-                         Bad{api::conf::kCacheL2Share, "1.5"},
-                         Bad{api::conf::kCacheReuse, "fuzzy"},
-                         Bad{api::conf::kCachePolicy, "mru"}}) {
-    api::JobConf job = workloads::MakeWordCountJob("/in", "/bad", 1, true);
-    job.Set(bad.key, bad.value);
-    auto result = m3r.Submit(job);
-    const std::string what = std::string(bad.key) + "=" + bad.value;
-    EXPECT_TRUE(result.status.IsInvalidArgument())
-        << what << ": " << result.status.ToString();
-    EXPECT_NE(result.status.ToString().find(bad.key), std::string::npos)
-        << what << ": " << result.status.ToString();
-    EXPECT_FALSE(m3r.Fs()->Exists("/bad")) << what;
+  const Bad kBad[] = {
+      {api::conf::kCacheCheckpoint, "bogus"},
+      {api::conf::kPlaceRecoveryMaxCrashes, "-1"},
+      {api::conf::kPlaceCrashAt, "1"},
+      {api::conf::kPlaceCrashAt, "1:"},
+      {api::conf::kPlaceCrashAt, ":1"},
+      {api::conf::kPlaceCrashAt, "a:1"},
+      {api::conf::kPlaceCrashAt, "1:2x"},
+      {api::conf::kPlaceCrashAt, "-1:1"},
+      {api::conf::kPlaceCrashAt, "1:-1"},
+      {api::conf::kCacheL2Share, "-0.1"},
+      {api::conf::kCacheL2Share, "1.5"},
+      {api::conf::kCacheReuse, "fuzzy"},
+      {api::conf::kCachePolicy, "mru"},
+      {api::conf::kShuffleFlushBytes, "256k"},
+      {api::conf::kMapHashCombine, "on"},
+      {"m3r.shufle.flush.bytes", "0", api::conf::kShuffleFlushBytes},
+      {"m3r.fault.dfs.reed.prob", "1"},
+      {"m3r.fault.dfs.read.probability", "1"},
+      {api::conf::kCacheL2VNodes, "0"},
+      {api::conf::kMemoryHighWatermark, "1.5"},
+      {"m3r.server.max.inflight", "4"},
+      {api::conf::kMapHashCombineMemoryMb, "-1"},
+      {"m3r.memory.share.shuffle.pool", "0.5"},
+      {"m3r.chaos.seed", "1"},
+  };
+  // Both engines share the knob table, so each rejects the same confs.
+  for (api::Engine* engine : {static_cast<api::Engine*>(&m3r),
+                              static_cast<api::Engine*>(&hadoop)}) {
+    for (const Bad& bad : kBad) {
+      api::JobConf job = workloads::MakeWordCountJob("/in", "/bad", 1, true);
+      job.Set(bad.key, bad.value);
+      auto result = engine->Submit(job);
+      const std::string what =
+          engine->Name() + ": " + bad.key + "=" + bad.value;
+      const std::string message = result.status.ToString();
+      EXPECT_TRUE(result.status.IsInvalidArgument()) << what << ": " << message;
+      EXPECT_NE(message.find(bad.key), std::string::npos)
+          << what << ": " << message;
+      if (bad.names != nullptr) {
+        EXPECT_NE(message.find(bad.names), std::string::npos)
+            << what << ": " << message;
+      }
+      EXPECT_FALSE(fs->Exists("/bad")) << what;
+      EXPECT_FALSE(m3r.Fs()->Exists("/bad")) << what;
+    }
   }
   int n = 0;
   for (const char* crash_at : {"", "1:1,", "0:2,3:1"}) {
@@ -356,6 +384,23 @@ TEST(M3REngineTest, BadConfValuesFailNamingTheKeyBeforeClaimingOutput) {
     EXPECT_TRUE(result.ok()) << "'" << crash_at
                              << "': " << result.status.ToString();
   }
+}
+
+TEST(M3REngineTest, CacheShareIsSetOnEveryJob) {
+  auto fs = dfs::MakeSimDfs(4, 8 * 1024);
+  ASSERT_TRUE(workloads::GenerateText(*fs, "/in", 16 * 1024, 1, 5).ok());
+  M3REngine m3r(fs, DefaultOptions());
+  api::JobConf a = workloads::MakeWordCountJob("/in", "/a", 1, true);
+  a.SetInt(api::conf::kMemoryBudgetMb, 64);
+  a.SetDouble(api::conf::kMemoryShareCache, 0.25);
+  ASSERT_TRUE(m3r.Submit(a).ok());
+  EXPECT_EQ(m3r.governor().ConsumerBudget("cache"), uint64_t{16} << 20);
+  // Job B sets only the budget: the share is back to its default, the
+  // whole budget, rather than job A's quarter.
+  api::JobConf b = workloads::MakeWordCountJob("/in", "/b", 1, true);
+  b.SetInt(api::conf::kMemoryBudgetMb, 64);
+  ASSERT_TRUE(m3r.Submit(b).ok());
+  EXPECT_EQ(m3r.governor().ConsumerBudget("cache"), uint64_t{64} << 20);
 }
 
 /// Every way a submission can end, on one small WordCount input with the

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <utility>
 
 #include "dfs/local_fs.h"
 #include "hadoop/hadoop_engine.h"
@@ -113,6 +115,47 @@ TEST(JobServerTest, InvalidSubmissionIsRejectedTyped) {
   ASSERT_FALSE(ticket.ok());
   EXPECT_TRUE(ticket.status().IsInvalidArgument())
       << ticket.status().ToString();
+}
+
+TEST(JobServerTest, BadKnobIsRejectedBeforeQueueing) {
+  auto fs = FsWithText();
+  JobServer server(
+      std::make_shared<M3REngine>(fs, M3REngineOptions{SmallCluster()}));
+  for (auto [key, value] : {std::pair{api::conf::kJobTimeoutSec, "soon"},
+                            std::pair{"m3r.shufle.flush.bytes", "0"}}) {
+    api::Submission bad = WordCount("/never");
+    bad.conf.Set(key, value);
+    auto ticket = server.Submit(std::move(bad));
+    ASSERT_FALSE(ticket.ok()) << key;
+    EXPECT_TRUE(ticket.status().IsInvalidArgument())
+        << ticket.status().ToString();
+    EXPECT_NE(ticket.status().ToString().find(key), std::string::npos)
+        << ticket.status().ToString();
+  }
+  EXPECT_TRUE(server.ActiveTickets().empty());
+  EXPECT_FALSE(fs->Exists("/never"));
+}
+
+TEST(JobServerTest, TenantCacheClampDoesNotLeakIntoTheNextTenant) {
+  auto fs = FsWithText();
+  auto m3r = std::make_shared<M3REngine>(fs, M3REngineOptions{SmallCluster()});
+  JobServer::Options options;
+  options.tenant_quotas["quoted"] = 0.5;
+  JobServer server(m3r, options);
+  auto run = [&](const std::string& tenant, const std::string& out) {
+    api::Submission sub = WordCount(out);
+    sub.tenant = tenant;
+    sub.conf.SetInt(api::conf::kMemoryBudgetMb, 64);
+    auto ticket = server.Submit(std::move(sub));
+    ASSERT_TRUE(ticket.ok()) << ticket.status().ToString();
+    api::JobResult result = ticket->Wait();
+    ASSERT_TRUE(result.ok()) << result.status.ToString();
+  };
+  run("quoted", "/quoted");
+  EXPECT_EQ(m3r->governor().ConsumerBudget("cache"), uint64_t{32} << 20);
+  // The quoted tenant has left; an unquoted tenant alone is unconstrained.
+  run("free", "/free");
+  EXPECT_EQ(m3r->governor().ConsumerBudget("cache"), uint64_t{64} << 20);
 }
 
 TEST(JobServerTest, ShutdownDrainsQueue) {

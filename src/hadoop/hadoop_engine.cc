@@ -6,6 +6,7 @@
 
 #include "api/distributed_cache.h"
 #include "api/knobs.h"
+#include "api/metrics.h"
 #include "api/output_format.h"
 #include "api/task_runner.h"
 #include "common/fault_injector.h"
@@ -19,6 +20,9 @@
 namespace m3r::hadoop {
 
 namespace {
+
+namespace metric = api::metric;
+namespace metrics = api::metrics;
 
 /// Serialized form of the configuration, written as the job file
 /// (job.xml) to the jobtracker's file system on submit.
@@ -107,20 +111,13 @@ api::JobResult HadoopEngine::Submit(const api::JobConf& submitted_conf) {
   // it belongs to this job — abort the commit protocol, remove the partial
   // output (no _SUCCESS can survive), and fire the FAILED notification so
   // job-end listeners hear about mid-run failures. Leaving the directory
-  // absent is what lets JobClient's job-level retry resubmit cleanly.
-  auto record_integrity = [&] {
-    if (integrity == nullptr || !integrity->enabled()) return;
-    result.metrics["integrity_detected"] =
-        integrity->counters->detected.load();
-    result.metrics["integrity_repaired"] =
-        integrity->counters->repaired.load();
-    result.metrics["integrity_bytes_checksummed"] =
-        integrity->counters->bytes_checksummed.load();
-  };
+  // absent is what lets JobClient's job-level retry resubmit cleanly. A
+  // failed job charges no simulated time, so it reports no breakdown.
   auto fail_job = [&](Status status) {
     committer.AbortJob(conf, *fs_);
     fs_->Delete(conf.OutputPath(), /*recursive=*/true);
-    record_integrity();
+    metrics::SetIntegrity(&result, integrity.get());
+    result.time_breakdown.clear();
     result.status = std::move(status);
     result.wall_seconds = wall.ElapsedSeconds();
     NotifyJobEnd(conf, result);
@@ -144,8 +141,8 @@ api::JobResult HadoopEngine::Submit(const api::JobConf& submitted_conf) {
     // Nodes localize in parallel; charge one replicated read fan-out.
     t += cost_.DfsRead(cache_bytes, /*local=*/false);
     api::DistributedCache::InstallIntoConf(*localized, &conf);
-    result.metrics["distributed_cache_bytes"] =
-        static_cast<int64_t>(cache_bytes) * spec.num_nodes;
+    metrics::Set(&result, metric::kDistributedCacheBytes,
+                 static_cast<int64_t>(cache_bytes) * spec.num_nodes);
   }
 
   auto input_format = api::MakeInputFormat(conf);
@@ -277,14 +274,14 @@ api::JobResult HadoopEngine::Submit(const api::JobConf& submitted_conf) {
     }
 
     const MapTaskResult& mr = attempts.back();
-    result.metrics["hdfs_read_bytes"] +=
-        static_cast<int64_t>(mr.input_bytes);
-    result.metrics["spill_write_bytes"] +=
-        static_cast<int64_t>(mr.spill_write_bytes);
-    result.metrics["map_merge_bytes"] += static_cast<int64_t>(mr.merge_bytes);
-    result.counters.Increment(api::counters::kFsGroup,
-                              api::counters::kHdfsBytesRead,
-                              static_cast<int64_t>(mr.input_bytes));
+    metrics::Add(&result, metric::kHdfsReadBytes,
+                 static_cast<int64_t>(mr.input_bytes));
+    metrics::Add(&result, metric::kSpillWriteBytes,
+                 static_cast<int64_t>(mr.spill_write_bytes));
+    metrics::Add(&result, metric::kMapMergeBytes,
+                 static_cast<int64_t>(mr.merge_bytes));
+    // FILE_BYTES_WRITTEN sums two metrics (spill and merge), so it is no
+    // row's mirror.
     result.counters.Increment(
         api::counters::kFsGroup, api::counters::kFileBytesWritten,
         static_cast<int64_t>(mr.spill_write_bytes + mr.merge_bytes));
@@ -313,8 +310,8 @@ api::JobResult HadoopEngine::Submit(const api::JobConf& submitted_conf) {
     }
   }
 
-  result.metrics["map_tasks"] = static_cast<int64_t>(splits.size());
-  result.metrics["data_local_maps"] = local_maps;
+  metrics::Set(&result, metric::kMapTasks, static_cast<int64_t>(splits.size()));
+  metrics::Set(&result, metric::kDataLocalMaps, local_maps);
   double map_done = t;
   for (double f : map_finishes) map_done = std::max(map_done, f);
   result.time_breakdown["map_phase"] = map_done - t;
@@ -429,15 +426,12 @@ api::JobResult HadoopEngine::Submit(const api::JobConf& submitted_conf) {
       }
 
       const ReduceTaskResult& rr = attempts.back();
-      result.metrics["shuffle_bytes"] +=
-          static_cast<int64_t>(rr.shuffle_bytes);
-      result.metrics["reduce_merge_bytes"] +=
-          static_cast<int64_t>(rr.merge_bytes);
-      result.metrics["hdfs_write_bytes"] +=
-          static_cast<int64_t>(rr.output_bytes);
-      result.counters.Increment(api::counters::kFsGroup,
-                                api::counters::kHdfsBytesWritten,
-                                static_cast<int64_t>(rr.output_bytes));
+      metrics::Add(&result, metric::kShuffleBytes,
+                   static_cast<int64_t>(rr.shuffle_bytes));
+      metrics::Add(&result, metric::kReduceMergeBytes,
+                   static_cast<int64_t>(rr.merge_bytes));
+      metrics::Add(&result, metric::kHdfsWriteBytes,
+                   static_cast<int64_t>(rr.output_bytes));
     }
 
     if (speculative && num_reduce > 1) {
@@ -463,34 +457,32 @@ api::JobResult HadoopEngine::Submit(const api::JobConf& submitted_conf) {
     phase_end = map_done;
     for (double f : reduce_finishes) phase_end = std::max(phase_end, f);
     result.time_breakdown["reduce_phase"] = phase_end - map_done;
-    result.metrics["reduce_tasks"] = num_reduce;
+    metrics::Set(&result, metric::kReduceTasks, num_reduce);
   } else {
     for (const std::vector<MapTaskResult>& attempts : map_attempts) {
       const MapTaskResult& mr = attempts.back();
-      result.metrics["hdfs_write_bytes"] +=
-          static_cast<int64_t>(mr.output_bytes);
-      result.counters.Increment(api::counters::kFsGroup,
-                                api::counters::kHdfsBytesWritten,
-                                static_cast<int64_t>(mr.output_bytes));
+      metrics::Add(&result, metric::kHdfsWriteBytes,
+                   static_cast<int64_t>(mr.output_bytes));
     }
   }
 
-  result.metrics["map_task_failures"] = map_task_failures;
-  result.metrics["reduce_task_failures"] = reduce_task_failures;
-  result.metrics["blacklisted_nodes"] =
-      static_cast<int64_t>(blacklisted.size());
+  metrics::Set(&result, metric::kMapTaskFailures, map_task_failures);
+  metrics::Set(&result, metric::kReduceTaskFailures, reduce_task_failures);
+  metrics::Set(&result, metric::kBlacklistedNodes,
+               static_cast<int64_t>(blacklisted.size()));
   if (speculative) {
-    result.metrics["speculative_map_tasks"] = speculative_maps;
-    result.metrics["speculative_reduce_tasks"] = speculative_reduces;
+    metrics::Set(&result, metric::kSpeculativeMapTasks, speculative_maps);
+    metrics::Set(&result, metric::kSpeculativeReduceTasks,
+                 speculative_reduces);
   }
   if (fault != nullptr) {
-    result.metrics["injected_faults"] = fault->InjectedCount();
+    metrics::Set(&result, metric::kInjectedFaults, fault->InjectedCount());
   }
   // Integrity layer: surface the tallies and charge the checksum CPU.
   // The work happened inside tasks spread across every slot, so the
   // makespan pays the amortized per-slot share.
   double integrity_s = 0;
-  record_integrity();
+  metrics::SetIntegrity(&result, integrity.get());
   if (integrity != nullptr && integrity->enabled()) {
     int64_t checked = integrity->counters->bytes_checksummed.load();
     integrity_s = cost_.Checksum(static_cast<uint64_t>(checked)) /

@@ -18,6 +18,7 @@
 #include "api/distributed_cache.h"
 #include "api/hash_combine.h"
 #include "api/knobs.h"
+#include "api/metrics.h"
 #include "api/multiple_io.h"
 #include "api/output_format.h"
 #include "api/task_runner.h"
@@ -38,6 +39,9 @@
 namespace m3r::engine {
 
 namespace {
+
+namespace metric = api::metric;
+namespace metrics = api::metrics;
 
 using api::JobConf;
 using api::WritablePtr;
@@ -455,13 +459,8 @@ class M3RNamedOutputSink : public api::NamedOutputSink {
 /// order of the knob row's values.
 enum class CheckpointPolicy { kOff, kTempOut, kAll };
 
-/// One value a job reports: a metric and, when `counter` is set, the
-/// M3R-group counter that mirrors it.
-struct Published {
-  const char* metric;
-  const char* counter;
-  int64_t value;
-};
+/// Metric values reported together, in catalogue rows.
+using MetricValues = std::vector<std::pair<metric::Id, int64_t>>;
 
 struct TaskPlan {
   api::InputSplitPtr split;
@@ -1149,9 +1148,7 @@ class M3REngine::JobRun {
         }
       }
     }
-    result_.metrics["reused_from_cache"] = 1;
-    result_.counters.Increment(api::counters::kM3rGroup,
-                               api::counters::kReusedFromCache, 1);
+    metrics::Set(&result_, metric::kReusedFromCache, 1);
     result_.time_breakdown["job_overhead"] = t0_;
     result_.sim_seconds = t0_;
     return true;
@@ -1189,9 +1186,10 @@ class M3REngine::JobRun {
       return false;
     }
     if (files == 0) return false;
-    result_.metrics["recovered_from_checkpoint"] = 1;
-    result_.metrics["recovered_files"] = files;
-    result_.metrics["recovered_bytes"] = static_cast<int64_t>(bytes);
+    metrics::Set(&result_, metric::kRecoveredFromCheckpoint, 1);
+    metrics::Set(&result_, metric::kRecoveredFiles, files);
+    metrics::Set(&result_, metric::kRecoveredBytes,
+                 static_cast<int64_t>(bytes));
     const double restore = e_.cost_.DfsRead(bytes, /*local=*/false);
     result_.time_breakdown["job_overhead"] = t0_;
     result_.time_breakdown["checkpoint_restore"] = restore;
@@ -1232,9 +1230,10 @@ class M3REngine::JobRun {
     }
     const int64_t cache_misses =
         static_cast<int64_t>(tasks_.size()) - cache_hits;
-    Publish({{"map_tasks", nullptr, static_cast<int64_t>(tasks_.size())},
-             {"cache_hit_splits", api::counters::kCacheHits, cache_hits},
-             {"cache_miss_splits", api::counters::kCacheMisses, cache_misses}});
+    metrics::Set(&result_, metric::kMapTasks,
+                 static_cast<int64_t>(tasks_.size()));
+    metrics::Set(&result_, metric::kCacheHitSplits, cache_hits);
+    metrics::Set(&result_, metric::kCacheMissSplits, cache_misses);
     // Mirror the split-level outcome into the cache manager so its counters
     // (the policy-comparison view) agree with the job counters.
     for (int64_t i = 0; i < cache_hits; ++i) e_.cache_manager_->RecordHit();
@@ -1254,7 +1253,7 @@ class M3REngine::JobRun {
       int hw = static_cast<int>(std::thread::hardware_concurrency());
       workers_ = std::max(1, hw / std::max(num_places_, 1));
     }
-    result_.metrics["place_workers"] = workers_;
+    metrics::Set(&result_, metric::kPlaceWorkers, workers_);
     SetUpShuffle();
     return Status::OK();
   }
@@ -1666,10 +1665,7 @@ class M3REngine::JobRun {
       PlaceOnSurvivor(i, alive);
     }
 
-    recovered_map_tasks_ += replayed_round;
-    result_.counters.Increment(api::counters::kM3rGroup,
-                               api::counters::kRecoveredMapTasks,
-                               replayed_round);
+    metrics::Add(&result_, metric::kRecoveredMapTasks, replayed_round);
     // This crash is handled; clear the verdict so a later crash (next round,
     // or mid-reduce) is judged on its own.
     {
@@ -1729,8 +1725,8 @@ class M3REngine::JobRun {
   }
 
   void ChargeMapPhase() {
-    result_.metrics["hdfs_read_bytes"] = 0;
-    result_.metrics["hdfs_write_bytes"] = 0;
+    metrics::Add(&result_, metric::kHdfsReadBytes, 0);
+    metrics::Add(&result_, metric::kHdfsWriteBytes, 0);
     sim::SlotTimeline map_tl(spec_, t0_);
     int64_t replayed_tasks = 0;
     for (const TaskPlan& t : tasks_) {
@@ -1740,11 +1736,8 @@ class M3REngine::JobRun {
         map_tl.ScheduleOnNode(t.place, t0_, MapTaskSeconds(t));
       }
       if (!t.cache_hit) {
-        result_.metrics["hdfs_read_bytes"] +=
-            static_cast<int64_t>(t.input_bytes);
-        result_.counters.Increment(api::counters::kFsGroup,
-                                   api::counters::kHdfsBytesRead,
-                                   static_cast<int64_t>(t.input_bytes));
+        metrics::Add(&result_, metric::kHdfsReadBytes,
+                     static_cast<int64_t>(t.input_bytes));
       }
     }
     const double map_end = tasks_.empty() ? t0_ : map_tl.Makespan();
@@ -1767,16 +1760,14 @@ class M3REngine::JobRun {
       const int64_t ms =
           static_cast<int64_t>(std::llround(recovery_span * 1000.0));
       result_.time_breakdown["recovery"] = recovery_span;
-      result_.metrics["recovery_millis"] = ms;
-      result_.counters.Increment(api::counters::kM3rGroup,
-                                 api::counters::kRecoveryMillis, ms);
+      metrics::Set(&result_, metric::kRecoveryMillis, ms);
     }
     phase_end_ = map_end + recovery_span;
     if (num_reduce_ == 0) {
       total_ = phase_end_ + spec_.m3r_barrier_s;
       for (const TaskPlan& t : tasks_) {
-        result_.metrics["hdfs_write_bytes"] +=
-            static_cast<int64_t>(t.output_bytes);
+        metrics::Add(&result_, metric::kHdfsWriteBytes,
+                     static_cast<int64_t>(t.output_bytes));
       }
     }
   }
@@ -1842,33 +1833,31 @@ class M3REngine::JobRun {
     }
 
     const ShuffleExchange::Stats s = shuffle_->ComputeStats();
-    namespace c = api::counters;
-    auto n = [](uint64_t v) { return static_cast<int64_t>(v); };
-    Publish({
-        {"shuffle_local_pairs", c::kLocalShufflePairs, n(s.local_pairs)},
-        {"shuffle_remote_pairs", c::kRemoteShufflePairs, n(s.remote_pairs)},
-        {"shuffle_wire_bytes", nullptr, n(s.total_wire_bytes)},
-        {"dedup_objects", c::kDedupedObjects, n(s.deduped_objects)},
-        {"dedup_saved_bytes", c::kDedupSavedBytes, n(s.dedup_saved_bytes)},
-        {"aliased_pairs", c::kAliasedPairs, n(s.aliased_pairs)},
-        // Combine-path clones are already on the counter; fold both sources.
-        {"cloned_pairs", c::kClonedPairs,
-         n(s.cloned_pairs) +
-             result_.counters.Get(c::kM3rGroup, c::kClonedPairs)},
-        {"shuffle_runs_shipped", c::kShuffleRunsShipped, n(s.runs_shipped)},
-        {"shuffle_runs_compacted", nullptr, n(s.runs_compacted)},
-        {"shuffle_overflow_spills", c::kShuffleOverflowSpills,
-         n(s.overflow_spills)},
-        {"shuffle_pool_peak_bytes", nullptr, n(s.peak_resident_run_bytes)},
-        {"shuffle_max_partition_run_bytes", nullptr,
-         n(s.max_partition_run_bytes)},
-    });
+    auto set = [this](metric::Id id, uint64_t value) {
+      metrics::Set(&result_, id, static_cast<int64_t>(value));
+    };
+    set(metric::kShuffleLocalPairs, s.local_pairs);
+    set(metric::kShuffleRemotePairs, s.remote_pairs);
+    set(metric::kShuffleWireBytes, s.total_wire_bytes);
+    set(metric::kDedupObjects, s.deduped_objects);
+    set(metric::kDedupSavedBytes, s.dedup_saved_bytes);
+    set(metric::kAliasedPairs, s.aliased_pairs);
+    // Combine-path clones are already on the counter; fold both sources.
+    set(metric::kClonedPairs,
+        s.cloned_pairs + static_cast<uint64_t>(result_.counters.Get(
+                             api::counters::kM3rGroup,
+                             api::counters::kClonedPairs)));
+    set(metric::kShuffleRunsShipped, s.runs_shipped);
+    set(metric::kShuffleRunsCompacted, s.runs_compacted);
+    set(metric::kShuffleOverflowSpills, s.overflow_spills);
+    set(metric::kShufflePoolPeakBytes, s.peak_resident_run_bytes);
+    set(metric::kShuffleMaxPartitionRunBytes, s.max_partition_run_bytes);
     result_.time_breakdown["shuffle"] = shuffle_span + spec_.m3r_barrier_s;
     reduce_start_ = phase_end_ + spec_.m3r_barrier_s + shuffle_span;
     // First reducer starts the moment the barrier drain lands — the
     // pipeline's headline latency win.
-    result_.metrics["time_to_first_reduce_ms"] =
-        static_cast<int64_t>(std::llround(reduce_start_ * 1000.0));
+    metrics::Set(&result_, metric::kTimeToFirstReduceMs,
+                 static_cast<int64_t>(std::llround(reduce_start_ * 1000.0)));
     return Status::OK();
   }
 
@@ -1911,15 +1900,12 @@ class M3REngine::JobRun {
       double d = rr.cpu_seconds * spec_.data_scale;
       if (!temporary_) d += e_.cost_.DfsWrite(rr.output_bytes);
       red_tl.ScheduleOnNode(shuffle_->PlaceOfPartition(p), reduce_start_, d);
-      result_.metrics["hdfs_write_bytes"] +=
-          static_cast<int64_t>(rr.output_bytes);
-      result_.counters.Increment(api::counters::kFsGroup,
-                                 api::counters::kHdfsBytesWritten,
-                                 static_cast<int64_t>(rr.output_bytes));
+      metrics::Add(&result_, metric::kHdfsWriteBytes,
+                   static_cast<int64_t>(rr.output_bytes));
     }
     const double reduce_end = red_tl.Makespan();
     result_.time_breakdown["reduce_phase"] = reduce_end - reduce_start_;
-    result_.metrics["reduce_tasks"] = num_reduce_;
+    metrics::Set(&result_, metric::kReduceTasks, num_reduce_);
     total_ = reduce_end + spec_.m3r_barrier_s;
     // Sort kernel CPU, amortized per slot (same treatment as the integrity
     // charge).
@@ -2140,28 +2126,26 @@ class M3REngine::JobRun {
       if (result_.sim_seconds == 0) result_.time_breakdown.clear();
     }
     if (fault_ != nullptr) {
-      result_.metrics["injected_faults"] = fault_->InjectedCount();
+      metrics::Set(&result_, metric::kInjectedFaults, fault_->InjectedCount());
     }
     // Runs post-join (no concurrent strand mutates the tallies), so no lock
-    // is needed.
+    // is needed. The crash tallies were summed at each quiesce point; a zero
+    // Add reports the ones that stayed 0.
     if (place_crashes_ > 0) {
-      result_.metrics["place_crashes"] = place_crashes_;
-      result_.metrics["cache_evicted_by_crash_blocks"] = crash_evicted_blocks_;
-      result_.metrics["recovered_map_tasks"] = recovered_map_tasks_;
-      result_.metrics["membership_epoch"] =
-          static_cast<int64_t>(membership_.epoch());
-      result_.metrics["partition_map_version"] =
-          static_cast<int64_t>(pmap_version_);
+      for (metric::Id id : {metric::kPlaceCrashes,
+                            metric::kCacheEvictedByCrashBlocks,
+                            metric::kRecoveredMapTasks}) {
+        metrics::Add(&result_, id, 0);
+      }
+      metrics::Set(&result_, metric::kMembershipEpoch,
+                   static_cast<int64_t>(membership_.epoch()));
+      metrics::Set(&result_, metric::kPartitionMapVersion,
+                   static_cast<int64_t>(pmap_version_));
     }
-    if (integrity_ != nullptr && integrity_->enabled()) {
-      result_.metrics["integrity_detected"] =
-          integrity_->counters->detected.load();
-      result_.metrics["integrity_repaired"] =
-          integrity_->counters->repaired.load();
-      result_.metrics["integrity_bytes_checksummed"] =
-          integrity_->counters->bytes_checksummed.load();
+    metrics::SetIntegrity(&result_, integrity_.get());
+    for (const auto& [id, value] : MemgovValues()) {
+      metrics::Set(&result_, id, value);
     }
-    Publish(MemgovValues());
     result_.status = std::move(status);
     result_.wall_seconds = wall_.ElapsedSeconds();
     if (result_.ok()) e_.ReportProgress(1.0, &result_.counters);
@@ -2271,83 +2255,62 @@ class M3REngine::JobRun {
                : (partition + salt_) % num_places_;
   }
 
-  std::vector<Published> MemgovValues() const {
-    namespace c = api::counters;
+  MetricValues MemgovValues() const {
     const memgov::CacheManager& mgr = *e_.cache_manager_;
     const memgov::CacheManager::Counters now = mgr.counters();
     auto since = [](auto now_value, auto base) {
       return static_cast<int64_t>(now_value - base);
     };
-    std::vector<Published> values = {
-        {"cache_bytes_resident", c::kCacheBytesResident,
+    MetricValues values = {
+        {metric::kCacheBytesResident,
          static_cast<int64_t>(mgr.ResidentBytes())},
-        {"cache_evictions", c::kCacheEvictions,
-         since(now.evictions, mg0_.evictions)},
-        {"cache_evicted_bytes", c::kCacheEvictedBytes,
+        {metric::kCacheEvictions, since(now.evictions, mg0_.evictions)},
+        {metric::kCacheEvictedBytes,
          since(now.evicted_bytes, mg0_.evicted_bytes)},
-        {"cache_spilled_evictions", nullptr,
+        {metric::kCacheSpilledEvictions,
          since(now.spilled_evictions, mg0_.spilled_evictions)},
-        {"cache_rejected_fills", c::kCacheRejectedFills,
+        {metric::kCacheRejectedFills,
          since(now.rejected_fills, mg0_.rejected_fills)},
-        {"cache_forced_fills", nullptr,
-         since(now.forced_fills, mg0_.forced_fills)},
-        {"cache_aborted_evictions", c::kCacheAbortedEvictions,
+        {metric::kCacheForcedFills, since(now.forced_fills, mg0_.forced_fills)},
+        {metric::kCacheAbortedEvictions,
          since(now.aborted_evictions, mg0_.aborted_evictions)},
         // Protocol-health gauges, not deltas: current leases (readers + open
         // fills) and evictions claimed but not yet published.
-        {"cache_leases_active", c::kCacheLeasesActive,
-         static_cast<int64_t>(mgr.LeasesActive())},
-        {"cache_evictor_inflight", c::kCacheEvictorInflight,
+        {metric::kCacheLeasesActive, static_cast<int64_t>(mgr.LeasesActive())},
+        {metric::kCacheEvictorInflight,
          static_cast<int64_t>(mgr.EvictorInflight())},
     };
     if (e_.governor_.governed()) {
-      values.push_back({"memory_budget_bytes", nullptr,
+      values.push_back({metric::kMemoryBudgetBytes,
                         static_cast<int64_t>(e_.governor_.budget())});
-      values.push_back({"memory_peak_bytes", nullptr,
+      values.push_back({metric::kMemoryPeakBytes,
                         static_cast<int64_t>(e_.governor_.PeakUsage())});
     }
     if (l2_on_) {
       const l2cache::L2Counters l2 = e_.tiered_->l2_counters();
       values.insert(
           values.end(),
-          {{"l2_hits", c::kL2Hits, since(l2.hits, l20_.hits)},
-           {"l2_misses", c::kL2Misses, since(l2.misses, l20_.misses)},
-           {"l2_demotions", c::kL2Demotions,
-            since(l2.demotions, l20_.demotions)},
-           {"l2_remote_bytes", c::kL2RemoteBytes,
+          {{metric::kL2Hits, since(l2.hits, l20_.hits)},
+           {metric::kL2Misses, since(l2.misses, l20_.misses)},
+           {metric::kL2Demotions, since(l2.demotions, l20_.demotions)},
+           {metric::kL2RemoteBytes,
             since(l2.remote_bytes, l20_.remote_bytes)},
-           {"l2_ring_heals", c::kL2RingHeals,
-            since(l2.ring_heals, l20_.ring_heals)},
-           {"l2_overflow_fills", nullptr,
+           {metric::kL2RingHeals, since(l2.ring_heals, l20_.ring_heals)},
+           {metric::kL2OverflowFills,
             since(l2.overflow_fills, l20_.overflow_fills)},
-           {"l2_bytes_resident", nullptr,
+           {metric::kL2BytesResident,
             static_cast<int64_t>(e_.tiered_->L2ResidentBytes())}});
     }
     return values;
   }
 
-  /// Moves an M3R-group counter to `value`. Caller holds publish_mu_.
-  void SetCounter(const char* name, int64_t value) {
-    result_.counters.Increment(
-        api::counters::kM3rGroup, name,
-        value - result_.counters.Get(api::counters::kM3rGroup, name));
-  }
-
-  /// Mid-job: brings the live counters up to date (task strands call this
-  /// concurrently); the metrics are written once, by Finish.
+  /// Mid-job: moves the live counter mirrors up to date (task strands call
+  /// this concurrently); Finish writes the metrics.
   void SyncMemgov() {
-    const std::vector<Published> values = MemgovValues();
+    const MetricValues values = MemgovValues();
     std::lock_guard<std::mutex> lock(publish_mu_);
-    for (const Published& v : values) {
-      if (v.counter != nullptr) SetCounter(v.counter, v.value);
-    }
-  }
-
-  void Publish(const std::vector<Published>& values) {
-    std::lock_guard<std::mutex> lock(publish_mu_);
-    for (const Published& v : values) {
-      result_.metrics[v.metric] = v.value;
-      if (v.counter != nullptr) SetCounter(v.counter, v.value);
+    for (const auto& [id, value] : values) {
+      metrics::SetMirror(&result_.counters, id, value);
     }
   }
 
@@ -2411,13 +2374,9 @@ class M3REngine::JobRun {
     // hand their hash ranges to the survivors and drop the lost entries; the
     // data heals lazily from DFS/checkpoint on first touch.
     e_.tiered_->RingHeal(newly_dead);
-    crash_evicted_blocks_ += evicted;
-    result_.counters.Increment(api::counters::kM3rGroup,
-                               api::counters::kPlaceCrashes,
-                               static_cast<int64_t>(newly_dead.size()));
-    result_.counters.Increment(api::counters::kM3rGroup,
-                               api::counters::kCacheEvictedByCrashBlocks,
-                               evicted);
+    metrics::Add(&result_, metric::kPlaceCrashes,
+                 static_cast<int64_t>(newly_dead.size()));
+    metrics::Add(&result_, metric::kCacheEvictedByCrashBlocks, evicted);
     return newly_dead;
   }
 
@@ -2474,8 +2433,6 @@ class M3REngine::JobRun {
   std::mutex crash_mu_;
   Status crash_status_;  // first *unrecovered* crash; cleared per recovery
   int64_t place_crashes_ = 0;
-  int64_t crash_evicted_blocks_ = 0;
-  int64_t recovered_map_tasks_ = 0;
   uint64_t pmap_version_ = 1;
 
   // Set by Plan. The run comparator and the spill sink are declared before

@@ -8,6 +8,7 @@
 #include <utility>
 
 #include "api/knobs.h"
+#include "api/metrics.h"
 #include "common/fairshare.h"
 #include "common/logging.h"
 #include "m3r/m3r_engine.h"
@@ -397,7 +398,7 @@ struct JobServer::Core : std::enable_shared_from_this<JobServer::Core> {
             "job '" + r.state->job_name + "' killed by watchdog: " +
             r.watchdog_reason);
         q.watchdog_kills++;
-        result.metrics["sched_watchdog_kills"] = 1;
+        api::metrics::Set(&result, api::metric::kSchedWatchdogKills, 1);
       }
       api::TicketPhase phase;
       if (result.ok()) {
@@ -417,10 +418,12 @@ struct JobServer::Core : std::enable_shared_from_this<JobServer::Core> {
         std::lock_guard<std::mutex> ticket_lock(r.state->mu);
         wait_seconds =
             SecondsBetween(r.state->admitted_at, r.state->dispatched_at);
-        result.metrics["sched_wait_ms"] =
-            static_cast<int64_t>(1000 * wait_seconds);
-        result.metrics["sched_attempts"] = r.state->attempts;
-        result.metrics["sched_preemptions"] = r.state->preemptions;
+        api::metrics::Set(&result, api::metric::kSchedWaitMs,
+                          static_cast<int64_t>(1000 * wait_seconds));
+        api::metrics::Set(&result, api::metric::kSchedAttempts,
+                          r.state->attempts);
+        api::metrics::Set(&result, api::metric::kSchedPreemptions,
+                          r.state->preemptions);
       }
       q.total_wait_seconds += wait_seconds;
       TenantReleaseLocked(r.submission.tenant);

@@ -17,20 +17,6 @@ bool InSubtree(const std::string& path, const std::string& root) {
 
 thread_local int CacheManager::evictor_depth_ = 0;
 
-Status ParseEvictionPolicy(const std::string& name, EvictionPolicy* out) {
-  if (name.empty() || name == "lru") {
-    *out = EvictionPolicy::kLru;
-  } else if (name == "lfu") {
-    *out = EvictionPolicy::kLfu;
-  } else if (name == "cost") {
-    *out = EvictionPolicy::kCost;
-  } else {
-    return Status::InvalidArgument("unknown m3r.cache.policy: " + name +
-                                   " (expected lru|lfu|cost)");
-  }
-  return Status::OK();
-}
-
 const char* EvictionPolicyName(EvictionPolicy policy) {
   switch (policy) {
     case EvictionPolicy::kLru:

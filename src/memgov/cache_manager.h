@@ -26,7 +26,6 @@ enum class EvictionPolicy {
   kCost,
 };
 
-Status ParseEvictionPolicy(const std::string& name, EvictionPolicy* out);
 const char* EvictionPolicyName(EvictionPolicy policy);
 
 /// Fronts the M3R cache with budgeted admission, pluggable eviction,

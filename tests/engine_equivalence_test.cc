@@ -94,6 +94,33 @@ TEST(EngineEquivalence, WordCountSameOutputOnBothEngines) {
             mr.counters.Get(kTaskGroup, kReduceOutputRecords));
 }
 
+TEST(EngineEquivalence, MapOnlyJobReportsTheSameFileSystemCounters) {
+  // A job sees the same system counters on either engine (paper §5.3): a
+  // map-only job reads and writes the same DFS bytes on both.
+  auto hadoop_fs = dfs::MakeSimDfs(4, 16 * 1024);
+  auto m3r_fs = dfs::MakeSimDfs(4, 16 * 1024);
+  ASSERT_TRUE(workloads::GenerateText(*hadoop_fs, "/in", 64 * 1024, 4, 11)
+                  .ok());
+  ASSERT_TRUE(workloads::GenerateText(*m3r_fs, "/in", 64 * 1024, 4, 11).ok());
+  hadoop::HadoopEngine hadoop(hadoop_fs, {TestCluster(), 0});
+  engine::M3REngine m3r(m3r_fs, {TestCluster()});
+
+  api::JobConf job = workloads::MakeWordCountJob("/in", "/out", 0,
+                                                 /*immutable_output=*/true);
+  api::JobResult hr = hadoop.Submit(job);
+  ASSERT_TRUE(hr.ok()) << hr.status.ToString();
+  api::JobResult mr = m3r.Submit(job);
+  ASSERT_TRUE(mr.ok()) << mr.status.ToString();
+
+  using api::counters::kFsGroup;
+  for (const char* name :
+       {api::counters::kHdfsBytesRead, api::counters::kHdfsBytesWritten}) {
+    EXPECT_GT(hr.counters.Get(kFsGroup, name), 0) << name;
+    EXPECT_EQ(hr.counters.Get(kFsGroup, name), mr.counters.Get(kFsGroup, name))
+        << name;
+  }
+}
+
 TEST(EngineEquivalence, MidMapCrashRecoveryMatchesHadoopOutput) {
   auto hadoop_fs = dfs::MakeSimDfs(4, 16 * 1024);
   auto m3r_fs = dfs::MakeSimDfs(4, 16 * 1024);

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "api/sequence_file.h"
 #include "dfs/local_fs.h"
+#include "exit_paths.h"
 #include "hadoop/hadoop_engine.h"
 #include "hadoop/merge.h"
 #include "hadoop/spill.h"
@@ -197,6 +200,20 @@ TEST(HadoopEngineTest, EveryJobPaysStartupAgain) {
   EXPECT_NEAR(r1.sim_seconds, r2.sim_seconds, r1.sim_seconds * 0.25);
   EXPECT_EQ(r1.metrics.at("hdfs_read_bytes"),
             r2.metrics.at("hdfs_read_bytes"));
+}
+
+/// DESIGN.md §6: the per-phase breakdown sums to sim_seconds on every exit,
+/// and a failure, which charges no simulated time, reports none.
+TEST(HadoopEngineTest, TimeBreakdownSumsToSimSecondsOnEveryExit) {
+  for (const exit_paths::HadoopExitCase& c : exit_paths::kHadoopExitCases) {
+    api::JobResult r = exit_paths::RunHadoopExit(c.exit);
+    ASSERT_EQ(r.ok(), c.ok) << c.name << ": " << r.status.ToString();
+    double sum = 0;
+    for (const auto& [phase, seconds] : r.time_breakdown) sum += seconds;
+    EXPECT_LE(std::fabs(sum - r.sim_seconds), 1e-9)
+        << c.name << ": breakdown " << sum << " vs sim " << r.sim_seconds;
+    EXPECT_EQ(r.sim_seconds > 0, c.ok) << c.name;
+  }
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include "api/sequence_file.h"
 #include "common/logging.h"
 #include "dfs/local_fs.h"
+#include "exit_paths.h"
 #include "hadoop/hadoop_engine.h"
 #include "m3r/m3r_engine.h"
 #include "m3r/repartition.h"
@@ -403,74 +404,8 @@ TEST(M3REngineTest, CacheShareIsSetOnEveryJob) {
   EXPECT_EQ(m3r.governor().ConsumerBudget("cache"), uint64_t{64} << 20);
 }
 
-/// Every way a submission can end, on one small WordCount input with the
-/// governor off and one worker strand per place (so wire bytes and crash
-/// timing are deterministic).
-enum class Exit {
-  kReduce,
-  kMapOnlyDfs,
-  kMapOnlyTemp,
-  kReuseHit,
-  kCheckpointRestore,
-  kRecoveredCrash,
-  kUnrecoveredCrash,
-  kReduceFault,
-};
-
-api::JobResult RunExit(Exit exit) {
-  auto fs = dfs::MakeSimDfs(4, 8 * 1024);
-  M3R_CHECK_OK(workloads::GenerateText(*fs, "/in", 64 * 1024, 4, 11));
-  auto job = [](const std::string& out, int reducers,
-                bool immutable = true) {
-    api::JobConf j =
-        workloads::MakeWordCountJob("/in", out, reducers, immutable);
-    j.SetInt(api::conf::kPlaceWorkers, 1);
-    return j;
-  };
-  M3REngine m3r(fs, DefaultOptions());
-  switch (exit) {
-    case Exit::kReduce:
-      return m3r.Submit(job("/out", 2, /*immutable=*/false));
-    case Exit::kMapOnlyDfs:
-      return m3r.Submit(job("/out", 0));
-    case Exit::kMapOnlyTemp:
-      return m3r.Submit(job("/temp-out", 0));
-    case Exit::kReuseHit: {
-      api::JobConf j = job("/temp-r1", 2);
-      j.Set(api::conf::kCacheReuse, "exact");
-      M3R_CHECK_OK(m3r.Submit(j).status);
-      j.SetOutputPath("/temp-r2");
-      return m3r.Submit(j);
-    }
-    case Exit::kCheckpointRestore: {
-      api::JobConf j = job("/temp-c", 2);
-      j.Set(api::conf::kCacheCheckpoint, "tempout");
-      {
-        M3REngine first(fs, DefaultOptions());
-        M3R_CHECK_OK(first.Submit(j).status);
-        first.WaitForCheckpoints();
-      }
-      return m3r.Submit(j);
-    }
-    case Exit::kRecoveredCrash: {
-      api::JobConf j = job("/out", 2);
-      j.Set(api::conf::kPlaceCrashAt, "1:1");
-      return m3r.Submit(j);
-    }
-    case Exit::kUnrecoveredCrash: {
-      api::JobConf j = job("/out", 2);
-      j.Set(api::conf::kPlaceCrashAt, "1:1");
-      j.SetInt(api::conf::kPlaceRecoveryMaxCrashes, 0);
-      return m3r.Submit(j);
-    }
-    case Exit::kReduceFault: {
-      api::JobConf j = job("/out", 2);
-      j.Set("m3r.fault.m3r.reduce.prob", "1");
-      return m3r.Submit(j);
-    }
-  }
-  return {};
-}
+using exit_paths::Exit;
+using exit_paths::RunExit;
 
 /// The exit's status code, its metric and counter keys, and the values of
 /// the metrics that depend only on the input and the conf.
@@ -554,6 +489,7 @@ const ExitCase kExitCases[] = {
       "cache_miss_splits cache_rejected_fills cache_spilled_evictions "
       "hdfs_read_bytes hdfs_write_bytes map_tasks place_workers\n"
       "counters: FileSystemCounters/HDFS_BYTES_READ "
+      "FileSystemCounters/HDFS_BYTES_WRITTEN "
       "M3R/CACHE_ABORTED_EVICTIONS M3R/CACHE_BYTES_RESIDENT "
       "M3R/CACHE_EVICTED_BYTES M3R/CACHE_EVICTIONS "
       "M3R/CACHE_EVICTOR_INFLIGHT M3R/CACHE_HIT_SPLITS "

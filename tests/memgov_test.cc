@@ -59,14 +59,6 @@ TEST(MemoryGovernor, BudgetSharesAndUsage) {
 }
 
 TEST(EvictionPolicyNames, ParseAndPrint) {
-  EvictionPolicy p;
-  ASSERT_TRUE(ParseEvictionPolicy("lru", &p).ok());
-  EXPECT_EQ(p, EvictionPolicy::kLru);
-  ASSERT_TRUE(ParseEvictionPolicy("lfu", &p).ok());
-  EXPECT_EQ(p, EvictionPolicy::kLfu);
-  ASSERT_TRUE(ParseEvictionPolicy("cost", &p).ok());
-  EXPECT_EQ(p, EvictionPolicy::kCost);
-  EXPECT_FALSE(ParseEvictionPolicy("mru", &p).ok());
   EXPECT_STREQ(EvictionPolicyName(EvictionPolicy::kCost), "cost");
 }
 

@@ -124,7 +124,7 @@ inline constexpr char kCacheEvictedByCrashBlocks[] =
 inline constexpr char kRecoveredMapTasks[] = "RECOVERED_MAP_TASKS";
 /// Simulated recovery span (replayed tasks + checkpoint heal reads) in
 /// milliseconds — the makespan cost of surviving the crash, also charged
-/// to time_breakdown["recovery"].
+/// to the `recovery` phase.
 inline constexpr char kRecoveryMillis[] = "RECOVERY_MILLIS";
 
 // Serving front end (m3r::engine::JobServer): live per-queue gauges

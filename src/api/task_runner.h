@@ -72,7 +72,7 @@ struct SortOptions {
 };
 
 /// Measured CPU cost of one SortPairs call, for simulated-time attribution
-/// (time_breakdown["sort"]). `caller_cpu_seconds` is the portion spent on
+/// (the `sort` phase). `caller_cpu_seconds` is the portion spent on
 /// the calling thread — already visible to any CpuStopwatch the caller has
 /// running — while work stolen by pool threads only shows up here.
 struct SortStats {

@@ -16,37 +16,19 @@ const char* IntegrityModeName(IntegrityMode mode) {
   return "off";
 }
 
-Result<IntegrityMode> ParseIntegrityMode(const std::string& value) {
-  if (value.empty() || value == "off") return IntegrityMode::kOff;
-  if (value == "detect") return IntegrityMode::kDetect;
-  if (value == "repair") return IntegrityMode::kRepair;
-  return Status::InvalidArgument("bad m3r.integrity.mode: " + value +
-                                 " (want off|detect|repair)");
-}
-
-Result<std::shared_ptr<IntegrityContext>> IntegrityContext::FromConf(
-    const std::map<std::string, std::string>& raw,
-    std::shared_ptr<FaultInjector> fault) {
-  IntegrityMode mode = IntegrityMode::kOff;
-  auto it = raw.find("m3r.integrity.mode");
-  if (it != raw.end()) {
-    auto parsed = ParseIntegrityMode(it->second);
-    if (!parsed.ok()) return parsed.status();
-    mode = parsed.take();
-  }
+std::shared_ptr<IntegrityContext> IntegrityContext::ForJob(
+    IntegrityMode mode, std::shared_ptr<FaultInjector> fault) {
   // A context is also needed with the mode off when corrupt.* sites are
   // armed: the bit flips must still be applied (and escape) so that
   // mode=off honestly reproduces the unprotected behavior.
   bool corrupt_armed = false;
-  for (const auto& [key, value] : raw) {
-    if (key.rfind("m3r.fault.corrupt.", 0) == 0) {
-      corrupt_armed = true;
-      break;
+  if (fault != nullptr) {
+    for (const char* site : {kCorruptDfsBlock, kCorruptChannelFrame,
+                             kCorruptCacheBlock, kCorruptSpill}) {
+      corrupt_armed = corrupt_armed || fault->SiteArmed(site);
     }
   }
-  if (mode == IntegrityMode::kOff && !corrupt_armed) {
-    return std::shared_ptr<IntegrityContext>();
-  }
+  if (mode == IntegrityMode::kOff && !corrupt_armed) return nullptr;
   auto ctx = std::make_shared<IntegrityContext>();
   ctx->mode = mode;
   ctx->fault = std::move(fault);

@@ -3,7 +3,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <string>
 
@@ -24,7 +23,6 @@ namespace m3r {
 enum class IntegrityMode { kOff, kDetect, kRepair };
 
 const char* IntegrityModeName(IntegrityMode mode);
-Result<IntegrityMode> ParseIntegrityMode(const std::string& value);
 
 /// Per-job tallies of integrity work. `bytes_checksummed` feeds the sim
 /// cost model (checksumming is CPU the real system would burn); detected /
@@ -49,13 +47,11 @@ struct IntegrityContext {
   bool enabled() const { return mode != IntegrityMode::kOff; }
   bool repair() const { return mode == IntegrityMode::kRepair; }
 
-  /// Builds a context from a JobConf raw() view ("m3r.integrity.mode"),
-  /// sharing the job's fault injector. Returns null when the mode is off
-  /// and no corrupt.* site is armed, so the common case stays free.
-  /// An unparseable mode is reported via the Result.
-  static Result<std::shared_ptr<IntegrityContext>> FromConf(
-      const std::map<std::string, std::string>& raw,
-      std::shared_ptr<FaultInjector> fault);
+  /// The job's context for `mode` (the `m3r.integrity.mode` knob), sharing
+  /// the job's fault injector. Null when the mode is off and `fault` arms
+  /// no corrupt.* site, so the common case stays free.
+  static std::shared_ptr<IntegrityContext> ForJob(
+      IntegrityMode mode, std::shared_ptr<FaultInjector> fault);
 };
 
 /// Producer-side stamp: Crc32c of `payload`, with the bytes charged to

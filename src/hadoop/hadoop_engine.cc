@@ -8,6 +8,7 @@
 #include "api/knobs.h"
 #include "api/metrics.h"
 #include "api/output_format.h"
+#include "api/phases.h"
 #include "api/task_runner.h"
 #include "common/fault_injector.h"
 #include "common/integrity.h"
@@ -23,6 +24,7 @@ namespace {
 
 namespace metric = api::metric;
 namespace metrics = api::metrics;
+namespace phase = api::phase;
 
 /// Serialized form of the configuration, written as the job file
 /// (job.xml) to the jobtracker's file system on submit.
@@ -62,6 +64,7 @@ api::JobResult HadoopEngine::Submit(const api::JobConf& submitted_conf) {
   Stopwatch wall;
   const sim::ClusterSpec& spec = options_.cluster;
   api::JobResult result;
+  api::phases::Clock clock;
   int job_id = job_counter_++;
 
   const int num_reduce = conf.NumReduceTasks();
@@ -85,9 +88,10 @@ api::JobResult HadoopEngine::Submit(const api::JobConf& submitted_conf) {
   // End-to-end integrity context (m3r.integrity.mode): installed on the
   // file system (block checksums) and handed to tasks (spill/fetch
   // checksums) for the duration of the submission, like the injector.
-  auto integrity_or = IntegrityContext::FromConf(conf.raw(), fault);
-  if (!integrity_or.ok()) return Fail(integrity_or.status());
-  std::shared_ptr<IntegrityContext> integrity = integrity_or.take();
+  std::shared_ptr<IntegrityContext> integrity = IntegrityContext::ForJob(
+      static_cast<IntegrityMode>(
+          api::knobs::Choice(conf, api::conf::kIntegrityMode)),
+      fault);
   struct FaultGuard {
     dfs::FileSystem* fs;
     ~FaultGuard() {
@@ -112,12 +116,11 @@ api::JobResult HadoopEngine::Submit(const api::JobConf& submitted_conf) {
   // output (no _SUCCESS can survive), and fire the FAILED notification so
   // job-end listeners hear about mid-run failures. Leaving the directory
   // absent is what lets JobClient's job-level retry resubmit cleanly. A
-  // failed job charges no simulated time, so it reports no breakdown.
+  // failed job does not publish its clock: it reports no simulated time.
   auto fail_job = [&](Status status) {
     committer.AbortJob(conf, *fs_);
     fs_->Delete(conf.OutputPath(), /*recursive=*/true);
     metrics::SetIntegrity(&result, integrity.get());
-    result.time_breakdown.clear();
     result.status = std::move(status);
     result.wall_seconds = wall.ElapsedSeconds();
     NotifyJobEnd(conf, result);
@@ -129,7 +132,8 @@ api::JobResult HadoopEngine::Submit(const api::JobConf& submitted_conf) {
   st = fs_->WriteFile(job_dir + "/job.xml", job_xml);
   if (!st.ok()) return fail_job(std::move(st));
 
-  double t = spec.job_submit_overhead_s + cost_.DfsWrite(job_xml.size());
+  clock.Charge(phase::kSubmit,
+               spec.job_submit_overhead_s + cost_.DfsWrite(job_xml.size()));
 
   // Distributed cache localization: every node pulls the cache files once.
   auto cache_files = api::DistributedCache::GetCacheFiles(conf);
@@ -139,7 +143,7 @@ api::JobResult HadoopEngine::Submit(const api::JobConf& submitted_conf) {
     uint64_t cache_bytes = 0;
     for (const auto& [p, content] : *localized) cache_bytes += content->size();
     // Nodes localize in parallel; charge one replicated read fan-out.
-    t += cost_.DfsRead(cache_bytes, /*local=*/false);
+    clock.Charge(phase::kSubmit, cost_.DfsRead(cache_bytes, /*local=*/false));
     api::DistributedCache::InstallIntoConf(*localized, &conf);
     metrics::Set(&result, metric::kDistributedCacheBytes,
                  static_cast<int64_t>(cache_bytes) * spec.num_nodes);
@@ -154,7 +158,7 @@ api::JobResult HadoopEngine::Submit(const api::JobConf& submitted_conf) {
   st = fs_->WriteFile(job_dir + "/job.split",
                       std::string(splits.size() * 64, 's'));
   if (!st.ok()) return fail_job(std::move(st));
-  result.time_breakdown["submit"] = t;
+  const double map_start = clock.now();
 
   // --- Map phase: execute for real, then account on the timeline ---
   // Hadoop's assignment of tasks to hosts is dynamic: model output
@@ -218,11 +222,11 @@ api::JobResult HadoopEngine::Submit(const api::JobConf& submitted_conf) {
   // accumulate failures and are blacklisted (excluded from placement) once
   // they reach mapred.max.tracker.failures; a retried task also avoids the
   // nodes its earlier attempts failed on.
-  PhaseScheduler map_phase(spec, t);
+  PhaseScheduler map_phase(spec, map_start);
   std::vector<int> map_nodes(splits.size(), 0);
   std::vector<int> node_failures(static_cast<size_t>(spec.num_nodes), 0);
   std::vector<int> blacklisted;
-  std::vector<double> map_finishes(splits.size(), t);
+  std::vector<double> map_finishes(splits.size(), map_start);
   std::vector<double> map_durations(splits.size(), 0);
   int64_t local_maps = 0;
   int64_t map_task_failures = 0;
@@ -232,9 +236,8 @@ api::JobResult HadoopEngine::Submit(const api::JobConf& submitted_conf) {
       double d = spec.task_jvm_start_s;
       d += cost_.DfsRead(mr->input_bytes, is_local);
       // Sort CPU is carved out of the task's compute and charged to the
-      // job-wide time_breakdown["sort"] entry instead.
-      d += std::max(0.0, mr->cpu_seconds - mr->sort_seconds) *
-           spec.data_scale;
+      // job-wide sort phase instead.
+      d += cost_.MeasuredCpu(std::max(0.0, mr->cpu_seconds - mr->sort_seconds));
       d += cost_.DiskWrite(mr->spill_write_bytes);
       if (mr->merge_bytes > 0) {
         d += cost_.DiskRead(mr->merge_bytes) +
@@ -297,11 +300,12 @@ api::JobResult HadoopEngine::Submit(const api::JobConf& submitted_conf) {
     for (double d : map_durations) mean += d;
     mean /= static_cast<double>(splits.size());
     for (size_t i = 0; i < splits.size(); ++i) {
-      if (map_finishes[i] - t <= slow_threshold * mean) continue;
+      if (map_finishes[i] - map_start <= slow_threshold * mean) continue;
       const MapTaskResult& mr = map_attempts[i].back();
       sim::ScheduledTask backup =
           map_phase.Add(map_duration_fn(&mr), splits[i]->GetLocations(),
-                        nullptr, t + slow_threshold * mean, blacklisted);
+                        nullptr, map_start + slow_threshold * mean,
+                        blacklisted);
       ++speculative_maps;
       if (backup.finish_s < map_finishes[i]) {
         map_finishes[i] = backup.finish_s;
@@ -312,11 +316,10 @@ api::JobResult HadoopEngine::Submit(const api::JobConf& submitted_conf) {
 
   metrics::Set(&result, metric::kMapTasks, static_cast<int64_t>(splits.size()));
   metrics::Set(&result, metric::kDataLocalMaps, local_maps);
-  double map_done = t;
+  double map_done = map_start;
   for (double f : map_finishes) map_done = std::max(map_done, f);
-  result.time_breakdown["map_phase"] = map_done - t;
+  clock.AdvanceTo(phase::kMapPhase, map_done);
 
-  double phase_end = map_done;
   int64_t reduce_task_failures = 0;
   int64_t speculative_reduces = 0;
 
@@ -393,7 +396,7 @@ api::JobResult HadoopEngine::Submit(const api::JobConf& submitted_conf) {
         // Out-of-core merge: one write+read pass over the merged bytes.
         d += cost_.DiskWrite(rr->merge_bytes) +
              cost_.DiskRead(rr->merge_bytes);
-        d += rr->cpu_seconds * spec.data_scale;
+        d += cost_.MeasuredCpu(rr->cpu_seconds);
         d += cost_.DfsWrite(rr->output_bytes);
         return d;
       };
@@ -454,9 +457,9 @@ api::JobResult HadoopEngine::Submit(const api::JobConf& submitted_conf) {
       }
     }
 
-    phase_end = map_done;
-    for (double f : reduce_finishes) phase_end = std::max(phase_end, f);
-    result.time_breakdown["reduce_phase"] = phase_end - map_done;
+    double reduce_done = map_done;
+    for (double f : reduce_finishes) reduce_done = std::max(reduce_done, f);
+    clock.AdvanceTo(phase::kReducePhase, reduce_done);
     metrics::Set(&result, metric::kReduceTasks, num_reduce);
   } else {
     for (const std::vector<MapTaskResult>& attempts : map_attempts) {
@@ -478,33 +481,27 @@ api::JobResult HadoopEngine::Submit(const api::JobConf& submitted_conf) {
   if (fault != nullptr) {
     metrics::Set(&result, metric::kInjectedFaults, fault->InjectedCount());
   }
-  // Integrity layer: surface the tallies and charge the checksum CPU.
-  // The work happened inside tasks spread across every slot, so the
-  // makespan pays the amortized per-slot share.
-  double integrity_s = 0;
+  // Integrity layer: surface the tallies and charge the checksum CPU. The
+  // checksum and sort-kernel work happened inside tasks spread across
+  // every slot, so the makespan pays the per-slot share of each.
   metrics::SetIntegrity(&result, integrity.get());
   if (integrity != nullptr && integrity->enabled()) {
-    int64_t checked = integrity->counters->bytes_checksummed.load();
-    integrity_s = cost_.Checksum(static_cast<uint64_t>(checked)) /
-                  spec.total_slots();
-    result.time_breakdown["integrity"] = integrity_s;
+    clock.Charge(phase::kIntegrity,
+                 cost_.SpreadOverSlots(cost_.Checksum(static_cast<uint64_t>(
+                     integrity->counters->bytes_checksummed.load()))));
   }
-  // Sort kernel CPU, amortized over the slots that ran the sorts (the same
-  // treatment as the integrity checksum work above).
-  double sort_s = 0;
   if (sort_cpu > 0) {
-    sort_s = sort_cpu * spec.data_scale / spec.total_slots();
-    result.time_breakdown["sort"] = sort_s;
+    clock.Charge(phase::kSort,
+                 cost_.SpreadOverSlots(cost_.MeasuredCpu(sort_cpu)));
   }
 
   // --- Commit ---
   if (CancelRequested()) return fail_job(Status::Cancelled("job cancelled"));
   st = committer.CommitJob(conf, *fs_);
   if (!st.ok()) return fail_job(std::move(st));
-  double total = phase_end + integrity_s + sort_s + spec.job_commit_overhead_s;
-  result.time_breakdown["commit"] = spec.job_commit_overhead_s;
+  clock.Charge(phase::kCommit, spec.job_commit_overhead_s);
 
-  result.sim_seconds = total;
+  clock.Publish(&result);
   result.wall_seconds = wall.ElapsedSeconds();
   result.status = Status::OK();
   ReportProgress(1.0, &result.counters);

@@ -32,7 +32,7 @@ struct MapTaskResult {
   uint64_t output_bytes = 0;
   double cpu_seconds = 0;
   /// Portion of cpu_seconds spent inside the per-spill sorts; the engine
-  /// charges it to time_breakdown["sort"] rather than generic map compute.
+  /// charges it to the `sort` phase rather than generic map compute.
   double sort_seconds = 0;
   api::Counters counters;
 };

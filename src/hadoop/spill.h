@@ -98,7 +98,7 @@ class MapOutputBuffer : public api::OutputCollector {
   uint64_t spilled_records() const { return spilled_records_; }
   /// CPU seconds spent in the per-spill sorts (partition bucketing + key
   /// ordering), measured on the task thread; the engine charges them to
-  /// time_breakdown["sort"] instead of the task's generic compute.
+  /// the `sort` phase instead of the task's generic compute.
   double sort_seconds() const { return sort_seconds_; }
 
  private:

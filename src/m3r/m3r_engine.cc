@@ -21,6 +21,7 @@
 #include "api/metrics.h"
 #include "api/multiple_io.h"
 #include "api/output_format.h"
+#include "api/phases.h"
 #include "api/task_runner.h"
 #include "common/crc32c.h"
 #include "common/fault_injector.h"
@@ -42,6 +43,7 @@ namespace {
 
 namespace metric = api::metric;
 namespace metrics = api::metrics;
+namespace phase = api::phase;
 
 using api::JobConf;
 using api::WritablePtr;
@@ -487,7 +489,7 @@ struct TaskPlan {
   double cpu_seconds = 0;
   uint64_t output_bytes = 0;  // map-only jobs
   /// Completed once at a place that later died, and re-run on a survivor:
-  /// the re-execution is charged to time_breakdown["recovery"], not to the
+  /// the re-execution is charged to the recovery phase, not to the
   /// crash-free map phase.
   bool replayed = false;
 };
@@ -988,7 +990,6 @@ class M3REngine::JobRun {
       : e_(*engine),
         spec_(engine->options_.cluster),
         num_places_(engine->places_.NumPlaces()),
-        t0_(spec_.m3r_job_overhead_s),
         conf_(conf),
         fault_guard_{engine->base_fs_.get(), &engine->cache_},
         pins_{engine->cache_manager_.get(), {}},
@@ -1007,6 +1008,8 @@ class M3REngine::JobRun {
   };
 
   Status Execute() {
+    // Job wrapping and split routing come first; every phase starts after.
+    clock_.Charge(phase::kJobOverhead, spec_.m3r_job_overhead_s);
     M3R_RETURN_NOT_OK(Configure());
     if (ServedFromReuse()) return Status::OK();
     M3R_RETURN_NOT_OK(ClaimOutput());
@@ -1055,8 +1058,10 @@ class M3REngine::JobRun {
     // checksums) and the cache (block fingerprints), and carried by the
     // shuffle for its frames. Both are cleared when the job leaves.
     fault_ = FaultInjector::FromConf(conf_.raw());
-    M3R_ASSIGN_OR_RETURN(integrity_,
-                         IntegrityContext::FromConf(conf_.raw(), fault_));
+    integrity_ = IntegrityContext::ForJob(
+        static_cast<IntegrityMode>(
+            api::knobs::Choice(conf_, api::conf::kIntegrityMode)),
+        fault_);
 
     // Memory governance (DESIGN.md §11): re-read per submission so a job
     // sequence can tighten or lift the budget between jobs.
@@ -1149,8 +1154,6 @@ class M3REngine::JobRun {
       }
     }
     metrics::Set(&result_, metric::kReusedFromCache, 1);
-    result_.time_breakdown["job_overhead"] = t0_;
-    result_.sim_seconds = t0_;
     return true;
   }
 
@@ -1190,10 +1193,8 @@ class M3REngine::JobRun {
     metrics::Set(&result_, metric::kRecoveredFiles, files);
     metrics::Set(&result_, metric::kRecoveredBytes,
                  static_cast<int64_t>(bytes));
-    const double restore = e_.cost_.DfsRead(bytes, /*local=*/false);
-    result_.time_breakdown["job_overhead"] = t0_;
-    result_.time_breakdown["checkpoint_restore"] = restore;
-    result_.sim_seconds = t0_ + restore;
+    clock_.Charge(phase::kCheckpointRestore,
+                  e_.cost_.DfsRead(bytes, /*local=*/false));
     return true;
   }
 
@@ -1401,13 +1402,12 @@ class M3REngine::JobRun {
       if (!Recover(newly_dead, alive)) break;
     }
 
-    // Every simulated charge from here on starts after the job overhead.
-    result_.time_breakdown["job_overhead"] = t0_;
     if (Status crash = CrashStatus(); !crash.ok()) {
       // Unrecovered crash (recovery off, horizon passed, or data loss): the
       // whole-job retriable failure, charging the work that did complete so
       // the failed attempt has an honest simulated cost.
       ChargePartialMapPhase();
+      crash_charged_ = true;
       return recovery_abandoned_.ok() ? crash : recovery_abandoned_;
     }
     if (cancelled_.load()) return Status::Cancelled("job cancelled");
@@ -1712,36 +1712,37 @@ class M3REngine::JobRun {
   }
 
   void ChargePartialMapPhase() {
-    sim::SlotTimeline part_tl(spec_, t0_);
+    const double start = clock_.now();
+    sim::SlotTimeline part_tl(spec_, start);
     for (size_t i = 0; i < tasks_.size(); ++i) {
       if (!task_done_[i]) continue;
-      part_tl.ScheduleOnNode(tasks_[i].place, t0_, MapTaskSeconds(tasks_[i]));
+      part_tl.ScheduleOnNode(tasks_[i].place, start, MapTaskSeconds(tasks_[i]));
     }
-    result_.time_breakdown["map_phase_partial"] = part_tl.Makespan() - t0_;
+    clock_.AdvanceTo(phase::kMapPhasePartial, part_tl.Makespan());
     if (recovery_heal_seconds_ > 0) {
-      result_.time_breakdown["recovery"] = recovery_heal_seconds_;
+      clock_.Charge(phase::kRecovery, recovery_heal_seconds_);
     }
-    result_.sim_seconds = part_tl.Makespan() + recovery_heal_seconds_;
   }
 
   void ChargeMapPhase() {
     metrics::Add(&result_, metric::kHdfsReadBytes, 0);
     metrics::Add(&result_, metric::kHdfsWriteBytes, 0);
-    sim::SlotTimeline map_tl(spec_, t0_);
+    const double start = clock_.now();
+    sim::SlotTimeline map_tl(spec_, start);
     int64_t replayed_tasks = 0;
     for (const TaskPlan& t : tasks_) {
       if (t.replayed) {
         ++replayed_tasks;  // charged to the recovery span below
       } else {
-        map_tl.ScheduleOnNode(t.place, t0_, MapTaskSeconds(t));
+        map_tl.ScheduleOnNode(t.place, start, MapTaskSeconds(t));
       }
       if (!t.cache_hit) {
         metrics::Add(&result_, metric::kHdfsReadBytes,
                      static_cast<int64_t>(t.input_bytes));
       }
     }
-    const double map_end = tasks_.empty() ? t0_ : map_tl.Makespan();
-    result_.time_breakdown["map_phase"] = map_end - t0_;
+    const double map_end = map_tl.Makespan();
+    clock_.AdvanceTo(phase::kMapPhase, map_end);
 
     // Replayed work runs after the crash-free portion of the phase, on the
     // survivors, plus the checkpoint heal reads — the price of surviving the
@@ -1759,12 +1760,10 @@ class M3REngine::JobRun {
     if (recovery_span > 0) {
       const int64_t ms =
           static_cast<int64_t>(std::llround(recovery_span * 1000.0));
-      result_.time_breakdown["recovery"] = recovery_span;
+      clock_.Charge(phase::kRecovery, recovery_span);
       metrics::Set(&result_, metric::kRecoveryMillis, ms);
     }
-    phase_end_ = map_end + recovery_span;
     if (num_reduce_ == 0) {
-      total_ = phase_end_ + spec_.m3r_barrier_s;
       for (const TaskPlan& t : tasks_) {
         metrics::Add(&result_, metric::kHdfsWriteBytes,
                      static_cast<int64_t>(t.output_bytes));
@@ -1786,7 +1785,8 @@ class M3REngine::JobRun {
     M3R_RETURN_NOT_OK(shuffle_->status());
 
     double shuffle_span = 0;
-    const double map_phase_span = phase_end_ - t0_;
+    // The map phase and its recovery, which pre-barrier wire time overlaps.
+    const double map_phase_span = clock_.now() - spec_.m3r_job_overhead_s;
     for (int p = 0; p < num_places_; ++p) {
       if (membership_.IsDead(p)) continue;  // no lanes, no decode
       uint64_t send = 0;
@@ -1819,7 +1819,7 @@ class M3REngine::JobRun {
           static_cast<size_t>(std::max(spec_.slots_per_node, 1)), 0.0);
       for (double stream_seconds : shuffle_->DecodeSeconds(p)) {
         *std::min_element(slot_busy.begin(), slot_busy.end()) +=
-            stream_seconds * spec_.data_scale;
+            e_.cost_.MeasuredCpu(stream_seconds);
       }
       double decode = *std::max_element(slot_busy.begin(), slot_busy.end());
       double comm = e_.cost_.NetTransfer(send) + e_.cost_.NetTransfer(recv) +
@@ -1852,12 +1852,13 @@ class M3REngine::JobRun {
     set(metric::kShuffleOverflowSpills, s.overflow_spills);
     set(metric::kShufflePoolPeakBytes, s.peak_resident_run_bytes);
     set(metric::kShuffleMaxPartitionRunBytes, s.max_partition_run_bytes);
-    result_.time_breakdown["shuffle"] = shuffle_span + spec_.m3r_barrier_s;
-    reduce_start_ = phase_end_ + spec_.m3r_barrier_s + shuffle_span;
+    // The Team barrier, then the residual drain.
+    clock_.Charge(phase::kShuffle, spec_.m3r_barrier_s);
+    clock_.Charge(phase::kShuffle, shuffle_span);
     // First reducer starts the moment the barrier drain lands — the
     // pipeline's headline latency win.
     metrics::Set(&result_, metric::kTimeToFirstReduceMs,
-                 static_cast<int64_t>(std::llround(reduce_start_ * 1000.0)));
+                 static_cast<int64_t>(std::llround(clock_.now() * 1000.0)));
     return Status::OK();
   }
 
@@ -1886,34 +1887,26 @@ class M3REngine::JobRun {
       // reconstructible from retained shuffle lanes. Tear the place down so
       // its cache blocks don't serve stale data, then fall back to the
       // whole-job retriable failure — the resubmitted attempt heals its
-      // inputs from the checkpoint.
+      // inputs from the checkpoint. It reports the time up to the reduce.
       ConfirmAndTeardown();
-      result_.sim_seconds = reduce_start_;
+      crash_charged_ = true;
       return crash;
     }
     if (cancelled_.load()) return Status::Cancelled("job cancelled");
     for (const ReduceResult& rr : reduce_results_) M3R_RETURN_NOT_OK(rr.status);
 
-    sim::SlotTimeline red_tl(spec_, reduce_start_);
+    const double start = clock_.now();
+    sim::SlotTimeline red_tl(spec_, start);
     for (int p = 0; p < num_reduce_; ++p) {
       const ReduceResult& rr = reduce_results_[static_cast<size_t>(p)];
-      double d = rr.cpu_seconds * spec_.data_scale;
+      double d = e_.cost_.MeasuredCpu(rr.cpu_seconds);
       if (!temporary_) d += e_.cost_.DfsWrite(rr.output_bytes);
-      red_tl.ScheduleOnNode(shuffle_->PlaceOfPartition(p), reduce_start_, d);
+      red_tl.ScheduleOnNode(shuffle_->PlaceOfPartition(p), start, d);
       metrics::Add(&result_, metric::kHdfsWriteBytes,
                    static_cast<int64_t>(rr.output_bytes));
     }
-    const double reduce_end = red_tl.Makespan();
-    result_.time_breakdown["reduce_phase"] = reduce_end - reduce_start_;
+    clock_.AdvanceTo(phase::kReducePhase, red_tl.Makespan());
     metrics::Set(&result_, metric::kReduceTasks, num_reduce_);
-    total_ = reduce_end + spec_.m3r_barrier_s;
-    // Sort kernel CPU, amortized per slot (same treatment as the integrity
-    // charge).
-    if (sort_cpu_total_ > 0) {
-      double sort_s = sort_cpu_total_ * spec_.data_scale / spec_.total_slots();
-      result_.time_breakdown["sort"] = sort_s;
-      total_ += sort_s;
-    }
     return Status::OK();
   }
 
@@ -2069,15 +2062,18 @@ class M3REngine::JobRun {
     } else if (checkpoint_ == CheckpointPolicy::kTempOut && temporary_) {
       e_.ScheduleCheckpoint(e_.cache_.FilesUnder(conf_.OutputPath()));
     }
-    // Checksum CPU, amortized over the cluster's slots (the stamps and
-    // verifies ran inside tasks on every place).
+    // Both paths end on one Team barrier. The sort-kernel and checksum CPU
+    // ran inside tasks on every place, so each is charged per slot.
+    clock_.Charge(phase::kExitBarrier, spec_.m3r_barrier_s);
+    if (sort_cpu_total_ > 0) {
+      clock_.Charge(phase::kSort, e_.cost_.SpreadOverSlots(
+                                      e_.cost_.MeasuredCpu(sort_cpu_total_)));
+    }
     if (integrity_ != nullptr && integrity_->enabled()) {
-      double integrity_s =
-          e_.cost_.Checksum(static_cast<uint64_t>(
-              integrity_->counters->bytes_checksummed.load())) /
-          spec_.total_slots();
-      result_.time_breakdown["integrity"] = integrity_s;
-      total_ += integrity_s;
+      clock_.Charge(phase::kIntegrity,
+                    e_.cost_.SpreadOverSlots(e_.cost_.Checksum(
+                        static_cast<uint64_t>(
+                            integrity_->counters->bytes_checksummed.load()))));
     }
     // Register the finished output for cross-job reuse: a later submission
     // with the same lineage signature short-circuits to these cached files.
@@ -2094,10 +2090,6 @@ class M3REngine::JobRun {
     // the configured budget between jobs.
     pins_.ReleaseAll();
     if (e_.governor_.governed()) e_.cache_manager_->EvictToBudget();
-    // Both paths end on one Team barrier; attribute it explicitly so the
-    // per-phase breakdown sums exactly to sim_seconds.
-    result_.time_breakdown["exit_barrier"] = spec_.m3r_barrier_s;
-    result_.sim_seconds = total_;
     return Status::OK();
   }
 
@@ -2105,8 +2097,9 @@ class M3REngine::JobRun {
   /// the job produced and pings the FAILED job-end notification — the
   /// contract JobClient's retry loop and external workflow managers rely on.
   /// Every exit that gets that far reports its crash, integrity and
-  /// memory-governance tallies, and a time_breakdown that sums to
-  /// sim_seconds.
+  /// memory-governance tallies. A success, and a crash fallback that
+  /// charged the work before the crash, report the clock; every other
+  /// failure reports no simulated time.
   api::JobResult Finish(Status status) {
     if (!status.ok() && !output_claimed_) {
       // Rejected before the output was ours: nothing to undo, no ping.
@@ -2122,9 +2115,8 @@ class M3REngine::JobRun {
       } else {
         e_.cache_.Delete(conf_.OutputPath());
       }
-      // A failure that charges no simulated time reports no breakdown.
-      if (result_.sim_seconds == 0) result_.time_breakdown.clear();
     }
+    if (status.ok() || crash_charged_) clock_.Publish(&result_);
     if (fault_ != nullptr) {
       metrics::Set(&result_, metric::kInjectedFaults, fault_->InjectedCount());
     }
@@ -2158,7 +2150,7 @@ class M3REngine::JobRun {
   /// tier's memory or network cost for a promoted split — the hierarchy the
   /// paper's in-memory thesis predicts) and its materialized output write.
   double MapTaskSeconds(const TaskPlan& t) const {
-    double d = t.cpu_seconds * spec_.data_scale;
+    double d = e_.cost_.MeasuredCpu(t.cpu_seconds);
     if (!t.cache_hit) {
       d += e_.cost_.DfsRead(t.input_bytes, t.local_read);
     } else if (t.l2_hit) {
@@ -2395,7 +2387,6 @@ class M3REngine::JobRun {
   M3REngine& e_;
   const sim::ClusterSpec& spec_;
   const int num_places_;
-  const double t0_;
   /// The submitted conf with distributed-cache contents installed.
   api::JobConf conf_;
   Stopwatch wall_;
@@ -2462,16 +2453,17 @@ class M3REngine::JobRun {
   double recovery_heal_seconds_ = 0;
   Status recovery_abandoned_;  // recovery gave up (lost data) mid-flight
 
-  // Simulated clock, advanced phase by phase.
-  double phase_end_ = 0;     // map phase plus recovery
-  double reduce_start_ = 0;  // after the barrier drain
-  double total_ = 0;         // job end, exit barrier included
+  // The job's simulated clock (DESIGN.md §19), charged phase by phase.
+  api::phases::Clock clock_;
+  /// An unrecovered crash charged the work done before it, and the failure
+  /// reports that time.
+  bool crash_charged_ = false;
 
   // Reduce phase.
   std::vector<ReduceResult> reduce_results_;
   bool reduce_immutable_ = false;
   /// Sort-kernel CPU across every reduce task (including work stolen by
-  /// pool strands), charged to time_breakdown["sort"].
+  /// pool strands), charged to the sort phase.
   std::mutex sort_mu_;
   double sort_cpu_total_ = 0;
 };

@@ -57,4 +57,12 @@ double CostModel::Checksum(uint64_t bytes) const {
   return Scaled(spec_, bytes) / spec_.checksum_bandwidth_bytes_per_s;
 }
 
+double CostModel::MeasuredCpu(double host_seconds) const {
+  return host_seconds * spec_.data_scale;
+}
+
+double CostModel::SpreadOverSlots(double cluster_seconds) const {
+  return cluster_seconds / spec_.total_slots();
+}
+
 }  // namespace m3r::sim

@@ -88,6 +88,14 @@ class CostModel {
   /// work; no seek or latency term — it is pure streaming compute).
   double Checksum(uint64_t bytes) const;
 
+  /// Host CPU seconds measured around real work, as simulated seconds on
+  /// the paper's cluster: scaled by `data_scale` like every byte cost. The
+  /// one place measured CPU enters simulated time.
+  double MeasuredCpu(double host_seconds) const;
+  /// Work that ran inside tasks on every slot of the cluster, as the share
+  /// one slot's makespan pays.
+  double SpreadOverSlots(double cluster_seconds) const;
+
  private:
   ClusterSpec spec_;
 };

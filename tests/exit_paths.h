@@ -18,6 +18,16 @@
 
 namespace m3r::exit_paths {
 
+/// The result's time_breakdown keys, sorted and space-separated.
+inline std::string PhaseKeys(const api::JobResult& r) {
+  std::string keys;
+  for (const auto& [phase, seconds] : r.time_breakdown) {
+    if (!keys.empty()) keys += ' ';
+    keys += phase;
+  }
+  return keys;
+}
+
 inline std::shared_ptr<dfs::FileSystem> ExitInput() {
   auto fs = dfs::MakeSimDfs(4, 8 * 1024);
   M3R_CHECK_OK(workloads::GenerateText(*fs, "/in", 64 * 1024, 4, 11));
@@ -35,6 +45,8 @@ enum class Exit {
   kRecoveredCrash,
   kUnrecoveredCrash,
   kReduceFault,
+  kMapFault,    // every map task fails: nothing charged, nothing reported
+  kReduceCrash, // a place dies past the map barrier: the whole-job fallback
 };
 
 struct NamedExit {
@@ -51,6 +63,8 @@ inline constexpr NamedExit kAllExits[] = {
     {"recovered-crash", Exit::kRecoveredCrash},
     {"unrecovered-crash", Exit::kUnrecoveredCrash},
     {"reduce-fault", Exit::kReduceFault},
+    {"map-fault", Exit::kMapFault},
+    {"reduce-crash", Exit::kReduceCrash},
 };
 
 inline api::JobResult RunExit(Exit exit) {
@@ -106,6 +120,20 @@ inline api::JobResult RunExit(Exit exit) {
       j.Set("m3r.fault.m3r.reduce.prob", "1");
       return m3r.Submit(j);
     }
+    case Exit::kMapFault: {
+      api::JobConf j = job("/out", 2);
+      j.Set("m3r.fault.m3r.map.prob", "1");
+      return m3r.Submit(j);
+    }
+    case Exit::kReduceCrash: {
+      // The "m3r.place" site is evaluated once per place per phase: the
+      // map round burns evaluations 1..4, so the 5th kills a place at the
+      // first reduce-phase liveness check.
+      api::JobConf j = job("/out", 2);
+      j.Set("m3r.fault.seed", "7");
+      j.Set("m3r.fault.m3r.place.nth", "5");
+      return m3r.Submit(j);
+    }
   }
   return {};
 }
@@ -124,15 +152,20 @@ struct HadoopExitCase {
   const char* name;
   HadoopExit exit;
   bool ok;
+  /// PhaseKeys of the result: a failure charges and reports nothing.
+  const char* phases;
 };
 
 inline constexpr HadoopExitCase kHadoopExitCases[] = {
-    {"reduce", HadoopExit::kReduce, true},
-    {"map-only", HadoopExit::kMapOnly, true},
-    {"retried-map-fault", HadoopExit::kRetriedMapFault, true},
-    {"exhausted-map-fault", HadoopExit::kExhaustedMapFault, false},
-    {"reduce-fault", HadoopExit::kReduceFault, false},
-    {"integrity-detect", HadoopExit::kIntegrityDetect, true},
+    {"reduce", HadoopExit::kReduce, true,
+     "commit map_phase reduce_phase sort submit"},
+    {"map-only", HadoopExit::kMapOnly, true, "commit map_phase submit"},
+    {"retried-map-fault", HadoopExit::kRetriedMapFault, true,
+     "commit map_phase reduce_phase sort submit"},
+    {"exhausted-map-fault", HadoopExit::kExhaustedMapFault, false, ""},
+    {"reduce-fault", HadoopExit::kReduceFault, false, ""},
+    {"integrity-detect", HadoopExit::kIntegrityDetect, true,
+     "commit integrity map_phase reduce_phase sort submit"},
 };
 
 inline api::JobResult RunHadoopExit(HadoopExit exit) {

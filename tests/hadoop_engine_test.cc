@@ -213,6 +213,7 @@ TEST(HadoopEngineTest, TimeBreakdownSumsToSimSecondsOnEveryExit) {
     EXPECT_LE(std::fabs(sum - r.sim_seconds), 1e-9)
         << c.name << ": breakdown " << sum << " vs sim " << r.sim_seconds;
     EXPECT_EQ(r.sim_seconds > 0, c.ok) << c.name;
+    EXPECT_EQ(exit_paths::PhaseKeys(r), c.phases) << c.name;
   }
 }
 

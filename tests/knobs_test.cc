@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <fstream>
 #include <map>
 #include <set>
 #include <string>
@@ -17,6 +16,7 @@
 #include "common/integrity.h"
 #include "common/sort.h"
 #include "memgov/cache_manager.h"
+#include "readme_table.h"
 
 namespace m3r::api {
 namespace {
@@ -174,23 +174,10 @@ TEST(KnobsTest, EveryChaosScheduleOverrideValidates) {
 /// Keys in README.md's knob tables: the backquoted m3r.* first cell of
 /// each row under a "| Key | Meaning |" header.
 std::set<std::string> ReadmeKnobKeys() {
-  std::ifstream in(std::string(M3R_SOURCE_DIR) + "/README.md");
-  EXPECT_TRUE(in.good()) << "cannot read README.md";
   std::set<std::string> keys;
-  bool in_table = false;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.rfind("| Key | Meaning |", 0) == 0) {
-      in_table = true;
-      continue;
-    }
-    if (line.rfind("|", 0) != 0) {
-      in_table = false;
-      continue;
-    }
-    if (!in_table || line.rfind("| `m3r.", 0) != 0) continue;
-    const size_t end = line.find('`', 3);
-    keys.insert(line.substr(3, end - 3));
+  for (const std::vector<std::string>& cells :
+       readme::TableRows("| Key | Meaning |")) {
+    if (cells[0].rfind("m3r.", 0) == 0) keys.insert(cells[0]);
   }
   return keys;
 }

@@ -342,6 +342,7 @@ TEST(M3REngineTest, BadConfValuesFailNamingTheKeyBeforeClaimingOutput) {
       {api::conf::kCacheL2Share, "-0.1"},
       {api::conf::kCacheL2Share, "1.5"},
       {api::conf::kCacheReuse, "fuzzy"},
+      {api::conf::kIntegrityMode, "sometimes"},
       {api::conf::kCachePolicy, "mru"},
       {api::conf::kShuffleFlushBytes, "256k"},
       {api::conf::kMapHashCombine, "on"},
@@ -440,13 +441,17 @@ struct ExitCase {
   const char* name;
   Exit exit;
   bool ok;
+  bool charged;        // sim_seconds > 0
+  const char* phases;  // exit_paths::PhaseKeys
   const char* golden;
 };
 
-/// `golden` is the exit's ExitSummary: a change to one is a change in what
-/// a job reports on that path, and must be made on purpose.
+/// `phases` and `golden` (the exit's ExitSummary) are pinned: a change to
+/// one is a change in what a job reports on that path, and must be made on
+/// purpose.
 const ExitCase kExitCases[] = {
-    {"reduce", Exit::kReduce, true,
+    {"reduce", Exit::kReduce, true, true,
+     "exit_barrier job_overhead map_phase reduce_phase shuffle sort",
       "OK\n"
       "metrics: aliased_pairs cache_aborted_evictions cache_bytes_resident "
       "cache_evicted_bytes cache_evictions cache_evictor_inflight "
@@ -481,7 +486,8 @@ const ExitCase kExitCases[] = {
       "shuffle_remote_pairs=4535 shuffle_wire_bytes=68351 dedup_objects=0 "
       "dedup_saved_bytes=0 aliased_pairs=1482 cloned_pairs=12120 "
       "shuffle_runs_shipped=6 shuffle_overflow_spills=0"},
-    {"map-only-dfs", Exit::kMapOnlyDfs, true,
+    {"map-only-dfs", Exit::kMapOnlyDfs, true, true,
+     "exit_barrier job_overhead map_phase",
       "OK\n"
       "metrics: cache_aborted_evictions cache_bytes_resident "
       "cache_evicted_bytes cache_evictions cache_evictor_inflight "
@@ -499,7 +505,8 @@ const ExitCase kExitCases[] = {
       "org.apache.hadoop.mapred.Task$Counter/MAP_OUTPUT_RECORDS\n"
       "values: map_tasks=8 cache_hit_splits=0 cache_miss_splits=8 "
       "place_workers=1 hdfs_read_bytes=65691 hdfs_write_bytes=89931"},
-    {"map-only-temp", Exit::kMapOnlyTemp, true,
+    {"map-only-temp", Exit::kMapOnlyTemp, true, true,
+     "exit_barrier job_overhead map_phase",
       "OK\n"
       "metrics: cache_aborted_evictions cache_bytes_resident "
       "cache_evicted_bytes cache_evictions cache_evictor_inflight "
@@ -516,7 +523,7 @@ const ExitCase kExitCases[] = {
       "org.apache.hadoop.mapred.Task$Counter/MAP_OUTPUT_RECORDS\n"
       "values: map_tasks=8 cache_hit_splits=0 cache_miss_splits=8 "
       "place_workers=1 hdfs_read_bytes=65691 hdfs_write_bytes=0"},
-    {"reuse-hit", Exit::kReuseHit, true,
+    {"reuse-hit", Exit::kReuseHit, true, true, "job_overhead",
       "OK\n"
       "metrics: cache_aborted_evictions cache_bytes_resident "
       "cache_evicted_bytes cache_evictions cache_evictor_inflight "
@@ -527,7 +534,8 @@ const ExitCase kExitCases[] = {
       "M3R/CACHE_EVICTOR_INFLIGHT M3R/CACHE_LEASES_ACTIVE "
       "M3R/CACHE_REJECTED_FILLS M3R/REUSED_FROM_CACHE\n"
       "values: reused_from_cache=1"},
-    {"checkpoint-restore", Exit::kCheckpointRestore, true,
+    {"checkpoint-restore", Exit::kCheckpointRestore, true, true,
+     "checkpoint_restore job_overhead",
       "OK\n"
       "metrics: cache_aborted_evictions cache_bytes_resident "
       "cache_evicted_bytes cache_evictions cache_evictor_inflight "
@@ -540,7 +548,8 @@ const ExitCase kExitCases[] = {
       "M3R/CACHE_REJECTED_FILLS\n"
       "values: recovered_from_checkpoint=1 recovered_files=2 "
       "recovered_bytes=48674"},
-    {"recovered-crash", Exit::kRecoveredCrash, true,
+    {"recovered-crash", Exit::kRecoveredCrash, true, true,
+     "exit_barrier job_overhead map_phase recovery reduce_phase shuffle sort",
       "OK\n"
       "metrics: aliased_pairs cache_aborted_evictions cache_bytes_resident "
       "cache_evicted_by_crash_blocks cache_evicted_bytes cache_evictions "
@@ -578,7 +587,8 @@ const ExitCase kExitCases[] = {
       "shuffle_runs_shipped=5 shuffle_overflow_spills=0 place_crashes=1 "
       "recovered_map_tasks=1 cache_evicted_by_crash_blocks=1 "
       "membership_epoch=2 partition_map_version=2"},
-    {"unrecovered-crash", Exit::kUnrecoveredCrash, false,
+    {"unrecovered-crash", Exit::kUnrecoveredCrash, false, true,
+     "job_overhead map_phase_partial",
       "Unavailable\n"
       "metrics: cache_aborted_evictions cache_bytes_resident "
       "cache_evicted_by_crash_blocks cache_evicted_bytes cache_evictions "
@@ -600,7 +610,7 @@ const ExitCase kExitCases[] = {
       "place_workers=1 place_crashes=1 recovered_map_tasks=0 "
       "cache_evicted_by_crash_blocks=1 membership_epoch=2 "
       "partition_map_version=1"},
-    {"reduce-fault", Exit::kReduceFault, false,
+    {"reduce-fault", Exit::kReduceFault, false, false, "",
       "Unavailable\n"
       "metrics: aliased_pairs cache_aborted_evictions cache_bytes_resident "
       "cache_evicted_bytes cache_evictions cache_evictor_inflight "
@@ -631,6 +641,61 @@ const ExitCase kExitCases[] = {
       "shuffle_wire_bytes=68351 dedup_objects=0 dedup_saved_bytes=0 "
       "aliased_pairs=1482 cloned_pairs=0 shuffle_runs_shipped=6 "
       "shuffle_overflow_spills=0 injected_faults=2"},
+    {"map-fault", Exit::kMapFault, false, false, "",
+      "Unavailable\n"
+      "metrics: cache_aborted_evictions cache_bytes_resident "
+      "cache_evicted_bytes cache_evictions cache_evictor_inflight "
+      "cache_forced_fills cache_hit_splits cache_leases_active "
+      "cache_miss_splits cache_rejected_fills cache_spilled_evictions "
+      "injected_faults map_tasks place_workers\n"
+      "counters: M3R/CACHE_ABORTED_EVICTIONS M3R/CACHE_BYTES_RESIDENT "
+      "M3R/CACHE_EVICTED_BYTES M3R/CACHE_EVICTIONS "
+      "M3R/CACHE_EVICTOR_INFLIGHT M3R/CACHE_HIT_SPLITS "
+      "M3R/CACHE_LEASES_ACTIVE M3R/CACHE_MISS_SPLITS "
+      "M3R/CACHE_REJECTED_FILLS\n"
+      "values: map_tasks=8 cache_hit_splits=0 cache_miss_splits=8 "
+      "place_workers=1 injected_faults=1"},
+    {"reduce-crash", Exit::kReduceCrash, false, true,
+     "job_overhead map_phase shuffle",
+      "Unavailable\n"
+      "metrics: aliased_pairs cache_aborted_evictions "
+      "cache_bytes_resident cache_evicted_by_crash_blocks "
+      "cache_evicted_bytes cache_evictions cache_evictor_inflight "
+      "cache_forced_fills cache_hit_splits cache_leases_active "
+      "cache_miss_splits cache_rejected_fills cache_spilled_evictions "
+      "cloned_pairs dedup_objects dedup_saved_bytes hdfs_read_bytes "
+      "hdfs_write_bytes injected_faults map_tasks membership_epoch "
+      "partition_map_version place_crashes place_workers "
+      "recovered_map_tasks shuffle_local_pairs "
+      "shuffle_max_partition_run_bytes shuffle_overflow_spills "
+      "shuffle_pool_peak_bytes shuffle_remote_pairs "
+      "shuffle_runs_compacted shuffle_runs_shipped shuffle_wire_bytes "
+      "time_to_first_reduce_ms\n"
+      "counters: FileSystemCounters/HDFS_BYTES_READ M3R/ALIASED_PAIRS "
+      "M3R/CACHE_ABORTED_EVICTIONS M3R/CACHE_BYTES_RESIDENT "
+      "M3R/CACHE_EVICTED_BYTES M3R/CACHE_EVICTED_BY_CRASH_BLOCKS "
+      "M3R/CACHE_EVICTIONS M3R/CACHE_EVICTOR_INFLIGHT "
+      "M3R/CACHE_HIT_SPLITS M3R/CACHE_LEASES_ACTIVE "
+      "M3R/CACHE_MISS_SPLITS M3R/CACHE_REJECTED_FILLS "
+      "M3R/CLONED_PAIRS M3R/DEDUPED_OBJECTS M3R/DEDUP_SAVED_BYTES "
+      "M3R/LOCAL_SHUFFLE_PAIRS M3R/PLACE_CRASHES "
+      "M3R/REMOTE_SHUFFLE_PAIRS M3R/SHUFFLE_OVERFLOW_SPILLS "
+      "M3R/SHUFFLE_RUNS_SHIPPED "
+      "org.apache.hadoop.mapred.Task$Counter/COMBINE_INPUT_RECORDS "
+      "org.apache.hadoop.mapred.Task$Counter/COMBINE_OUTPUT_RECORDS "
+      "org.apache.hadoop.mapred.Task$Counter/MAP_INPUT_RECORDS "
+      "org.apache.hadoop.mapred.Task$Counter/MAP_OUTPUT_RECORDS "
+      "org.apache.hadoop.mapred.Task$Counter/REDUCE_INPUT_GROUPS "
+      "org.apache.hadoop.mapred.Task$Counter/REDUCE_INPUT_RECORDS "
+      "org.apache.hadoop.mapred.Task$Counter/REDUCE_OUTPUT_RECORDS\n"
+      "values: map_tasks=8 cache_hit_splits=0 cache_miss_splits=8 "
+      "place_workers=1 hdfs_read_bytes=65691 hdfs_write_bytes=0 "
+      "shuffle_local_pairs=1482 shuffle_remote_pairs=4535 "
+      "shuffle_wire_bytes=68351 dedup_objects=0 dedup_saved_bytes=0 "
+      "aliased_pairs=1482 cloned_pairs=0 shuffle_runs_shipped=6 "
+      "shuffle_overflow_spills=0 place_crashes=1 "
+      "recovered_map_tasks=0 cache_evicted_by_crash_blocks=2 "
+      "membership_epoch=2 partition_map_version=1 injected_faults=1"},
 };
 
 TEST(M3REngineTest, EveryExitReportsItsPinnedMetricsAndCounters) {
@@ -649,7 +714,27 @@ TEST(M3REngineTest, TimeBreakdownSumsToSimSecondsOnEveryExit) {
     for (const auto& [phase, seconds] : r.time_breakdown) sum += seconds;
     EXPECT_LE(std::fabs(sum - r.sim_seconds), 1e-9)
         << c.name << ": breakdown " << sum << " vs sim " << r.sim_seconds;
+    EXPECT_EQ(r.sim_seconds > 0, c.charged) << c.name;
+    EXPECT_EQ(exit_paths::PhaseKeys(r), c.phases) << c.name;
   }
+}
+
+/// Only the two crash fallbacks report the time a failed job charged. A
+/// recovered map crash followed by a reduce fault is neither: it reports
+/// no simulated time, although the job saw a crash.
+TEST(M3REngineTest, RecoveredCrashThenReduceFaultReportsNoSimulatedTime) {
+  auto fs = exit_paths::ExitInput();
+  M3REngine m3r(fs, DefaultOptions());
+  api::JobConf job = workloads::MakeWordCountJob("/in", "/out", 2, true);
+  job.SetInt(api::conf::kPlaceWorkers, 1);
+  job.Set(api::conf::kPlaceCrashAt, "1:1");
+  job.Set("m3r.fault.m3r.reduce.prob", "1");
+  api::JobResult r = m3r.Submit(job);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.metrics.at("place_crashes"), 1);
+  EXPECT_EQ(r.metrics.at("recovered_map_tasks"), 1);
+  EXPECT_EQ(r.sim_seconds, 0);
+  EXPECT_TRUE(r.time_breakdown.empty());
 }
 
 }  // namespace

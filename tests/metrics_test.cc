@@ -6,7 +6,6 @@
 
 #include <gtest/gtest.h>
 
-#include <fstream>
 #include <map>
 #include <memory>
 #include <set>
@@ -14,6 +13,7 @@
 #include <vector>
 
 #include "exit_paths.h"
+#include "readme_table.h"
 #include "m3r/server.h"
 
 namespace m3r::api {
@@ -70,33 +70,11 @@ TEST(MetricsTest, AddAndSetWriteTheMetricAndItsMirror) {
 /// Rows of README.md's "Canonical job metric names" table, as
 /// name -> "unit kind mirror", with "-" for no mirror.
 std::map<std::string, std::string> ReadmeMetricRows() {
-  std::ifstream in(std::string(M3R_SOURCE_DIR) + "/README.md");
-  EXPECT_TRUE(in.good()) << "cannot read README.md";
   std::map<std::string, std::string> rows;
-  bool in_table = false;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.rfind("| Metric | Unit | Kind | Counter mirror |", 0) == 0) {
-      in_table = true;
-      continue;
-    }
-    if (line.rfind("|", 0) != 0) {
-      in_table = false;
-      continue;
-    }
-    if (!in_table || line.rfind("| `", 0) != 0) continue;
-    // | `name` | unit | kind | `Group/NAME` or - | meaning |
-    std::vector<std::string> cells;
-    for (size_t pos = 1; pos < line.size();) {
-      const size_t end = line.find('|', pos);
-      if (end == std::string::npos) break;
-      std::string cell = line.substr(pos, end - pos);
-      const size_t b = cell.find_first_not_of(" `");
-      const size_t e = cell.find_last_not_of(" `");
-      cells.push_back(b == std::string::npos ? "" : cell.substr(b, e - b + 1));
-      pos = end + 1;
-    }
-    EXPECT_EQ(cells.size(), 5u) << line;
+  // | `name` | unit | kind | `Group/NAME` or - | meaning |
+  for (const std::vector<std::string>& cells :
+       readme::TableRows("| Metric | Unit | Kind | Counter mirror |")) {
+    EXPECT_EQ(cells.size(), 5u) << cells[0];
     if (cells.size() < 4) continue;
     EXPECT_TRUE(rows.emplace(cells[0], cells[1] + " " + cells[2] + " " +
                                            cells[3])

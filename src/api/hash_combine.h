@@ -100,6 +100,8 @@ class HashCombineCollector : public OutputCollector {
   /// Returns the first combiner failure, if any.
   Status Flush();
 
+  /// Mapper emissions collected so far.
+  uint64_t collected() const { return collected_; }
   /// Whole-table drains forced by the memory budget.
   uint64_t overflow_spills() const { return overflow_spills_; }
   /// Distinct keys currently held.

@@ -260,13 +260,8 @@ std::shared_ptr<OutputFormat> MakeOutputFormat(const JobConf& conf) {
       conf.Get(conf::kOutputFormat, TextOutputFormat::kClassName));
 }
 
-void SortPairs(const JobConf& conf, std::vector<KeyedPair>* pairs) {
-  SortPairs(conf, pairs, SortOptions{}, nullptr);
-}
-
 void SortPairs(const JobConf& conf, std::vector<KeyedPair>* pairs,
-               const SortOptions& options, SortStats* stats) {
-  if (stats != nullptr) *stats = SortStats{};
+               const SortOptions& options) {
   if (pairs->size() < 2) return;
   serialize::RawComparatorPtr cmp = SortComparator(conf);
 
@@ -287,17 +282,11 @@ void SortPairs(const JobConf& conf, std::vector<KeyedPair>* pairs,
   kopts.parallel_threshold =
       static_cast<size_t>(knobs::Int(conf, conf::kSortParallelThreshold));
 
-  sortkit::SortStats kstats;
-  std::vector<uint32_t> perm =
-      sortkit::StableSortPermutation(keys, kopts, &kstats);
+  std::vector<uint32_t> perm = sortkit::StableSortPermutation(keys, kopts);
   std::vector<KeyedPair> sorted;
   sorted.reserve(pairs->size());
   for (uint32_t i : perm) sorted.push_back(std::move((*pairs)[i]));
   *pairs = std::move(sorted);
-  if (stats != nullptr) {
-    stats->cpu_seconds = kstats.cpu_seconds;
-    stats->caller_cpu_seconds = kstats.caller_cpu_seconds;
-  }
 }
 
 SortedPairsGroupSource::SortedPairsGroupSource(

@@ -71,22 +71,12 @@ struct SortOptions {
   int max_workers = 1;
 };
 
-/// Measured CPU cost of one SortPairs call, for simulated-time attribution
-/// (the `sort` phase). `caller_cpu_seconds` is the portion spent on
-/// the calling thread — already visible to any CpuStopwatch the caller has
-/// running — while work stolen by pool threads only shows up here.
-struct SortStats {
-  double cpu_seconds = 0;
-  double caller_cpu_seconds = 0;
-};
-
 /// Sorts `pairs` by the job's sort comparator (stable, preserving map
 /// emission order within equal keys, as Hadoop's sort does). Runs on the
 /// prefix-cached kernel in common/sort.h; the virtual comparator is only
 /// consulted when the job overrides the BytesComparator default.
-void SortPairs(const JobConf& conf, std::vector<KeyedPair>* pairs);
 void SortPairs(const JobConf& conf, std::vector<KeyedPair>* pairs,
-               const SortOptions& options, SortStats* stats = nullptr);
+               const SortOptions& options = {});
 
 /// GroupSource over sorted in-memory pairs, applying the job's grouping
 /// comparator (secondary-sort semantics: one reduce call per group of keys

@@ -1,13 +1,10 @@
 #include "common/sort.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cstring>
 #include <limits>
-#include <thread>
 
 #include "common/logging.h"
-#include "common/stopwatch.h"
 
 namespace m3r::sortkit {
 
@@ -52,33 +49,17 @@ struct CustomLess {
   }
 };
 
-/// Accumulates per-thread CPU cost into the two SortStats buckets.
-struct CpuLedger {
-  std::thread::id caller = std::this_thread::get_id();
-  std::atomic<double> total{0};
-  std::atomic<double> on_caller{0};
-
-  void Add(double seconds) {
-    total.fetch_add(seconds, std::memory_order_relaxed);
-    if (std::this_thread::get_id() == caller) {
-      on_caller.fetch_add(seconds, std::memory_order_relaxed);
-    }
-  }
-};
-
 template <typename Less>
 std::vector<uint32_t> SortEntries(std::vector<Entry> entries,
                                   const Less& less,
                                   const SortOptions& options,
-                                  SortStats* stats, CpuLedger* cpu) {
+                                  SortStats* stats) {
   const size_t n = entries.size();
   const bool parallel = options.executor != nullptr &&
                         options.max_workers > 1 &&
                         n >= options.parallel_threshold && n >= 2;
   if (!parallel) {
-    CpuStopwatch sw;
     std::sort(entries.begin(), entries.end(), less);
-    cpu->Add(sw.ElapsedSeconds());
   } else {
     // Split into contiguous runs, sort them in parallel, then merge with
     // pairwise passes. Runs cover contiguous index ranges, so the
@@ -93,11 +74,9 @@ std::vector<uint32_t> SortEntries(std::vector<Entry> entries,
     options.executor->ParallelFor(
         runs,
         [&](size_t r) {
-          CpuStopwatch sw;
           std::sort(entries.begin() + static_cast<ptrdiff_t>(bounds[r]),
                     entries.begin() + static_cast<ptrdiff_t>(bounds[r + 1]),
                     less);
-          cpu->Add(sw.ElapsedSeconds());
         },
         options.max_workers);
 
@@ -107,7 +86,6 @@ std::vector<uint32_t> SortEntries(std::vector<Entry> entries,
     while (bounds.size() > 2) {
       const size_t pairs = (bounds.size() - 1) / 2;
       auto merge_pair = [&](size_t j) {
-        CpuStopwatch sw;
         const size_t lo = bounds[2 * j];
         const size_t mid = bounds[2 * j + 1];
         const size_t hi = bounds[2 * j + 2];
@@ -116,7 +94,6 @@ std::vector<uint32_t> SortEntries(std::vector<Entry> entries,
                    src->begin() + static_cast<ptrdiff_t>(mid),
                    src->begin() + static_cast<ptrdiff_t>(hi),
                    dst->begin() + static_cast<ptrdiff_t>(lo), less);
-        cpu->Add(sw.ElapsedSeconds());
       };
       if (pairs > 1) {
         options.executor->ParallelFor(pairs, merge_pair,
@@ -126,11 +103,9 @@ std::vector<uint32_t> SortEntries(std::vector<Entry> entries,
       }
       // An odd trailing run has no partner this pass; carry it over.
       if ((bounds.size() - 1) % 2 != 0) {
-        CpuStopwatch sw;
         std::copy(src->begin() + static_cast<ptrdiff_t>(bounds[bounds.size() - 2]),
                   src->begin() + static_cast<ptrdiff_t>(bounds.back()),
                   dst->begin() + static_cast<ptrdiff_t>(bounds[bounds.size() - 2]));
-        cpu->Add(sw.ElapsedSeconds());
       }
       std::vector<size_t> next;
       next.reserve(pairs + 2);
@@ -142,10 +117,8 @@ std::vector<uint32_t> SortEntries(std::vector<Entry> entries,
     if (src != &entries) entries = std::move(*src);
   }
 
-  CpuStopwatch sw;
   std::vector<uint32_t> perm(n);
   for (size_t i = 0; i < n; ++i) perm[i] = entries[i].index;
-  cpu->Add(sw.ElapsedSeconds());
   return perm;
 }
 
@@ -159,8 +132,6 @@ std::vector<uint32_t> StableSortPermutation(
   M3R_CHECK(n <= std::numeric_limits<uint32_t>::max())
       << "too many keys for one sort: " << n;
 
-  CpuLedger cpu;
-  CpuStopwatch build_sw;
   const bool bytes_order = options.comparator == nullptr;
   local.used_prefix = bytes_order;
   std::vector<Entry> entries(n);
@@ -173,19 +144,16 @@ std::vector<uint32_t> StableSortPermutation(
       entries[i] = Entry{0, static_cast<uint32_t>(i)};
     }
   }
-  cpu.Add(build_sw.ElapsedSeconds());
 
   std::vector<uint32_t> perm;
   if (bytes_order) {
     perm = SortEntries(std::move(entries), BytesLess{keys.data()}, options,
-                       &local, &cpu);
+                       &local);
   } else {
     perm = SortEntries(std::move(entries),
                        CustomLess{keys.data(), options.comparator}, options,
-                       &local, &cpu);
+                       &local);
   }
-  local.cpu_seconds = cpu.total.load(std::memory_order_relaxed);
-  local.caller_cpu_seconds = cpu.on_caller.load(std::memory_order_relaxed);
   if (stats != nullptr) *stats = local;
   return perm;
 }

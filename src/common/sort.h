@@ -46,16 +46,8 @@ struct SortOptions {
   size_t parallel_threshold = kDefaultParallelThreshold;
 };
 
-/// What one sort cost, for the engines' simulated-time attribution. CPU is
-/// measured per participating thread (CLOCK_THREAD_CPUTIME_ID) inside the
-/// parallel bodies, because work stolen by pool threads is invisible to
-/// the calling task's own CPU stopwatch.
+/// How one sort ran.
 struct SortStats {
-  /// Total CPU seconds across every thread that touched the sort.
-  double cpu_seconds = 0;
-  /// The share spent on the calling thread — already inside any CpuStopwatch
-  /// the caller has running, so engines subtract it to avoid double-charging.
-  double caller_cpu_seconds = 0;
   /// Sorted runs used by the parallel path (1 = serial).
   size_t parallel_runs = 1;
   /// False when the virtual-comparator fallback was taken.

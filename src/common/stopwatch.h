@@ -2,7 +2,6 @@
 #define M3R_COMMON_STOPWATCH_H_
 
 #include <chrono>
-#include <ctime>
 
 namespace m3r {
 
@@ -21,28 +20,6 @@ class Stopwatch {
 
  private:
   std::chrono::steady_clock::time_point start_;
-};
-
-/// Per-thread CPU-time stopwatch. Task compute costs are measured with
-/// this (not wall clock) so that host thread contention — running 160
-/// simulated tasks on a dozen cores — does not leak into the simulated
-/// ledger, where each task owns its slot's core.
-class CpuStopwatch {
- public:
-  CpuStopwatch() { Restart(); }
-
-  void Restart() { start_ = Now(); }
-
-  double ElapsedSeconds() const { return Now() - start_; }
-
- private:
-  static double Now() {
-    timespec ts;
-    clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
-    return static_cast<double>(ts.tv_sec) + 1e-9 * ts.tv_nsec;
-  }
-
-  double start_ = 0;
 };
 
 }  // namespace m3r

@@ -230,14 +230,13 @@ api::JobResult HadoopEngine::Submit(const api::JobConf& submitted_conf) {
   std::vector<double> map_durations(splits.size(), 0);
   int64_t local_maps = 0;
   int64_t map_task_failures = 0;
-  double sort_cpu = 0;
+  sim::CpuWork sort_work;
   auto map_duration_fn = [&](const MapTaskResult* mr) {
     return [&, mr](bool is_local, int) {
       double d = spec.task_jvm_start_s;
       d += cost_.DfsRead(mr->input_bytes, is_local);
-      // Sort CPU is carved out of the task's compute and charged to the
-      // job-wide sort phase instead.
-      d += cost_.MeasuredCpu(std::max(0.0, mr->cpu_seconds - mr->sort_seconds));
+      // The spill sorts are charged to the job-wide sort phase instead.
+      d += cost_.Cpu(mr->work);
       d += cost_.DiskWrite(mr->spill_write_bytes);
       if (mr->merge_bytes > 0) {
         d += cost_.DiskRead(mr->merge_bytes) +
@@ -253,7 +252,7 @@ api::JobResult HadoopEngine::Submit(const api::JobConf& submitted_conf) {
     std::vector<int> failed_on;
     for (size_t a = 0; a < attempts.size(); ++a) {
       const MapTaskResult& mr = attempts[a];
-      sort_cpu += mr.sort_seconds;
+      sort_work += mr.sort;
       std::vector<int> avoid = blacklisted;
       avoid.insert(avoid.end(), failed_on.begin(), failed_on.end());
       bool local = false;
@@ -396,7 +395,7 @@ api::JobResult HadoopEngine::Submit(const api::JobConf& submitted_conf) {
         // Out-of-core merge: one write+read pass over the merged bytes.
         d += cost_.DiskWrite(rr->merge_bytes) +
              cost_.DiskRead(rr->merge_bytes);
-        d += cost_.MeasuredCpu(rr->cpu_seconds);
+        d += cost_.Cpu(rr->work);
         d += cost_.DfsWrite(rr->output_bytes);
         return d;
       };
@@ -490,9 +489,8 @@ api::JobResult HadoopEngine::Submit(const api::JobConf& submitted_conf) {
                  cost_.SpreadOverSlots(cost_.Checksum(static_cast<uint64_t>(
                      integrity->counters->bytes_checksummed.load()))));
   }
-  if (sort_cpu > 0) {
-    clock.Charge(phase::kSort,
-                 cost_.SpreadOverSlots(cost_.MeasuredCpu(sort_cpu)));
+  if (const double charge = cost_.Cpu(sort_work); charge > 0) {
+    clock.Charge(phase::kSort, cost_.SpreadOverSlots(charge));
   }
 
   // --- Commit ---

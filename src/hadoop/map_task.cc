@@ -1,15 +1,11 @@
 #include "hadoop/map_task.h"
 
-#include <map>
-
-#include "api/class_registry.h"
 #include "api/hash_combine.h"
 #include "api/knobs.h"
-#include "api/multiple_io.h"
 #include "api/output_format.h"
 #include "api/task_runner.h"
-#include "common/stopwatch.h"
 #include "hadoop/merge.h"
+#include "hadoop/named_output.h"
 #include "hadoop/spill.h"
 
 namespace m3r::hadoop {
@@ -34,54 +30,11 @@ class DirectWriteCollector : public api::OutputCollector {
   api::Reporter* reporter_;
 };
 
-/// Hadoop-side MultipleOutputs sink: writes named outputs directly through
-/// their configured format to <outdir>/<name>-part-<task>.
-class HadoopNamedOutputSink : public api::NamedOutputSink {
- public:
-  HadoopNamedOutputSink(const api::JobConf& conf, dfs::FileSystem& fs,
-                        int task_id, int node)
-      : conf_(conf), fs_(fs), task_id_(task_id), node_(node) {}
-
-  ~HadoopNamedOutputSink() override {
-    for (auto& [name, writer] : writers_) M3R_CHECK_OK(writer->Close());
-  }
-
-  Status WriteNamed(const std::string& name, const api::WritablePtr& key,
-                    const api::WritablePtr& value) override {
-    auto it = writers_.find(name);
-    if (it == writers_.end()) {
-      std::string format_name = api::MultipleOutputs::OutputFormatFor(
-          conf_, name);
-      if (format_name.empty()) {
-        return Status::InvalidArgument("unknown named output: " + name);
-      }
-      auto format =
-          api::ObjectRegistry<api::OutputFormat>::Instance().Create(
-              format_name);
-      std::string path = conf_.OutputPath() + "/" + name + "-" +
-                         api::file_output::PartFileName(task_id_);
-      M3R_ASSIGN_OR_RETURN(std::unique_ptr<api::RecordWriter> writer,
-                           format->GetRecordWriter(conf_, fs_, path, node_));
-      it = writers_.emplace(name, std::move(writer)).first;
-    }
-    return it->second->Write(*key, *value);
-  }
-
-  uint64_t BytesWritten() const {
-    uint64_t total = 0;
-    for (const auto& [name, writer] : writers_) {
-      total += writer->BytesWritten();
-    }
-    return total;
-  }
-
- private:
-  const api::JobConf& conf_;
-  dfs::FileSystem& fs_;
-  int task_id_;
-  int node_;
-  std::map<std::string, std::unique_ptr<api::RecordWriter>> writers_;
-};
+/// Records the task's reader fed its mapper.
+uint64_t MapInputRecords(const MapTaskResult& result) {
+  return static_cast<uint64_t>(result.counters.Get(
+      api::counters::kTaskGroup, api::counters::kMapInputRecords));
+}
 
 }  // namespace
 
@@ -113,7 +66,6 @@ MapTaskResult RunHadoopMapTask(const api::JobConf& job_conf,
   HadoopNamedOutputSink named_sink(conf, fs, task_id, node);
   api::ScopedNamedOutputSink scoped_sink(&named_sink);
 
-  CpuStopwatch cpu;
   bool immutable_unused = false;
   if (num_reduce == 0) {
     // Map-only: write through the output format + commit protocol.
@@ -137,7 +89,13 @@ MapTaskResult RunHadoopMapTask(const api::JobConf& job_conf,
     result.status = writer->Close();
     if (!result.status.ok()) return result;
     result.output_bytes = writer->BytesWritten() + named_sink.BytesWritten();
-    result.cpu_seconds = cpu.ElapsedSeconds();
+    result.work.Add(sim::CpuLayer::kMap, MapInputRecords(result),
+                    result.input_bytes);
+    result.work.Add(sim::CpuLayer::kEmit,
+                    static_cast<uint64_t>(result.counters.Get(
+                        api::counters::kTaskGroup,
+                        api::counters::kMapOutputRecords)),
+                    result.output_bytes);
     // Injected death after the work but before the commit: the attempt
     // directory is left for the engine to abort, and the retried attempt
     // commits from its own directory.
@@ -169,8 +127,16 @@ MapTaskResult RunHadoopMapTask(const api::JobConf& job_conf,
     if (!result.status.ok()) return result;
   }
   buffer.Flush();
-  result.cpu_seconds = cpu.ElapsedSeconds();
-  result.sort_seconds = buffer.sort_seconds();
+  // The map-side merge below is charged as disk I/O, not as CPU work.
+  result.work.Add(sim::CpuLayer::kMap, MapInputRecords(result),
+                  result.input_bytes);
+  result.work.Add(sim::CpuLayer::kEmit, buffer.total_records(),
+                  buffer.total_output_bytes());
+  result.work += buffer.spill_work();
+  if (hasher != nullptr) {
+    result.work.Add(sim::CpuLayer::kReduce, hasher->collected(), 0);
+  }
+  result.sort = buffer.sort_work();
   // Injected death after the map ran but before its output is served to
   // reducers (the real-world window where a lost tracker forfeits its map
   // output and the task must re-run).

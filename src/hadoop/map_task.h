@@ -11,13 +11,14 @@
 #include "common/integrity.h"
 #include "common/status.h"
 #include "dfs/file_system.h"
+#include "sim/cost_model.h"
 
 namespace m3r::hadoop {
 
 /// Everything a completed map task leaves behind for the engine: one merged
 /// sorted segment per reduce partition (the "map output file"), the byte
-/// counts needed for cost charging, measured user-code CPU time, and the
-/// task's counters.
+/// counts and counted CPU work needed for cost charging, and the task's
+/// counters.
 struct MapTaskResult {
   Status status;
   std::vector<std::string> partition_segments;
@@ -30,10 +31,12 @@ struct MapTaskResult {
   /// Bytes re-read (and re-written) by the map-side merge of spills.
   uint64_t merge_bytes = 0;
   uint64_t output_bytes = 0;
-  double cpu_seconds = 0;
-  /// Portion of cpu_seconds spent inside the per-spill sorts; the engine
-  /// charges it to the `sort` phase rather than generic map compute.
-  double sort_seconds = 0;
+  /// The task's own CPU work: its split, the emits into the spill buffer
+  /// (or the job output when map-only) and the spills' combines.
+  sim::CpuWork work;
+  /// The per-spill sorts; the engine charges them to the `sort` phase
+  /// rather than the task's own compute.
+  sim::CpuWork sort;
   api::Counters counters;
 };
 

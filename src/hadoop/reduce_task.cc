@@ -1,14 +1,11 @@
 #include "hadoop/reduce_task.h"
 
-#include <map>
 #include <memory>
 
-#include "api/class_registry.h"
-#include "api/multiple_io.h"
 #include "api/output_format.h"
 #include "api/task_runner.h"
-#include "common/stopwatch.h"
 #include "hadoop/merge.h"
+#include "hadoop/named_output.h"
 
 namespace m3r::hadoop {
 
@@ -30,52 +27,6 @@ class WriterCollector : public api::OutputCollector {
   api::Reporter* reporter_;
 };
 
-class HadoopReduceNamedSink : public api::NamedOutputSink {
- public:
-  HadoopReduceNamedSink(const api::JobConf& conf, dfs::FileSystem& fs,
-                        int partition, int node)
-      : conf_(conf), fs_(fs), partition_(partition), node_(node) {}
-
-  ~HadoopReduceNamedSink() override {
-    for (auto& [name, writer] : writers_) M3R_CHECK_OK(writer->Close());
-  }
-
-  Status WriteNamed(const std::string& name, const api::WritablePtr& key,
-                    const api::WritablePtr& value) override {
-    auto it = writers_.find(name);
-    if (it == writers_.end()) {
-      std::string format_name =
-          api::MultipleOutputs::OutputFormatFor(conf_, name);
-      if (format_name.empty()) {
-        return Status::InvalidArgument("unknown named output: " + name);
-      }
-      auto format = api::ObjectRegistry<api::OutputFormat>::Instance().Create(
-          format_name);
-      std::string path = conf_.OutputPath() + "/" + name + "-" +
-                         api::file_output::PartFileName(partition_);
-      M3R_ASSIGN_OR_RETURN(std::unique_ptr<api::RecordWriter> writer,
-                           format->GetRecordWriter(conf_, fs_, path, node_));
-      it = writers_.emplace(name, std::move(writer)).first;
-    }
-    return it->second->Write(*key, *value);
-  }
-
-  uint64_t BytesWritten() const {
-    uint64_t total = 0;
-    for (const auto& [name, writer] : writers_) {
-      total += writer->BytesWritten();
-    }
-    return total;
-  }
-
- private:
-  const api::JobConf& conf_;
-  dfs::FileSystem& fs_;
-  int partition_;
-  int node_;
-  std::map<std::string, std::unique_ptr<api::RecordWriter>> writers_;
-};
-
 }  // namespace
 
 ReduceTaskResult RunHadoopReduceTask(
@@ -91,7 +42,6 @@ ReduceTaskResult RunHadoopReduceTask(
                             api::counters::kReduceShuffleBytes,
                             static_cast<int64_t>(result.shuffle_bytes));
 
-  CpuStopwatch cpu;
   // The shuffle fetch is a checksummed hop: every map's segment is
   // verified against its map-side stamp before any of its bytes reach the
   // merge's decoder.
@@ -130,7 +80,7 @@ ReduceTaskResult RunHadoopReduceTask(
   }
   std::unique_ptr<api::RecordWriter> writer = writer_or.take();
 
-  HadoopReduceNamedSink named_sink(conf, fs, partition, node);
+  HadoopNamedOutputSink named_sink(conf, fs, partition, node);
   api::ScopedNamedOutputSink scoped_sink(&named_sink);
 
   SegmentGroupSource groups(conf, &merged);
@@ -141,8 +91,19 @@ ReduceTaskResult RunHadoopReduceTask(
   if (!result.status.ok()) return result;
   result.status = writer->Close();
   if (!result.status.ok()) return result;
-  result.cpu_seconds = cpu.ElapsedSeconds();
   result.output_bytes = writer->BytesWritten() + named_sink.BytesWritten();
+  // The merge decodes every fetched segment and re-encodes one stream,
+  // which the reducer's group source decodes again.
+  result.work.Add(sim::CpuLayer::kDecode, merged_records,
+                  result.shuffle_bytes);
+  result.work.Add(sim::CpuLayer::kEmit, merged_records, result.merge_bytes);
+  result.work.Add(sim::CpuLayer::kDecode, merged_records, result.merge_bytes);
+  result.work.Add(sim::CpuLayer::kReduce, merged_records, 0);
+  result.work.Add(sim::CpuLayer::kEmit,
+                  static_cast<uint64_t>(result.counters.Get(
+                      api::counters::kTaskGroup,
+                      api::counters::kReduceOutputRecords)),
+                  result.output_bytes);
 
   // Injected death between the reducer finishing and the task committing —
   // the attempt directory stays behind for the engine to abort.

@@ -10,6 +10,7 @@
 #include "common/integrity.h"
 #include "common/status.h"
 #include "dfs/file_system.h"
+#include "sim/cost_model.h"
 
 namespace m3r::hadoop {
 
@@ -21,7 +22,8 @@ struct ReduceTaskResult {
   uint64_t merge_bytes = 0;
   /// Bytes written to the DFS output (before replication).
   uint64_t output_bytes = 0;
-  double cpu_seconds = 0;
+  /// The fetched segments' merge, the reducer's input and its output.
+  sim::CpuWork work;
   api::Counters counters;
 };
 

@@ -4,7 +4,6 @@
 
 #include "api/counters.h"
 #include "common/sort.h"
-#include "common/stopwatch.h"
 #include "serialize/registry.h"
 
 namespace m3r::hadoop {
@@ -96,7 +95,6 @@ void MapOutputBuffer::SortAndSpill() {
   // dense ints); keys within each partition bucket go through the shared
   // prefix kernel, hitting the virtual comparator only for non-default
   // sort orders.
-  CpuStopwatch sort_sw;
   const size_t parts = static_cast<size_t>(std::max(num_partitions_, 1));
   std::vector<uint32_t> offsets(parts + 1, 0);
   for (const BufferedRecord& r : buffer_) {
@@ -131,12 +129,12 @@ void MapOutputBuffer::SortAndSpill() {
     sortkit::SortOptions kopts;  // per-spill sorts stay on the task thread
     if (!bytes_order) kopts.comparator = &custom;
     std::vector<uint32_t> perm = sortkit::StableSortPermutation(keys, kopts);
+    sort_work_.Add(sim::CpuLayer::kSort, keys.size(), 0);
     std::vector<uint32_t> sorted(hi - lo);
     for (size_t j = 0; j < perm.size(); ++j) sorted[j] = order[lo + perm[j]];
     std::copy(sorted.begin(), sorted.end(),
               order.begin() + static_cast<ptrdiff_t>(lo));
   }
-  sort_seconds_ += sort_sw.ElapsedSeconds();
 
   Spill spill;
   spill.partition_segments.resize(parts);
@@ -154,6 +152,12 @@ void MapOutputBuffer::SortAndSpill() {
         records.emplace_back(buffer_[order[k]].key, buffer_[order[k]].value);
       }
       std::vector<KeyedPair> pairs = DeserializeRange(conf_, records);
+      uint64_t range_bytes = 0;
+      for (const auto& [key, value] : records) {
+        range_bytes += key.size() + value.size();
+      }
+      spill_work_.Add(sim::CpuLayer::kDecode, pairs.size(), range_bytes);
+      spill_work_.Add(sim::CpuLayer::kReduce, pairs.size(), 0);
       reporter_->IncrCounter(api::counters::kTaskGroup,
                              api::counters::kCombineInputRecords,
                              static_cast<int64_t>(pairs.size()));
@@ -170,6 +174,7 @@ void MapOutputBuffer::SortAndSpill() {
     }
     spill.records += segment.records();
     spill.bytes += segment.size();
+    spill_work_.Add(sim::CpuLayer::kEmit, segment.records(), segment.size());
     spill.partition_segments[p] = segment.Take();
   }
 

@@ -13,6 +13,7 @@
 #include "common/integrity.h"
 #include "serialize/comparators.h"
 #include "serialize/io.h"
+#include "sim/cost_model.h"
 
 namespace m3r::hadoop {
 
@@ -96,10 +97,12 @@ class MapOutputBuffer : public api::OutputCollector {
   uint64_t total_output_bytes() const { return total_output_bytes_; }
   uint64_t total_records() const { return total_records_; }
   uint64_t spilled_records() const { return spilled_records_; }
-  /// CPU seconds spent in the per-spill sorts (partition bucketing + key
-  /// ordering), measured on the task thread; the engine charges them to
-  /// the `sort` phase instead of the task's generic compute.
-  double sort_seconds() const { return sort_seconds_; }
+  /// The per-spill key sorts, one per partition bucket; the engine charges
+  /// them to the `sort` phase instead of the task's own compute.
+  const sim::CpuWork& sort_work() const { return sort_work_; }
+  /// The spills' own work besides the sorts: each combine's decode and
+  /// combiner input, and the sorted segments written.
+  const sim::CpuWork& spill_work() const { return spill_work_; }
 
  private:
   struct BufferedRecord {
@@ -119,7 +122,8 @@ class MapOutputBuffer : public api::OutputCollector {
   uint64_t buffer_limit_bytes_;
 
   std::vector<BufferedRecord> buffer_;
-  double sort_seconds_ = 0;
+  sim::CpuWork sort_work_;
+  sim::CpuWork spill_work_;
   uint64_t buffered_bytes_ = 0;
   uint64_t total_output_bytes_ = 0;
   uint64_t total_records_ = 0;

@@ -59,8 +59,9 @@ class Cache {
   /// admission: `droppable` fills (DFS-backed input blocks a future job
   /// could re-read) may be silently bypassed when the memory budget cannot
   /// be reclaimed, while required fills (cache-only outputs, checkpoint
-  /// heals) are always admitted. `fill_seconds` is the measured cost of
-  /// producing the block, feeding the cost-aware eviction policy.
+  /// heals) are always admitted. `fill_seconds` is the simulated cost of
+  /// producing the block (its counted CPU work), feeding the cost-aware
+  /// eviction policy.
   /// `whole_file` marks output-style fills whose single block "0" covers
   /// the entire file (kvstore::BlockInfo::whole_file); split-offset input
   /// fills must leave it false.

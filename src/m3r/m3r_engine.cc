@@ -253,6 +253,7 @@ class CombiningShuffleCollector : public api::OutputCollector {
     kp.value = mapper_immutable_ ? value : value->Clone();
     if (!mapper_immutable_) cloned_pairs_.Add();
     kp.key_bytes = serialize::SerializeToString(*kp.key);
+    work_.Add(sim::CpuLayer::kEmit, 1, kp.key_bytes.size());
     buffered_[static_cast<size_t>(partition)].push_back(std::move(kp));
     output_records_.Add();
   }
@@ -285,6 +286,8 @@ class CombiningShuffleCollector : public api::OutputCollector {
       reporter_->IncrCounter(api::counters::kTaskGroup,
                              api::counters::kCombineInputRecords,
                              static_cast<int64_t>(pairs.size()));
+      work_.Add(sim::CpuLayer::kSort, pairs.size(), 0);
+      work_.Add(sim::CpuLayer::kReduce, pairs.size(), 0);
       api::SortPairs(conf_, &pairs);
       api::SortedPairsGroupSource groups(sort_cmp, &pairs);
       EmitCollector emit(this, p);
@@ -293,6 +296,10 @@ class CombiningShuffleCollector : public api::OutputCollector {
     }
     return Status::OK();
   }
+
+  /// The buffered emits' key serialization, and the combiner's sorts and
+  /// input records.
+  const sim::CpuWork& work() const { return work_; }
 
  private:
   const JobConf& conf_;
@@ -307,6 +314,7 @@ class CombiningShuffleCollector : public api::OutputCollector {
   TaskCounter cloned_pairs_;
   TaskCounter output_records_;
   std::vector<std::vector<api::KeyedPair>> buffered_;
+  sim::CpuWork work_;
 };
 
 /// Routes mapper output into the shuffle. A lane's hash-combine table
@@ -372,6 +380,7 @@ class OutputSeqCollector : public api::OutputCollector {
   }
 
   KVSeq TakeSeq() { return std::move(seq_); }
+  uint64_t records() const { return seq_.size(); }
   uint64_t bytes() const { return bytes_; }
 
  private:
@@ -486,7 +495,9 @@ struct TaskPlan {
   uint64_t input_bytes = 0;
   // Filled during execution.
   Status status;
-  double cpu_seconds = 0;
+  sim::CpuWork work;
+  /// This task's share of its lane table's drain (ChargeDrain).
+  double drain_seconds = 0;
   uint64_t output_bytes = 0;  // map-only jobs
   /// Completed once at a place that later died, and re-run on a survivor:
   /// the re-execution is charged to the recovery phase, not to the
@@ -952,7 +963,6 @@ Result<int> M3REngine::PrepopulateCache(const api::JobConf& conf) {
     // Route the read to the place that would own the split.
     const api::InputSplit* base_split = nullptr;
     JobConf tconf = api::SpecializeConfForSplit(conf, split, &base_split);
-    Stopwatch fill_sw;
     Result<KVSeq> seq = ReadAllPairs(tconf, *base_split, *fs_);
     if (!seq.ok()) {
       statuses[i] = seq.status();
@@ -968,10 +978,12 @@ Result<int> M3REngine::PrepopulateCache(const api::JobConf& conf) {
     } else {
       place = static_cast<int>(i) % places_.NumPlaces();
     }
+    // The `cost` policy's refill cost: the split's RecordReader pass.
+    sim::CpuWork parse;
+    parse.Add(sim::CpuLayer::kMap, 0, split.GetLength());
     statuses[i] = cache_.PutBlock(*name, Cache::BlockNameForSplit(split),
                                   place, seq.take(), split.GetLength(),
-                                  fill_sw.ElapsedSeconds(),
-                                  /*droppable=*/true);
+                                  cost_.Cpu(parse), /*droppable=*/true);
     if (statuses[i].ok()) ++loaded;
   });
   for (auto& st : statuses) {
@@ -1003,7 +1015,9 @@ class M3REngine::JobRun {
  private:
   struct ReduceResult {
     Status status;
-    double cpu_seconds = 0;
+    sim::CpuWork work;
+    /// The partition's sort, charged to the job-wide `sort` phase.
+    sim::CpuWork sort;
     uint64_t output_bytes = 0;
   };
 
@@ -1470,6 +1484,7 @@ class M3REngine::JobRun {
       lane_hasher = std::make_unique<api::HashCombineCollector>(
           conf_, lane_sink.get(), lane_reporter.get(), &e_.hash_combine_bytes_);
     }
+    std::vector<size_t> fed;  // the tasks that completed into the table
     for (size_t j = s; j < mine.size(); j += strands) {
       if (map_aborted_.load(std::memory_order_relaxed)) return;
       if (e_.CancelRequested()) {
@@ -1484,6 +1499,7 @@ class M3REngine::JobRun {
       }
       RunMapTask(mine[j], place, static_cast<int>(s), lane_hasher.get());
       if (!tasks_[mine[j]].status.ok()) map_aborted_.store(true);
+      fed.push_back(mine[j]);
     }
     // Survivors MUST drain their tables even when another place died this
     // round: their buffered pairs feed lanes that will be delivered. A
@@ -1492,11 +1508,30 @@ class M3REngine::JobRun {
         !map_aborted_.load(std::memory_order_relaxed) &&
         !membership_.IsSuspectOrDead(place)) {
       Status st = lane_hasher->Flush();
+      ChargeDrain(fed, shuffle_->TakeStrandWork(place, static_cast<int>(s)));
       if (!st.ok()) {
         map_aborted_.store(true);
         std::lock_guard<std::mutex> lock(hash_mu_);
         if (hash_status_.ok()) hash_status_ = std::move(st);
       }
+    }
+  }
+
+  /// Spreads the charge of a lane table's drain — its emits and the runs
+  /// they flushed — over the tasks that fed the table, in proportion to the
+  /// emissions each folded into it (their kReduce records). Each drained
+  /// pair is so charged like an emit of the tasks it came from, on the
+  /// slots they ran on.
+  void ChargeDrain(const std::vector<size_t>& fed,
+                   const sim::CpuWork& drained) {
+    const int folded = static_cast<int>(sim::CpuLayer::kReduce);
+    double whole = 0;
+    for (size_t i : fed) whole += tasks_[i].work.records[folded];
+    const double seconds = e_.cost_.Cpu(drained);
+    for (size_t i : fed) {
+      tasks_[i].drain_seconds =
+          whole > 0 ? seconds * tasks_[i].work.records[folded] / whole
+                    : seconds / static_cast<double>(fed.size());
     }
   }
 
@@ -1507,7 +1542,11 @@ class M3REngine::JobRun {
       t.status = fault_->Check("m3r.map", std::to_string(i));
       if (!t.status.ok()) return;
     }
-    CpuStopwatch sw;
+    // The task's counted work: its split, plus what it did inside the
+    // shuffle (emits and emit-time flushes, taken off the strand's tally
+    // when it ends).
+    t.work = sim::CpuWork{};
+    t.drain_seconds = 0;
     const api::InputSplit* base_split = nullptr;
     JobConf tconf = api::SpecializeConfForSplit(conf_, *t.split, &base_split);
     const bool immutable =
@@ -1515,6 +1554,7 @@ class M3REngine::JobRun {
     kvstore::KVSeqPtr pairs;
     t.status = ReadSplit(t, tconf, *base_split, place, &pairs);
     if (!t.status.ok()) return;
+    t.work.Add(sim::CpuLayer::kMap, pairs->size(), 0);
 
     api::CountersReporter reporter(&result_.counters);
     if (lane_hasher != nullptr) {
@@ -1524,7 +1564,9 @@ class M3REngine::JobRun {
       // Everything it forwards is freshly deserialized, so the shuffle
       // aliases it regardless of the mapper's immutability, and it comes
       // with its bytes, so remote pairs go to the wire as they are.
+      const uint64_t folded = lane_hasher->collected();
       t.status = FeedMapper(tconf, *pairs, *lane_hasher, reporter);
+      t.work.Add(sim::CpuLayer::kReduce, lane_hasher->collected() - folded, 0);
     } else if (num_reduce_ > 0 && tconf.HasCombiner()) {
       auto partitioner = api::MakePartitioner(tconf);
       bool combiner_immutable =
@@ -1534,6 +1576,7 @@ class M3REngine::JobRun {
                                           combiner_immutable, &reporter);
       t.status = FeedMapper(tconf, *pairs, collector, reporter);
       if (t.status.ok()) t.status = collector.Flush();
+      t.work += collector.work();
     } else if (num_reduce_ > 0) {
       auto partitioner = api::MakePartitioner(tconf);
       ShuffleCollector collector(&*shuffle_, partitioner.get(), place, lane,
@@ -1543,13 +1586,13 @@ class M3REngine::JobRun {
       // Map-only: mapper output goes straight to the job output.
       t.status = WriteTaskOutput(
           static_cast<int>(i), place, immutable,
-          api::counters::kMapOutputRecords, reporter, sw, &t.output_bytes,
+          api::counters::kMapOutputRecords, reporter, &t.work, &t.output_bytes,
           [&](api::OutputCollector& out) {
             return FeedMapper(tconf, *pairs, out, reporter);
           });
     }
     if (!t.status.ok()) return;
-    t.cpu_seconds = sw.ElapsedSeconds();
+    if (num_reduce_ > 0) t.work += shuffle_->TakeStrandWork(place, lane);
     task_done_[i] = 1;
     membership_.Heartbeat(place);
     const size_t done = ++map_tasks_done_;
@@ -1558,8 +1601,9 @@ class M3REngine::JobRun {
   }
 
   /// The split's pair sequence: the cached block, or a RecordReader pass
-  /// whose result is cached at `place` for the next job.
-  Status ReadSplit(const TaskPlan& t, const JobConf& tconf,
+  /// (counted as the task's parse work, and the cached block's refill
+  /// cost) whose result is cached at `place` for the next job.
+  Status ReadSplit(TaskPlan& t, const JobConf& tconf,
                    const api::InputSplit& base_split, int place,
                    kvstore::KVSeqPtr* pairs) {
     if (t.empty_hit) {
@@ -1582,15 +1626,15 @@ class M3REngine::JobRun {
       *pairs = block->pairs;
       return Status::OK();
     }
-    Stopwatch fill_sw;
     M3R_ASSIGN_OR_RETURN(KVSeq seq, ReadAllPairs(tconf, base_split, *e_.fs_));
     auto owned = std::make_shared<const KVSeq>(std::move(seq));
+    t.work.Add(sim::CpuLayer::kMap, 0, t.input_bytes);
     if (e_.options_.enable_cache && t.cache_path) {
       // Droppable: the split is DFS-backed, so a budget-constrained admission
       // may bypass the cache and the next job re-reads it.
       M3R_RETURN_NOT_OK(e_.cache_.PutBlock(*t.cache_path, t.block_name, place,
                                            *owned, t.input_bytes,
-                                           fill_sw.ElapsedSeconds(),
+                                           e_.cost_.Cpu(t.work),
                                            /*droppable=*/true));
     }
     *pairs = std::move(owned);
@@ -1811,15 +1855,15 @@ class M3REngine::JobRun {
         pre_recv += r_total - r_resid;
       }
       // Deserialization at a place is spread across its worker threads (the
-      // paper's "8 worker threads to exploit the 8 cores"): pack the measured
-      // per-stream decode CPU seconds onto the place's simulated slots in
-      // deterministic stream order; the longest slot is the place's decode
-      // time. A single fat stream cannot be split.
+      // paper's "8 worker threads to exploit the 8 cores"): pack each
+      // stream's counted decode work onto the place's simulated slots in
+      // stream order; the longest slot is the place's decode time. A single
+      // fat stream cannot be split.
       std::vector<double> slot_busy(
           static_cast<size_t>(std::max(spec_.slots_per_node, 1)), 0.0);
-      for (double stream_seconds : shuffle_->DecodeSeconds(p)) {
+      for (const sim::CpuWork& stream : shuffle_->DecodeWork(p)) {
         *std::min_element(slot_busy.begin(), slot_busy.end()) +=
-            e_.cost_.MeasuredCpu(stream_seconds);
+            e_.cost_.Cpu(stream);
       }
       double decode = *std::max_element(slot_busy.begin(), slot_busy.end());
       double comm = e_.cost_.NetTransfer(send) + e_.cost_.NetTransfer(recv) +
@@ -1899,7 +1943,7 @@ class M3REngine::JobRun {
     sim::SlotTimeline red_tl(spec_, start);
     for (int p = 0; p < num_reduce_; ++p) {
       const ReduceResult& rr = reduce_results_[static_cast<size_t>(p)];
-      double d = e_.cost_.MeasuredCpu(rr.cpu_seconds);
+      double d = e_.cost_.Cpu(rr.work);
       if (!temporary_) d += e_.cost_.DfsWrite(rr.output_bytes);
       red_tl.ScheduleOnNode(shuffle_->PlaceOfPartition(p), start, d);
       metrics::Add(&result_, metric::kHdfsWriteBytes,
@@ -1921,48 +1965,43 @@ class M3REngine::JobRun {
       rr.status = fault_->Check("m3r.reduce", std::to_string(p));
       if (!rr.status.ok()) return;
     }
-    CpuStopwatch sw;
     api::CountersReporter reporter(&result_.counters);
 
     // Sort + group (in-memory, same comparator semantics as Hadoop).
     const KVSeq& incoming = shuffle_->PartitionPairs(p);
     std::vector<api::KeyedPair> pairs;
     pairs.reserve(incoming.size());
+    uint64_t key_bytes = 0;
     for (const auto& [k, v] : incoming) {
       api::KeyedPair kp;
       kp.key_bytes = serialize::SerializeToString(*k);
+      key_bytes += kp.key_bytes.size();
       kp.key = k;
       kp.value = v;
       pairs.push_back(std::move(kp));
     }
+    rr.work.Add(sim::CpuLayer::kEmit, pairs.size(), key_bytes);
+    rr.sort.Add(sim::CpuLayer::kSort, pairs.size(), 0);
     api::SortOptions sort_options;
     if (workers_ > 1) {
       sort_options.executor = &e_.places_.pool();
       sort_options.max_workers = workers_;
     }
-    api::SortStats sort_stats;
-    api::SortPairs(conf_, &pairs, sort_options, &sort_stats);
-    {
-      std::lock_guard<std::mutex> lock(sort_mu_);
-      sort_cpu_total_ += sort_stats.cpu_seconds;
-    }
-    rr.status = MergeShippedRuns(p, &pairs);
+    api::SortPairs(conf_, &pairs, sort_options);
+    rr.status = MergeShippedRuns(p, &pairs, &rr.work);
     if (!rr.status.ok()) return;
     reporter.IncrCounter(api::counters::kTaskGroup,
                          api::counters::kReduceInputRecords,
                          static_cast<int64_t>(pairs.size()));
+    rr.work.Add(sim::CpuLayer::kReduce, pairs.size(), 0);
     rr.status = WriteTaskOutput(
         p, place, reduce_immutable_, api::counters::kReduceOutputRecords,
-        reporter, sw, &rr.output_bytes, [&](api::OutputCollector& out) {
+        reporter, &rr.work, &rr.output_bytes, [&](api::OutputCollector& out) {
           api::SortedPairsGroupSource groups(conf_, &pairs);
           bool imm_unused = false;
           return api::RunReduceTask(conf_, groups, out, reporter, &imm_unused);
         });
     if (!rr.status.ok()) return;
-    // The caller-thread share of the sort is already inside `sw`; subtract it
-    // so the task's generic compute isn't double-charged.
-    rr.cpu_seconds +=
-        std::max(0.0, sw.ElapsedSeconds() - sort_stats.caller_cpu_seconds);
     membership_.Heartbeat(place);
   }
 
@@ -1971,7 +2010,8 @@ class M3REngine::JobRun {
   /// partition. Equal keys drain local-first, then in (source place, lane,
   /// flush seq) order — the order a barrier exchange's lane splice gives a
   /// stable sort.
-  Status MergeShippedRuns(int p, std::vector<api::KeyedPair>* local) {
+  Status MergeShippedRuns(int p, std::vector<api::KeyedPair>* local,
+                          sim::CpuWork* work) {
     std::vector<api::KeyedPair>& pairs = *local;
     std::vector<SortedRun> runs;
     M3R_RETURN_NOT_OK(shuffle_->CollectPartitionRuns(p, &runs));
@@ -1990,10 +2030,13 @@ class M3REngine::JobRun {
     std::vector<serialize::DataInput> ins;
     ins.reserve(runs.size());
     uint64_t remote_records = 0;
+    uint64_t remote_bytes = 0;
     for (const SortedRun& run : runs) {
       remote_records += run.records;
+      remote_bytes += run.bytes.size();
       ins.emplace_back(std::string_view(run.bytes));
     }
+    work->Add(sim::CpuLayer::kDecode, remote_records, remote_bytes);
     // Each run's record types are resolved once; every record is then built
     // straight from its span, one Writable per field.
     struct RunTypes {
@@ -2062,12 +2105,13 @@ class M3REngine::JobRun {
     } else if (checkpoint_ == CheckpointPolicy::kTempOut && temporary_) {
       e_.ScheduleCheckpoint(e_.cache_.FilesUnder(conf_.OutputPath()));
     }
-    // Both paths end on one Team barrier. The sort-kernel and checksum CPU
-    // ran inside tasks on every place, so each is charged per slot.
+    // Both paths end on one Team barrier. The partition sorts and the
+    // checksums ran inside tasks on every place, so each is charged per slot.
     clock_.Charge(phase::kExitBarrier, spec_.m3r_barrier_s);
-    if (sort_cpu_total_ > 0) {
-      clock_.Charge(phase::kSort, e_.cost_.SpreadOverSlots(
-                                      e_.cost_.MeasuredCpu(sort_cpu_total_)));
+    sim::CpuWork sort;
+    for (const ReduceResult& rr : reduce_results_) sort += rr.sort;
+    if (const double charge = e_.cost_.Cpu(sort); charge > 0) {
+      clock_.Charge(phase::kSort, e_.cost_.SpreadOverSlots(charge));
     }
     if (integrity_ != nullptr && integrity_->enabled()) {
       clock_.Charge(phase::kIntegrity,
@@ -2145,12 +2189,12 @@ class M3REngine::JobRun {
     return std::move(result_);
   }
 
-  /// Simulated seconds of one map task on its place: measured CPU scaled to
-  /// the paper's data size, plus its input read (DFS on a miss; the L2
+  /// Simulated seconds of one map task on its place: its counted CPU work,
+  /// plus its input read (DFS on a miss; the L2
   /// tier's memory or network cost for a promoted split — the hierarchy the
   /// paper's in-memory thesis predicts) and its materialized output write.
   double MapTaskSeconds(const TaskPlan& t) const {
-    double d = e_.cost_.MeasuredCpu(t.cpu_seconds);
+    double d = e_.cost_.Cpu(t.work) + t.drain_seconds;
     if (!t.cache_hit) {
       d += e_.cost_.DfsRead(t.input_bytes, t.local_read);
     } else if (t.l2_hit) {
@@ -2164,10 +2208,12 @@ class M3REngine::JobRun {
   /// a RecordWriter on the task's temp path (unless the output is
   /// temporary), named outputs, and the cached copy of the task's output
   /// file — the key move that makes the next job's input land here again
-  /// (§3.2.2.2). Adds the bytes written to the DFS to `*output_bytes`.
+  /// (§3.2.2.2). Adds the bytes written to the DFS to `*output_bytes` and
+  /// the records and bytes produced to the task's `*work`, whose charge is
+  /// the cached block's refill cost.
   Status WriteTaskOutput(
       int index, int place, bool immutable, const char* records_counter,
-      api::Reporter& reporter, const CpuStopwatch& sw, uint64_t* output_bytes,
+      api::Reporter& reporter, sim::CpuWork* work, uint64_t* output_bytes,
       const std::function<Status(api::OutputCollector&)>& produce) {
     dfs::FileSystem& fs = *e_.fs_;
     std::unique_ptr<api::RecordWriter> writer;
@@ -2192,10 +2238,12 @@ class M3REngine::JobRun {
     uint64_t named_bytes = 0;
     M3R_RETURN_NOT_OK(named_sink.Finish(&named_bytes));
     *output_bytes += named_bytes;
+    work->Add(sim::CpuLayer::kEmit, collector.records(),
+              collector.bytes() + named_bytes);
     if (!e_.options_.enable_cache) return Status::OK();
     return e_.cache_.PutBlock(api::file_output::FinalPath(conf_, index), "0",
                               place, collector.TakeSeq(), collector.bytes(),
-                              sw.ElapsedSeconds(), /*droppable=*/!temporary_,
+                              e_.cost_.Cpu(*work), /*droppable=*/!temporary_,
                               /*whole_file=*/true);
   }
 
@@ -2464,8 +2512,6 @@ class M3REngine::JobRun {
   bool reduce_immutable_ = false;
   /// Sort-kernel CPU across every reduce task (including work stolen by
   /// pool strands), charged to the sort phase.
-  std::mutex sort_mu_;
-  double sort_cpu_total_ = 0;
 };
 
 api::JobResult M3REngine::Submit(const api::JobConf& conf) {

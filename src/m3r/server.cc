@@ -98,9 +98,6 @@ struct JobServer::Core : std::enable_shared_from_this<JobServer::Core> {
   };
   std::map<int64_t, Running> running;
 
-  /// Every ticket ever admitted, for the bare-int status shims.
-  std::map<int64_t, std::shared_ptr<api::JobTicket::State>> tickets;
-
   /// Live (queued + running) job count per tenant; a tenant is registered
   /// with the memory governor exactly while its count is positive.
   std::map<std::string, int> tenant_live;
@@ -549,7 +546,6 @@ Result<api::JobTicket> JobServer::SubmitInternal(api::Submission submission,
   state->on_cancel = [weak, id] {
     if (std::shared_ptr<Core> c = weak.lock()) c->CancelTicket(id);
   };
-  core->tickets[id] = state;
   core->TenantAcquireLocked(submission.tenant);
   q.submitted++;
   int priority = submission.priority;
@@ -593,11 +589,14 @@ std::vector<JobServer::QueueStats> JobServer::Stats() const {
 std::vector<int64_t> JobServer::ActiveTickets(const std::string& queue) const {
   std::lock_guard<std::mutex> lock(core_->mu);
   std::vector<int64_t> out;
-  for (const auto& [id, state] : core_->tickets) {
-    if (!queue.empty() && state->queue != queue) continue;
-    std::lock_guard<std::mutex> ticket_lock(state->mu);
-    if (!api::IsTerminal(state->phase)) out.push_back(id);
+  for (const auto& [name, q] : core_->queues) {
+    if (!queue.empty() && name != queue) continue;
+    for (const Core::Pending& p : q.pending) out.push_back(p.state->id);
   }
+  for (const auto& [id, r] : core_->running) {
+    if (queue.empty() || r.submission.queue == queue) out.push_back(id);
+  }
+  std::sort(out.begin(), out.end());
   return out;
 }
 

@@ -4,7 +4,6 @@
 #include <map>
 
 #include "common/logging.h"
-#include "common/stopwatch.h"
 #include "serialize/io.h"
 #include "serialize/writable.h"
 
@@ -43,7 +42,8 @@ ShuffleExchange::ShuffleExchange(int num_places,
                                                    1))),
       partition_mu_(new std::mutex[static_cast<size_t>(
           std::max(options.num_partitions, 1))]),
-      decode_seconds_(static_cast<size_t>(num_places)),
+      decode_work_(static_cast<size_t>(num_places)),
+      strand_work_(static_cast<size_t>(num_places) * workers_),
       local_pairs_(static_cast<size_t>(num_places)),
       remote_pairs_(static_cast<size_t>(num_places)),
       aliased_pairs_(static_cast<size_t>(num_places)),
@@ -116,20 +116,24 @@ void ShuffleExchange::EmitRemote(int src_place, int dst, int partition,
                    : std::make_unique<serialize::DedupOutputStream>(
                          dedup_mode_);
   }
+  const size_t before = lane.out->buffer().size();
   lane.out->WriteControl(static_cast<uint64_t>(partition));
   write_pair(*lane.out);
+  sim::CpuWork& work =
+      strand_work_[static_cast<size_t>(src_place) * workers_ + worker_lane];
+  work.Add(sim::CpuLayer::kEmit, 1, lane.out->buffer().size() - before);
 
   // Crossing the flush threshold seals the lane segment as a sorted run and
-  // ships it now, on the emitting strand — the sort and decode CPU lands
-  // inside the map task's stopwatch, which is exactly the overlap the
-  // pipeline buys (cpu_seconds stays null). A zero threshold never flushes
-  // early: the lane ships whole at the barrier.
+  // ships it now, on the emitting strand — the sort and decode work is
+  // counted on the strand's tally and so inside the emitting map task,
+  // which is exactly the overlap the pipeline buys. A zero threshold never
+  // flushes early: the lane ships whole at the barrier.
   if (flush_bytes_ != 0 && lane.out->buffer().size() >= flush_bytes_) {
     std::string lane_key = std::to_string(src_place) + "->" +
                            std::to_string(dst) + "#" +
                            std::to_string(worker_lane);
     FlushLane(&lane, lane_key, src_place, worker_lane, dst,
-              /*orphan=*/false, /*barrier=*/false, nullptr);
+              /*orphan=*/false, /*barrier=*/false, &work);
   }
 }
 
@@ -158,6 +162,8 @@ void ShuffleExchange::Emit(int src_place, int partition,
     // append itself is the one synchronized step.
     local_pairs_[static_cast<size_t>(src_place)].fetch_add(
         1, std::memory_order_relaxed);
+    strand_work_[static_cast<size_t>(src_place) * workers_ + worker_lane]
+        .Add(sim::CpuLayer::kEmit, 1, 0);
     if (immutable) {
       aliased_pairs_[static_cast<size_t>(src_place)].fetch_add(
           1, std::memory_order_relaxed);
@@ -380,7 +386,7 @@ void ShuffleExchange::AddResidentRunBytes(int64_t delta) {
 }
 
 void ShuffleExchange::CompactLaneRunsLocked(PartitionRuns* pr, int src_place,
-                                            int worker) {
+                                            int worker, sim::CpuWork* work) {
   std::vector<size_t> chain;
   for (size_t i = 0; i < pr->runs.size(); ++i) {
     const SortedRun& r = pr->runs[i];
@@ -440,6 +446,7 @@ void ShuffleExchange::CompactLaneRunsLocked(PartitionRuns* pr, int src_place,
   runs_compacted_.fetch_add(chain.size(), std::memory_order_relaxed);
   // Size must be read before the move below empties `merged`.
   const uint64_t merged_bytes = merged.bytes.size();
+  work->Add(sim::CpuLayer::kDecode, merged.records, merged_bytes);
 
   // Replace the chain with the merged run at the chain head's position.
   std::vector<SortedRun> next;
@@ -488,7 +495,8 @@ void ShuffleExchange::SpillOverBudgetLocked(int partition,
   }
 }
 
-void ShuffleExchange::AppendRun(int partition, SortedRun run) {
+void ShuffleExchange::AppendRun(int partition, SortedRun run,
+                                sim::CpuWork* work) {
   const int src = run.src_place;
   const int worker = run.worker_lane;
   const uint64_t bytes = run.bytes.size();
@@ -499,15 +507,14 @@ void ShuffleExchange::AppendRun(int partition, SortedRun run) {
   pr.total_bytes += bytes;
   AddResidentRunBytes(static_cast<int64_t>(bytes));
   pr.runs.push_back(std::move(run));
-  CompactLaneRunsLocked(&pr, src, worker);
+  CompactLaneRunsLocked(&pr, src, worker, work);
   SpillOverBudgetLocked(partition, &pr);
 }
 
 void ShuffleExchange::FlushLane(Lane* lane, const std::string& lane_key,
                                 int src_place, int worker, int dst_place,
                                 bool orphan, bool barrier,
-                                double* cpu_seconds) {
-  CpuStopwatch sw;
+                                sim::CpuWork* work) {
   lane->deduped += lane->out->objects_deduped();
   lane->saved_bytes += lane->out->bytes_saved();
   std::string wire = lane->out->TakeBuffer();
@@ -528,13 +535,9 @@ void ShuffleExchange::FlushLane(Lane* lane, const std::string& lane_key,
       pool_->Release(kLaneWireCategory, std::move(wire));
     }
   };
-  auto record_cpu = [&] {
-    if (cpu_seconds != nullptr) *cpu_seconds = sw.ElapsedSeconds();
-  };
   if (wire.empty()) {
     // The lane flushed on its last emission; nothing residual to ship.
     recycle();
-    record_cpu();
     return;
   }
   const uint64_t seq = lane->flush_seq++;
@@ -549,7 +552,6 @@ void ShuffleExchange::FlushLane(Lane* lane, const std::string& lane_key,
       // the caller must treat status() as fatal for the job.
       RecordFailure(std::move(s));
       recycle();
-      record_cpu();
       return;
     }
   }
@@ -568,7 +570,6 @@ void ShuffleExchange::FlushLane(Lane* lane, const std::string& lane_key,
   if (!verdict.ok()) {
     RecordFailure(std::move(verdict));
     recycle();
-    record_cpu();
     return;
   }
 
@@ -584,6 +585,7 @@ void ShuffleExchange::FlushLane(Lane* lane, const std::string& lane_key,
     uint32_t value_type = 0;
   };
   std::map<int, Bucket> buckets;
+  uint64_t decoded = 0;
   serialize::DedupInputStream in{std::string_view(*served)};
   std::string_view key, value;
   uint32_t key_type = 0, value_type = 0;
@@ -606,7 +608,9 @@ void ShuffleExchange::FlushLane(Lane* lane, const std::string& lane_key,
     }
     b.keys.push_back(key);
     b.values.push_back(value);
+    ++decoded;
   }
+  work->Add(sim::CpuLayer::kDecode, decoded, served->size());
 
   // Seal one sorted run per partition touched: sortkit prefix sort over the
   // key spans (the custom comparator only when the job overrides byte
@@ -617,6 +621,7 @@ void ShuffleExchange::FlushLane(Lane* lane, const std::string& lane_key,
     sort_options.comparator = run_comparator_;
     std::vector<uint32_t> perm =
         sortkit::StableSortPermutation(b.keys, sort_options);
+    work->Add(sim::CpuLayer::kSort, b.keys.size(), 0);
     serialize::DataOutput out;
     for (uint32_t i : perm) {
       out.WriteString(b.keys[i]);
@@ -632,11 +637,10 @@ void ShuffleExchange::FlushLane(Lane* lane, const std::string& lane_key,
     run.bytes = out.Take();
     run.key_type = in.TypeName(b.key_type);
     run.value_type = in.TypeName(b.value_type);
-    AppendRun(partition, std::move(run));
+    AppendRun(partition, std::move(run), work);
   }
   recycle();
   runs_shipped_.fetch_add(1, std::memory_order_relaxed);
-  record_cpu();
 }
 
 Status ShuffleExchange::CollectPartitionRuns(int partition,
@@ -692,15 +696,15 @@ void ShuffleExchange::DeliverTo(int dst_place, Executor* executor,
   // lanes addressed to dead places (decoded under the current map).
   size_t first_orphan = inbound.size();
   CollectOrphanLanes(dst_place, &inbound, &keys, &srcs);
-  std::vector<double>& seconds = decode_seconds_[static_cast<size_t>(
-      dst_place)];
-  seconds.assign(inbound.size(), 0.0);
+  std::vector<sim::CpuWork>& work =
+      decode_work_[static_cast<size_t>(dst_place)];
+  work.assign(inbound.size(), sim::CpuWork{});
   // The barrier drain ships each lane's residual segment as one last
-  // sorted run (decoded + sealed by FlushLane); its decode CPU is
-  // attributed here.
+  // sorted run (decoded + sealed by FlushLane); its work is counted per
+  // stream here.
   auto deliver_one = [&](size_t i) {
     FlushLane(inbound[i], keys[i], srcs[i].first, srcs[i].second, dst_place,
-              i >= first_orphan, /*barrier=*/true, &seconds[i]);
+              i >= first_orphan, /*barrier=*/true, &work[i]);
   };
   if (executor != nullptr && inbound.size() > 1 && max_workers > 1) {
     executor->ParallelFor(inbound.size(), deliver_one, max_workers);
@@ -709,9 +713,15 @@ void ShuffleExchange::DeliverTo(int dst_place, Executor* executor,
   }
 }
 
-const std::vector<double>& ShuffleExchange::DecodeSeconds(
+const std::vector<sim::CpuWork>& ShuffleExchange::DecodeWork(
     int dst_place) const {
-  return decode_seconds_[static_cast<size_t>(dst_place)];
+  return decode_work_[static_cast<size_t>(dst_place)];
+}
+
+sim::CpuWork ShuffleExchange::TakeStrandWork(int src_place, int worker_lane) {
+  return std::exchange(
+      strand_work_[static_cast<size_t>(src_place) * workers_ + worker_lane],
+      sim::CpuWork{});
 }
 
 const kvstore::KVSeq& ShuffleExchange::PartitionPairs(int partition) const {

@@ -19,6 +19,7 @@
 #include "common/status.h"
 #include "kvstore/kv_store.h"
 #include "serialize/dedup.h"
+#include "sim/cost_model.h"
 
 namespace m3r::engine {
 
@@ -176,15 +177,21 @@ class ShuffleExchange {
   /// Map barrier has passed: ship each lane inbound to `dst_place` that
   /// still holds unflushed records as one last sorted run (the whole lane
   /// when flush_bytes is 0). When `executor` is non-null the lanes are cut
-  /// concurrently (at most `max_workers` strands). Per-lane CPU seconds
-  /// are recorded for the engine's simulated-time attribution
-  /// (DecodeSeconds).
+  /// concurrently (at most `max_workers` strands). Each stream's decode,
+  /// sort and compaction work is counted for the engine's simulated-time
+  /// attribution (DecodeWork).
   void DeliverTo(int dst_place, Executor* executor = nullptr,
                  int max_workers = 1);
 
-  /// CPU seconds spent decoding each inbound stream of `dst_place`, in
+  /// The work of decoding each inbound stream of `dst_place`, in
   /// deterministic (source place, lane) order. Valid after DeliverTo.
-  const std::vector<double>& DecodeSeconds(int dst_place) const;
+  const std::vector<sim::CpuWork>& DecodeWork(int dst_place) const;
+
+  /// Takes the work the strand owning `worker_lane` at `src_place` did
+  /// inside the shuffle since its last take: every pair it emitted (kEmit,
+  /// with the bytes it serialized to the wire) and every run it sealed at
+  /// an emit-time flush (kDecode, kSort). Call only from that strand.
+  sim::CpuWork TakeStrandWork(int src_place, int worker_lane);
 
   /// First injected-fault failure observed during any DeliverTo, or OK.
   /// A failed lane delivers no pairs, so the engine must fail the job when
@@ -298,18 +305,21 @@ class ShuffleExchange {
   /// is against the current map's (alive) home instead of the delivering
   /// place. `barrier` marks the final residual drain; early flushes
   /// recreate the lane stream. Either way the wire buffer is recycled per
-  /// run. Null `cpu_seconds` leaves the cost on the caller's clock
-  /// (an emit-time flush runs inside the map task's stopwatch).
+  /// run. The decode, sort and compaction work is added to `*work` (the
+  /// emitting strand's tally for an emit-time flush, the stream's at the
+  /// barrier).
   void FlushLane(Lane* lane, const std::string& lane_key, int src_place,
                  int worker, int dst_place, bool orphan, bool barrier,
-                 double* cpu_seconds);
+                 sim::CpuWork* work);
   /// Appends a sealed run under the partition lock, then runs incremental
-  /// compaction and the overflow-budget check.
-  void AppendRun(int partition, SortedRun run);
+  /// compaction (its merge counted into `*work`) and the overflow-budget
+  /// check.
+  void AppendRun(int partition, SortedRun run, sim::CpuWork* work);
   /// Folds resident same-lane runs with consecutive seqs into one run once
   /// enough of them pile up, so the reduce-time heap stays narrow. Caller
   /// holds the partition lock.
-  void CompactLaneRunsLocked(PartitionRuns* pr, int src_place, int worker);
+  void CompactLaneRunsLocked(PartitionRuns* pr, int src_place, int worker,
+                             sim::CpuWork* work);
   /// Spills whole resident runs (oldest first) until the partition is back
   /// under budget. Caller holds the partition lock.
   void SpillOverBudgetLocked(int partition, PartitionRuns* pr);
@@ -353,7 +363,8 @@ class ShuffleExchange {
   std::vector<kvstore::KVSeq> partitions_;             // per partition
   std::vector<PartitionRuns> partition_runs_;          // per partition
   std::unique_ptr<std::mutex[]> partition_mu_;         // per partition
-  std::vector<std::vector<double>> decode_seconds_;    // per dst place
+  std::vector<std::vector<sim::CpuWork>> decode_work_;  // per dst place
+  std::vector<sim::CpuWork> strand_work_;  // per (src place, worker lane)
   std::vector<std::atomic<uint64_t>> local_pairs_;     // per src place
   std::vector<std::atomic<uint64_t>> remote_pairs_;    // per src place
   std::vector<std::atomic<uint64_t>> aliased_pairs_;   // per src place

@@ -158,7 +158,7 @@ class CacheManager {
   /// inputs) are always admitted, counted as forced when over budget.
   bool AdmitFill(const std::string& path, uint64_t add_bytes, bool required);
 
-  /// A block of `path` was published (`fill_seconds` = measured cost of
+  /// A block of `path` was published (`fill_seconds` = simulated cost of
   /// producing it, 0 when unknown — feeds the cost policy's rebuild cost).
   /// Virtual: a tiered subclass invalidates its own stale copy of `path`
   /// when a fresh fill supersedes it.

@@ -1,9 +1,34 @@
 #ifndef M3R_SIM_COST_MODEL_H_
 #define M3R_SIM_COST_MODEL_H_
 
+#include <array>
 #include <cstdint>
 
 namespace m3r::sim {
+
+/// The layers of task CPU work the ledger counts. Each has a fixed host
+/// rate per record and per byte (DESIGN.md §5):
+///   kMap     records fed to a mapper, bytes a RecordReader parsed;
+///   kEmit    records and bytes serialized downstream (shuffle wire, spill
+///            buffer, job output);
+///   kDecode  records and bytes deserialized or merged (shuffle runs,
+///            fetched and spilled segments);
+///   kSort    compares, n·log2 n per sort of n records (CpuWork::Add);
+///   kReduce  records fed to a reducer or a combiner.
+enum class CpuLayer { kMap, kEmit, kDecode, kSort, kReduce };
+inline constexpr int kCpuLayers = 5;
+
+/// Work counted per CPU layer, the input of CostModel::Cpu. A tally of
+/// counts, so the charge is a pure function of what a task handled.
+struct CpuWork {
+  std::array<uint64_t, kCpuLayers> records{};
+  std::array<uint64_t, kCpuLayers> bytes{};
+
+  /// Adds `records` and `bytes` to `layer`. For kSort, `records` is the
+  /// size of one sort, counted as its n·log2 n compares.
+  void Add(CpuLayer layer, uint64_t records, uint64_t bytes);
+  CpuWork& operator+=(const CpuWork& other);
+};
 
 /// Hardware description of the simulated cluster. Defaults model the paper's
 /// testbed: 20 IBM LS-22 blades, 2x quad-core, 16 GB, Gigabit Ethernet
@@ -52,9 +77,9 @@ struct ClusterSpec {
   /// Workload scale-down compensation. Benchmarks run data scaled down by
   /// some factor S relative to the paper's inputs (e.g. 16 MB standing in
   /// for 4 GB); setting data_scale = S makes every byte-proportional cost
-  /// (disk, network, DFS) and every measured second of user CPU count S
-  /// times, so the *data-dependent* part of simulated time matches the
-  /// full-size workload while fixed overheads (JVM start, heartbeats,
+  /// (disk, network, DFS) and every counted CPU charge count S times, so
+  /// the *data-dependent* part of simulated time matches the full-size
+  /// workload while fixed overheads (JVM start, heartbeats,
   /// seeks) stay constant — exactly the structure the paper's figures
   /// exhibit. 1.0 = no scaling (tests).
   double data_scale = 1.0;
@@ -88,10 +113,11 @@ class CostModel {
   /// work; no seek or latency term — it is pure streaming compute).
   double Checksum(uint64_t bytes) const;
 
-  /// Host CPU seconds measured around real work, as simulated seconds on
-  /// the paper's cluster: scaled by `data_scale` like every byte cost. The
-  /// one place measured CPU enters simulated time.
-  double MeasuredCpu(double host_seconds) const;
+  /// CPU seconds of counted work on the paper's cluster: each layer's
+  /// records and bytes at fixed host rates (cost_model.cc), scaled by
+  /// `data_scale` like every byte cost. The one place CPU enters simulated
+  /// time, so it is a pure function of the counts.
+  double Cpu(const CpuWork& work) const;
   /// Work that ran inside tasks on every slot of the cluster, as the share
   /// one slot's makespan pays.
   double SpreadOverSlots(double cluster_seconds) const;

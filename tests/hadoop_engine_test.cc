@@ -188,8 +188,8 @@ TEST(HadoopEngineTest, MapOnlyJobWritesMapOutputDirectly) {
 
 TEST(HadoopEngineTest, EveryJobPaysStartupAgain) {
   // The Hadoop engine keeps nothing between jobs: running the same job
-  // twice costs roughly the same simulated time both times — the contrast
-  // with M3R's cache (paper §3.1).
+  // twice costs the same simulated time both times — the contrast with
+  // M3R's cache (paper §3.1).
   auto fs = dfs::MakeSimDfs(3, 8 * 1024);
   ASSERT_TRUE(workloads::GenerateText(*fs, "/in", 64 * 1024, 2, 5).ok());
   HadoopEngine engine(fs, {SmallCluster(), 0});
@@ -197,7 +197,7 @@ TEST(HadoopEngineTest, EveryJobPaysStartupAgain) {
   auto r2 = engine.Submit(workloads::MakeWordCountJob("/in", "/o2", 2, true));
   ASSERT_TRUE(r1.ok());
   ASSERT_TRUE(r2.ok());
-  EXPECT_NEAR(r1.sim_seconds, r2.sim_seconds, r1.sim_seconds * 0.25);
+  EXPECT_DOUBLE_EQ(r1.sim_seconds, r2.sim_seconds);
   EXPECT_EQ(r1.metrics.at("hdfs_read_bytes"),
             r2.metrics.at("hdfs_read_bytes"));
 }

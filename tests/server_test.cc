@@ -5,10 +5,15 @@
 // admission control) is exercised in sched_stress_test.cc.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <memory>
 #include <string>
+#include <thread>
 #include <utility>
+#include <vector>
 
+#include "api/class_registry.h"
 #include "dfs/local_fs.h"
 #include "hadoop/hadoop_engine.h"
 #include "m3r/m3r_engine.h"
@@ -91,6 +96,61 @@ TEST(JobServerTest, QueuesAreTrackedInStats) {
   }
   EXPECT_TRUE(saw_analytics);
   EXPECT_TRUE(saw_etl);
+  EXPECT_TRUE(server.ActiveTickets().empty());
+}
+
+/// Opened by the test that holds GatedWordCountMapper's job.
+std::atomic<bool> map_gate_open{true};
+
+/// Word-count mapper that waits at every map call until the gate opens,
+/// so its job stays running while a test looks at the server.
+class GatedWordCountMapper : public workloads::WordCountMapperImmutable {
+ public:
+  static constexpr const char* kClassName = "GatedWordCountMapper";
+  void Map(const api::WritablePtr& key, const api::WritablePtr& value,
+           api::OutputCollector& output, api::Reporter& reporter) override {
+    while (!map_gate_open.load()) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    workloads::WordCountMapperImmutable::Map(key, value, output, reporter);
+  }
+};
+
+M3R_REGISTER_CLASS_AS(api::mapred::Mapper, GatedWordCountMapper,
+                      GatedWordCountMapper)
+
+TEST(JobServerTest, ActiveTicketsListsOneQueuesQueuedAndRunningJobs) {
+  auto fs = FsWithText();
+  JobServer::Options options;
+  options.max_inflight = 1;
+  JobServer server(
+      std::make_shared<M3REngine>(fs, M3REngineOptions{SmallCluster()}),
+      options);
+  auto finished = server.Submit(WordCount("/finished", "q"));
+  ASSERT_TRUE(finished.ok());
+  ASSERT_TRUE(finished->Wait().ok());
+
+  map_gate_open = false;
+  api::Submission gated = WordCount("/running", "q");
+  gated.conf.SetMapperClass(GatedWordCountMapper::kClassName);
+  auto running = server.Submit(std::move(gated));
+  ASSERT_TRUE(running.ok());
+  while (running->Poll().phase != api::TicketPhase::kRunning) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  auto queued = server.Submit(WordCount("/queued", "q"));
+  auto other = server.Submit(WordCount("/other", "other"));
+  ASSERT_TRUE(queued.ok() && other.ok());
+
+  EXPECT_EQ(server.ActiveTickets("q"),
+            (std::vector<int64_t>{running->id(), queued->id()}));
+  EXPECT_EQ(server.ActiveTickets("other"),
+            std::vector<int64_t>{other->id()});
+  EXPECT_EQ(server.ActiveTickets(),
+            (std::vector<int64_t>{running->id(), queued->id(), other->id()}));
+
+  map_gate_open = true;
+  for (auto* t : {&*running, &*queued, &*other}) EXPECT_TRUE(t->Wait().ok());
   EXPECT_TRUE(server.ActiveTickets().empty());
 }
 

@@ -1,0 +1,176 @@
+// Golden simulated time. Without a memory budget, a job's sim_seconds and
+// time_breakdown are a pure function of its input and conf: every CPU
+// charge is counted work (sim::CostModel::Cpu), never a stopwatch. These
+// pins make any change to a cost, a count or a packing order show up as a
+// reviewed diff, and each arm runs twice to show the doubles repeat.
+// Memory-budget arms are left out on purpose: there the background
+// evictor's timing legitimately changes which blocks hit.
+#include <gtest/gtest.h>
+
+#include <iomanip>
+#include <map>
+#include <memory>
+#include <sstream>
+#include <string>
+
+#include "dfs/local_fs.h"
+#include "hadoop/hadoop_engine.h"
+#include "m3r/m3r_engine.h"
+#include "workloads/micro_gen.h"
+#include "workloads/shuffle_micro.h"
+#include "workloads/text_gen.h"
+#include "workloads/wordcount.h"
+
+namespace m3r {
+namespace {
+
+enum class Arm {
+  kM3RWordCount,
+  kM3RWordCountHashCombine,
+  kM3RMicroBarrier,
+  kM3RMicroPipelined,
+  kHadoopWordCount,
+  kM3RMapOnly,
+};
+
+sim::ClusterSpec Cluster() {
+  sim::ClusterSpec spec;
+  spec.num_nodes = 4;
+  spec.slots_per_node = 2;
+  spec.data_scale = 64;  // so the counted CPU charges are visible
+  return spec;
+}
+
+api::JobResult RunArm(Arm arm) {
+  auto fs = dfs::MakeSimDfs(4, 8 * 1024);
+  api::JobConf job;
+  if (arm == Arm::kM3RMicroBarrier || arm == Arm::kM3RMicroPipelined) {
+    M3R_CHECK_OK(workloads::GenerateMicroInput(*fs, "/in", 2000, 256, 8, 5,
+                                               /*hadoop_placement=*/true));
+    job = workloads::MakeMicroJob("/in", "/out", 8, 0.5, 1);
+    // The barrier exchange, and a threshold that ships several runs per
+    // lane at this scale (the 256 KiB default would ship none early).
+    job.SetInt(api::conf::kShuffleFlushBytes,
+               arm == Arm::kM3RMicroBarrier ? 0 : 8192);
+  } else {
+    M3R_CHECK_OK(workloads::GenerateText(*fs, "/in", 64 * 1024, 4, 11));
+    job = workloads::MakeWordCountJob(
+        "/in", "/out", arm == Arm::kM3RMapOnly ? 0 : 2, true);
+    if (arm == Arm::kM3RWordCountHashCombine) {
+      job.Set(api::conf::kMapHashCombine, "true");
+    }
+  }
+  if (arm == Arm::kHadoopWordCount) {
+    return hadoop::HadoopEngine(fs, hadoop::HadoopEngineOptions{Cluster(), 0})
+        .Submit(job);
+  }
+  // Two strands per place: a fixed count, since the lane tables and wire
+  // streams follow it, and more than one, so strands run concurrently.
+  job.SetInt(api::conf::kPlaceWorkers, 2);
+  return engine::M3REngine(fs, engine::M3REngineOptions{Cluster()})
+      .Submit(job);
+}
+
+struct Golden {
+  const char* name;
+  Arm arm;
+  double sim_seconds;
+  std::map<std::string, double> time_breakdown;
+};
+
+// Regenerate an entry from the failure message (it prints the actual
+// values in this layout) only for a deliberate cost change.
+const Golden kGoldens[] = {
+    {"m3r-wordcount",
+     Arm::kM3RWordCount,
+     0.78998628226188017,
+     {{"exit_barrier", 0.01},
+      {"job_overhead", 0.34999999999999998},
+      {"map_phase", 0.15374451726222216},
+      {"reduce_phase", 0.21663115090051277},
+      {"shuffle", 0.056777030099145302},
+      {"sort", 0.0028335839999999997}}},
+    {"m3r-wordcount-hash-combine",
+     Arm::kM3RWordCountHashCombine,
+     0.70733500418188033,
+     {{"exit_barrier", 0.01},
+      {"job_overhead", 0.34999999999999998},
+      {"map_phase", 0.071093239182222212},
+      {"reduce_phase", 0.21663115090051283},
+      {"shuffle", 0.056777030099145302},
+      {"sort", 0.0028335839999999997}}},
+    {"m3r-micro-barrier",
+     Arm::kM3RMicroBarrier,
+     0.7054364813565811,
+     {{"exit_barrier", 0.01},
+      {"job_overhead", 0.34999999999999998},
+      {"map_phase", 0.13839459157333339},
+      {"reduce_phase", 0.1181917234926495},
+      {"shuffle", 0.087511766290598286},
+      {"sort", 0.0013384}}},
+    {"m3r-micro-pipelined",
+     Arm::kM3RMicroPipelined,
+     0.64137697719247855,
+     {{"exit_barrier", 0.01},
+      {"job_overhead", 0.34999999999999998},
+      {"map_phase", 0.14108172117333334},
+      {"reduce_phase", 0.11819172349264961},
+      {"shuffle", 0.020765132526495728},
+      {"sort", 0.0013384}}},
+    {"hadoop-wordcount",
+     Arm::kHadoopWordCount,
+     15.68358966990222,
+     {{"commit", 3},
+      {"map_phase", 3.1525578303288881},
+      {"reduce_phase", 3.4984506047015369},
+      {"sort", 0.02317344},
+      {"submit", 6.0094077948717946}}},
+    {"m3r-map-only",
+     Arm::kM3RMapOnly,
+     0.45726185404170938,
+     {{"exit_barrier", 0.01},
+      {"job_overhead", 0.34999999999999998},
+      {"map_phase", 0.097261854041709395}}},
+};
+
+class SimGoldenTest : public ::testing::TestWithParam<Golden> {};
+
+TEST_P(SimGoldenTest, SimSecondsArePinnedAndRepeat) {
+  const Golden& g = GetParam();
+  const api::JobResult first = RunArm(g.arm);
+  const api::JobResult second = RunArm(g.arm);
+  ASSERT_TRUE(first.ok()) << first.status.ToString();
+  ASSERT_TRUE(second.ok()) << second.status.ToString();
+
+  EXPECT_EQ(first.sim_seconds, second.sim_seconds);
+  EXPECT_EQ(first.time_breakdown, second.time_breakdown);
+
+  // On a mismatch, the actual values in the table's own layout.
+  std::ostringstream actual;
+  actual << std::setprecision(17) << first.sim_seconds << ",\n";
+  for (const auto& [phase, seconds] : first.time_breakdown) {
+    actual << "{\"" << phase << "\", " << seconds << "},\n";
+  }
+  EXPECT_DOUBLE_EQ(first.sim_seconds, g.sim_seconds) << actual.str();
+  ASSERT_EQ(first.time_breakdown.size(), g.time_breakdown.size())
+      << actual.str();
+  for (const auto& [phase, seconds] : g.time_breakdown) {
+    ASSERT_TRUE(first.time_breakdown.count(phase))
+        << phase << "\n" << actual.str();
+    EXPECT_DOUBLE_EQ(first.time_breakdown.at(phase), seconds)
+        << phase << "\n" << actual.str();
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Arms, SimGoldenTest, ::testing::ValuesIn(kGoldens),
+    [](const ::testing::TestParamInfo<Golden>& info) {
+      std::string name = info.param.name;
+      for (char& c : name) {
+        if (c == '-') c = '_';
+      }
+      return name;
+    });
+
+}  // namespace
+}  // namespace m3r

@@ -50,7 +50,6 @@ constexpr Metric kTable[] = {
      c::kClonedPairs},
     {metric::kShuffleRunsShipped, "shuffle_runs_shipped", kCount, kSet,
      c::kM3rGroup, c::kShuffleRunsShipped},
-    {metric::kShuffleRunsCompacted, "shuffle_runs_compacted", kCount, kSet},
     {metric::kShuffleOverflowSpills, "shuffle_overflow_spills", kCount, kSet,
      c::kM3rGroup, c::kShuffleOverflowSpills},
     {metric::kShufflePoolPeakBytes, "shuffle_pool_peak_bytes", kBytes, kSet},

@@ -26,7 +26,7 @@ enum Id : int {
   // Shuffle.
   kShuffleBytes, kShuffleLocalPairs, kShuffleRemotePairs, kShuffleWireBytes,
   kDedupObjects, kDedupSavedBytes, kAliasedPairs, kClonedPairs,
-  kShuffleRunsShipped, kShuffleRunsCompacted, kShuffleOverflowSpills,
+  kShuffleRunsShipped, kShuffleOverflowSpills,
   kShufflePoolPeakBytes, kShuffleMaxPartitionRunBytes, kTimeToFirstReduceMs,
   // Output reuse and checkpoint restore.
   kReusedFromCache, kRecoveredFromCheckpoint, kRecoveredFiles,

@@ -126,8 +126,12 @@ class IdentityMapper : public Mapper {
   }
 };
 
-/// Identity reducer: emits each (key, value) unchanged.
-class IdentityReducer : public Reducer {
+/// Identity reducer: emits each (key, value) unchanged. It only forwards
+/// objects the engine built for it and never mutates them, so it carries
+/// the ImmutableOutput promise and M3R caches its output as aliases. The
+/// identity mapper does not: it forwards whatever its MapRunnable hands
+/// it, which under Hadoop's default runner is a reused pair.
+class IdentityReducer : public Reducer, public ImmutableOutput {
  public:
   static constexpr const char* kClassName = "IdentityReducer";
   void Reduce(const WritablePtr& key, ValuesIterator& values,

@@ -235,10 +235,9 @@ SequenceFileWriter::SequenceFileWriter(std::unique_ptr<dfs::FileWriter> writer,
 
 Status SequenceFileWriter::Append(const Writable& key,
                                   const Writable& value) {
-  DataOutput out;
+  DataOutput out(&chunk_);
   key.Write(out);
   value.Write(out);
-  chunk_ += out.buffer();
   ++chunk_records_;
   if (chunk_.size() >= seqfile::kChunkBytes) return FlushChunk();
   return Status::OK();
@@ -246,15 +245,17 @@ Status SequenceFileWriter::Append(const Writable& key,
 
 Status SequenceFileWriter::FlushChunk() {
   if (chunk_records_ == 0) return Status::OK();
-  DataOutput framed;
-  framed.WriteRaw(sync_.data(), sync_.size());
-  framed.WriteVarU64(chunk_records_);
-  framed.WriteVarU64(chunk_.size());
-  framed.WriteRaw(chunk_.data(), chunk_.size());
-  bytes_ += framed.size();
-  Status st = writer_->Append(framed.buffer());
-  chunk_.clear();
+  // The frame header goes out on its own and the records follow by
+  // hand-off, so the chunk is never copied into a framed buffer.
+  DataOutput header;
+  header.WriteRaw(sync_.data(), sync_.size());
+  header.WriteVarU64(chunk_records_);
+  header.WriteVarU64(chunk_.size());
+  bytes_ += header.size() + chunk_.size();
   chunk_records_ = 0;
+  Status st = writer_->Append(header.buffer());
+  if (st.ok()) st = writer_->AppendOwned(std::move(chunk_));
+  chunk_.clear();
   return st;
 }
 

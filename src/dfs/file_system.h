@@ -36,6 +36,10 @@ class FileWriter {
  public:
   virtual ~FileWriter() = default;
   virtual Status Append(std::string_view data) = 0;
+  /// Appends `data`, taking its buffer: a writer that keeps whole buffers
+  /// stores it without copying. The default copies it through Append, so a
+  /// decorator that forwards only Append still sees every byte.
+  virtual Status AppendOwned(std::string data) { return Append(data); }
   virtual Status Close() = 0;
   virtual uint64_t BytesWritten() const = 0;
 };

@@ -9,7 +9,12 @@
 
 namespace m3r::dfs {
 
-/// Buffers appends in memory and commits the full file on Close().
+/// Buffers appends in memory and commits the full file on Close(). An
+/// owned append is kept as its own part. A viewed append extends the last
+/// part, so a file written line by line stays one growing buffer, except
+/// that a handed-over buffer is never regrown: without room for the bytes,
+/// they start a new part. Close() assembles the parts once, into an exactly
+/// sized buffer (a one-part file is moved as is).
 class SimDfsWriter : public FileWriter {
  public:
   SimDfsWriter(SimDfs* fs, std::string path, int preferred_node)
@@ -21,19 +26,41 @@ class SimDfsWriter : public FileWriter {
 
   Status Append(std::string_view data) override {
     if (closed_) return Status::FailedPrecondition("writer closed: " + path_);
-    buffer_.append(data.data(), data.size());
+    if (parts_.empty() ||
+        (last_owned_ && parts_.back().capacity() - parts_.back().size() <
+                            data.size())) {
+      parts_.emplace_back();
+      last_owned_ = false;
+    }
+    parts_.back().append(data.data(), data.size());
     bytes_written_ += data.size();
+    return Status::OK();
+  }
+
+  Status AppendOwned(std::string data) override {
+    if (closed_) return Status::FailedPrecondition("writer closed: " + path_);
+    bytes_written_ += data.size();
+    parts_.push_back(std::move(data));
+    last_owned_ = true;
     return Status::OK();
   }
 
   Status Close() override {
     if (closed_) return Status::OK();
     closed_ = true;
+    std::string content;
+    if (parts_.size() == 1) {
+      content = std::move(parts_.front());
+    } else {
+      content.reserve(bytes_written_);
+      for (const std::string& part : parts_) content += part;
+    }
+    std::vector<std::string>().swap(parts_);
     // Checksum before taking the namespace lock: stamping is most of a
     // commit's CPU, and no other DFS call should wait behind it.
-    std::vector<uint32_t> block_crcs = fs_->StampBlocks(buffer_);
+    std::vector<uint32_t> block_crcs = fs_->StampBlocks(content);
     std::lock_guard<std::mutex> lock(fs_->mu_);
-    fs_->CommitLocked(path_, std::move(buffer_), std::move(block_crcs),
+    fs_->CommitLocked(path_, std::move(content), std::move(block_crcs),
                       preferred_node_);
     return Status::OK();
   }
@@ -44,7 +71,8 @@ class SimDfsWriter : public FileWriter {
   SimDfs* fs_;
   std::string path_;
   int preferred_node_;
-  std::string buffer_;
+  std::vector<std::string> parts_;
+  bool last_owned_ = false;  // parts_.back() came from AppendOwned
   uint64_t bytes_written_ = 0;
   bool closed_ = false;
 };

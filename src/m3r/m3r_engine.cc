@@ -1892,7 +1892,6 @@ class M3REngine::JobRun {
                              api::counters::kM3rGroup,
                              api::counters::kClonedPairs)));
     set(metric::kShuffleRunsShipped, s.runs_shipped);
-    set(metric::kShuffleRunsCompacted, s.runs_compacted);
     set(metric::kShuffleOverflowSpills, s.overflow_spills);
     set(metric::kShufflePoolPeakBytes, s.peak_resident_run_bytes);
     set(metric::kShuffleMaxPartitionRunBytes, s.max_partition_run_bytes);

@@ -12,10 +12,6 @@ namespace m3r::engine {
 namespace {
 /// BufferPool categories shared across every job of an engine's sequence.
 constexpr char kLaneWireCategory[] = "shuffle.lane.wire";
-/// Resident same-lane runs of one partition before the incremental merge
-/// folds them into one (keeps the reduce-time heap narrow without waiting
-/// for the barrier).
-constexpr size_t kCompactFanIn = 4;
 }  // namespace
 
 ShuffleExchange::ShuffleExchange(int num_places,
@@ -385,89 +381,6 @@ void ShuffleExchange::AddResidentRunBytes(int64_t delta) {
   }
 }
 
-void ShuffleExchange::CompactLaneRunsLocked(PartitionRuns* pr, int src_place,
-                                            int worker, sim::CpuWork* work) {
-  std::vector<size_t> chain;
-  for (size_t i = 0; i < pr->runs.size(); ++i) {
-    const SortedRun& r = pr->runs[i];
-    if (r.resident && r.src_place == src_place && r.worker_lane == worker) {
-      chain.push_back(i);
-    }
-  }
-  if (chain.size() < kCompactFanIn) return;
-  // Only fold a consecutive-seq chain: a spilled run sitting between two
-  // resident ones carries records that must interleave (by ordinal) with
-  // both sides, so folding across the gap would break the equal-key order.
-  for (size_t i = 1; i < chain.size(); ++i) {
-    if (pr->runs[chain[i]].seq != pr->runs[chain[i - 1]].seq_last + 1) {
-      return;
-    }
-  }
-
-  std::vector<serialize::DataInput> ins;
-  ins.reserve(chain.size());
-  for (size_t idx : chain) {
-    ins.emplace_back(std::string_view(pr->runs[idx].bytes));
-  }
-  sortkit::RunMerger merger(run_comparator_);
-  for (size_t i = 0; i < ins.size(); ++i) {
-    serialize::DataInput* in = &ins[i];
-    merger.AddRun(
-        [in](std::string_view* k, std::string_view* v) {
-          if (in->AtEnd()) return false;
-          *k = in->ReadStringView();
-          *v = in->ReadStringView();
-          return true;
-        },
-        pr->runs[chain[i]].seq);
-  }
-  serialize::DataOutput out;
-  std::string_view key, value;
-  while (merger.Next(&key, &value)) {
-    out.WriteString(key);
-    out.WriteString(value);
-  }
-
-  SortedRun merged;
-  const SortedRun& first = pr->runs[chain.front()];
-  const SortedRun& last = pr->runs[chain.back()];
-  merged.src_place = src_place;
-  merged.worker_lane = worker;
-  merged.seq = first.seq;
-  merged.seq_last = last.seq_last;
-  merged.map_version = last.map_version;
-  merged.records = merger.records();
-  merged.bytes = out.Take();
-  merged.key_type = first.key_type;
-  merged.value_type = first.value_type;
-
-  uint64_t dropped_bytes = 0;
-  for (size_t idx : chain) dropped_bytes += pr->runs[idx].bytes.size();
-  runs_compacted_.fetch_add(chain.size(), std::memory_order_relaxed);
-  // Size must be read before the move below empties `merged`.
-  const uint64_t merged_bytes = merged.bytes.size();
-  work->Add(sim::CpuLayer::kDecode, merged.records, merged_bytes);
-
-  // Replace the chain with the merged run at the chain head's position.
-  std::vector<SortedRun> next;
-  next.reserve(pr->runs.size() - chain.size() + 1);
-  size_t c = 0;
-  for (size_t i = 0; i < pr->runs.size(); ++i) {
-    if (c < chain.size() && chain[c] == i) {
-      if (c == 0) next.push_back(std::move(merged));
-      ++c;
-      continue;
-    }
-    next.push_back(std::move(pr->runs[i]));
-  }
-  pr->runs = std::move(next);
-  const int64_t delta = static_cast<int64_t>(merged_bytes) -
-                        static_cast<int64_t>(dropped_bytes);
-  pr->resident_bytes =
-      static_cast<uint64_t>(static_cast<int64_t>(pr->resident_bytes) + delta);
-  AddResidentRunBytes(delta);
-}
-
 void ShuffleExchange::SpillOverBudgetLocked(int partition,
                                             PartitionRuns* pr) {
   if (partition_budget_bytes_ == 0) return;
@@ -495,10 +408,7 @@ void ShuffleExchange::SpillOverBudgetLocked(int partition,
   }
 }
 
-void ShuffleExchange::AppendRun(int partition, SortedRun run,
-                                sim::CpuWork* work) {
-  const int src = run.src_place;
-  const int worker = run.worker_lane;
+void ShuffleExchange::AppendRun(int partition, SortedRun run) {
   const uint64_t bytes = run.bytes.size();
   std::lock_guard<std::mutex> lock(
       partition_mu_[static_cast<size_t>(partition)]);
@@ -507,7 +417,6 @@ void ShuffleExchange::AppendRun(int partition, SortedRun run,
   pr.total_bytes += bytes;
   AddResidentRunBytes(static_cast<int64_t>(bytes));
   pr.runs.push_back(std::move(run));
-  CompactLaneRunsLocked(&pr, src, worker, work);
   SpillOverBudgetLocked(partition, &pr);
 }
 
@@ -631,13 +540,12 @@ void ShuffleExchange::FlushLane(Lane* lane, const std::string& lane_key,
     run.src_place = src_place;
     run.worker_lane = worker;
     run.seq = seq;
-    run.seq_last = seq;
     run.map_version = version;
     run.records = b.keys.size();
     run.bytes = out.Take();
     run.key_type = in.TypeName(b.key_type);
     run.value_type = in.TypeName(b.value_type);
-    AppendRun(partition, std::move(run), work);
+    AppendRun(partition, std::move(run));
   }
   recycle();
   runs_shipped_.fetch_add(1, std::memory_order_relaxed);
@@ -759,7 +667,6 @@ ShuffleExchange::Stats ShuffleExchange::ComputeStats() const {
     s.total_wire_bytes += lane.wire_shipped;
   }
   s.runs_shipped = runs_shipped_.load(std::memory_order_relaxed);
-  s.runs_compacted = runs_compacted_.load(std::memory_order_relaxed);
   s.overflow_spills = overflow_spills_.load(std::memory_order_relaxed);
   s.peak_resident_run_bytes =
       peak_resident_run_bytes_.load(std::memory_order_relaxed);

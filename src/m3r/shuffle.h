@@ -48,10 +48,8 @@ class RunSpillSink {
 struct SortedRun {
   int src_place = 0;
   int worker_lane = 0;
-  /// Flush sequence within the source lane; `seq_last` > `seq` after
-  /// same-lane runs were compacted into one.
+  /// Flush sequence within the source lane.
   uint64_t seq = 0;
-  uint64_t seq_last = 0;
   /// Partition-map version when the run was sealed — the discard tag for
   /// pre-barrier runs of a place that later dies (DESIGN.md §14/§15).
   uint64_t map_version = 1;
@@ -177,9 +175,9 @@ class ShuffleExchange {
   /// Map barrier has passed: ship each lane inbound to `dst_place` that
   /// still holds unflushed records as one last sorted run (the whole lane
   /// when flush_bytes is 0). When `executor` is non-null the lanes are cut
-  /// concurrently (at most `max_workers` strands). Each stream's decode,
-  /// sort and compaction work is counted for the engine's simulated-time
-  /// attribution (DecodeWork).
+  /// concurrently (at most `max_workers` strands). Each stream's decode
+  /// and sort work is counted for the engine's simulated-time attribution
+  /// (DecodeWork).
   void DeliverTo(int dst_place, Executor* executor = nullptr,
                  int max_workers = 1);
 
@@ -224,7 +222,6 @@ class ShuffleExchange {
     uint64_t dedup_saved_bytes = 0;
     uint64_t total_wire_bytes = 0;
     uint64_t runs_shipped = 0;      // lane segments sealed and shipped
-    uint64_t runs_compacted = 0;    // runs folded by incremental merge
     uint64_t overflow_spills = 0;   // whole runs spilled through the sink
     uint64_t peak_resident_run_bytes = 0;
     /// Largest cumulative run footprint any one partition ever produced
@@ -305,21 +302,15 @@ class ShuffleExchange {
   /// is against the current map's (alive) home instead of the delivering
   /// place. `barrier` marks the final residual drain; early flushes
   /// recreate the lane stream. Either way the wire buffer is recycled per
-  /// run. The decode, sort and compaction work is added to `*work` (the
-  /// emitting strand's tally for an emit-time flush, the stream's at the
-  /// barrier).
+  /// run. The decode and sort work is added to `*work` (the emitting
+  /// strand's tally for an emit-time flush, the stream's at the barrier).
   void FlushLane(Lane* lane, const std::string& lane_key, int src_place,
                  int worker, int dst_place, bool orphan, bool barrier,
                  sim::CpuWork* work);
-  /// Appends a sealed run under the partition lock, then runs incremental
-  /// compaction (its merge counted into `*work`) and the overflow-budget
-  /// check.
-  void AppendRun(int partition, SortedRun run, sim::CpuWork* work);
-  /// Folds resident same-lane runs with consecutive seqs into one run once
-  /// enough of them pile up, so the reduce-time heap stays narrow. Caller
-  /// holds the partition lock.
-  void CompactLaneRunsLocked(PartitionRuns* pr, int src_place, int worker,
-                             sim::CpuWork* work);
+  /// Appends a sealed run under the partition lock, then runs the
+  /// overflow-budget check. Runs stay as shipped: the reduce task merges
+  /// every run of its partition in one pass.
+  void AppendRun(int partition, SortedRun run);
   /// Spills whole resident runs (oldest first) until the partition is back
   /// under budget. Caller holds the partition lock.
   void SpillOverBudgetLocked(int partition, PartitionRuns* pr);
@@ -373,7 +364,6 @@ class ShuffleExchange {
   std::atomic<uint64_t> resident_run_bytes_{0};
   std::atomic<uint64_t> peak_resident_run_bytes_{0};
   std::atomic<uint64_t> runs_shipped_{0};
-  std::atomic<uint64_t> runs_compacted_{0};
   std::atomic<uint64_t> overflow_spills_{0};
   std::atomic<uint64_t> spill_counter_{0};
 };

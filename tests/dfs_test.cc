@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <string_view>
+
 #include "dfs/local_fs.h"
 #include "dfs/sim_dfs.h"
 
@@ -114,6 +117,90 @@ TEST(SimDfsTest, WriterVisibilityAtClose) {
   EXPECT_FALSE(fs.ReadFile("/w").ok());  // not visible yet
   ASSERT_TRUE((*writer)->Close().ok());
   EXPECT_EQ(*fs.ReadFile("/w"), "abc");
+}
+
+TEST(SimDfsTest, OwnedAndViewedAppendsConcatenate) {
+  SimDfs fs(2, 1, 16);
+  auto writer = fs.Create("/mixed", {});
+  ASSERT_TRUE(writer.ok());
+  ASSERT_TRUE((*writer)->Append("head|").ok());
+  ASSERT_TRUE((*writer)->AppendOwned(std::string(40, 'o')).ok());
+  ASSERT_TRUE((*writer)->Append("mid|").ok());
+  ASSERT_TRUE((*writer)->AppendOwned("owned|").ok());
+  ASSERT_TRUE((*writer)->AppendOwned(std::string()).ok());
+  ASSERT_TRUE((*writer)->Append("tail").ok());
+  const std::string expected =
+      "head|" + std::string(40, 'o') + "mid|" + "owned|" + "tail";
+  EXPECT_EQ((*writer)->BytesWritten(), expected.size());
+  ASSERT_TRUE((*writer)->Close().ok());
+  EXPECT_EQ(*fs.ReadFile("/mixed"), expected);
+  // Block checksums cover the assembled file, not the parts.
+  auto locs = fs.GetBlockLocations("/mixed");
+  ASSERT_TRUE(locs.ok());
+  EXPECT_EQ(locs->size(), (expected.size() + 15) / 16);
+  EXPECT_TRUE((*writer)->AppendOwned("late").IsFailedPrecondition());
+}
+
+TEST(SimDfsTest, OneBufferFileIsCommittedWithoutACopy) {
+  // An owned buffer that later line appends extend in place stays the
+  // file's one part, and Close hands that very buffer to the namespace.
+  SimDfs fs(2, 1, 1024);
+  auto writer = fs.Create("/lines", {});
+  ASSERT_TRUE(writer.ok());
+  std::string buffer;
+  buffer.reserve(4096);
+  buffer = "header\n";
+  const char* data = buffer.data();
+  ASSERT_TRUE((*writer)->AppendOwned(std::move(buffer)).ok());
+  std::string expected = "header\n";
+  for (int i = 0; i < 100; ++i) {
+    const std::string line = "line " + std::to_string(i) + "\n";
+    ASSERT_TRUE((*writer)->Append(line).ok());
+    expected += line;
+  }
+  EXPECT_EQ((*writer)->BytesWritten(), expected.size());
+  ASSERT_TRUE((*writer)->Close().ok());
+  auto content = fs.Open("/lines");
+  ASSERT_TRUE(content.ok());
+  EXPECT_EQ(**content, expected);
+  EXPECT_EQ((*content)->data(), data);
+
+  // Only per-line appends: the same one growing buffer, same content.
+  auto plain = fs.Create("/plain", {});
+  ASSERT_TRUE(plain.ok());
+  for (int i = 0; i < 100; ++i) {
+    ASSERT_TRUE((*plain)->Append("line " + std::to_string(i) + "\n").ok());
+  }
+  ASSERT_TRUE((*plain)->Close().ok());
+  EXPECT_EQ(*fs.ReadFile("/plain"), expected.substr(7));
+}
+
+/// A decorator that forwards only Append, like a tracing wrapper.
+class AppendOnlyWriter : public FileWriter {
+ public:
+  Status Append(std::string_view data) override {
+    content_.append(data);
+    ++appends_;
+    return Status::OK();
+  }
+  Status Close() override { return Status::OK(); }
+  uint64_t BytesWritten() const override { return content_.size(); }
+  const std::string& content() const { return content_; }
+  int appends() const { return appends_; }
+
+ private:
+  std::string content_;
+  int appends_ = 0;
+};
+
+TEST(FileWriterTest, DefaultAppendOwnedCopiesThroughAppend) {
+  AppendOnlyWriter writer;
+  ASSERT_TRUE(writer.Append("a").ok());
+  ASSERT_TRUE(writer.AppendOwned("bc").ok());
+  ASSERT_TRUE(writer.AppendOwned(std::string(3, 'd')).ok());
+  EXPECT_EQ(writer.content(), "abcddd");
+  EXPECT_EQ(writer.appends(), 3);
+  EXPECT_EQ(writer.BytesWritten(), 6u);
 }
 
 TEST(LocalFsTest, SingleNodeSingleBlock) {

@@ -10,6 +10,8 @@
 #include <string>
 #include <vector>
 
+#include "api/class_registry.h"
+#include "api/extensions.h"
 #include "api/sequence_file.h"
 #include "dfs/local_fs.h"
 #include "hadoop/hadoop_engine.h"
@@ -403,6 +405,87 @@ TEST(PipelineEquivalence, OverflowBudgetSpillsAndStaysByteIdentical) {
   EXPECT_GT(constrained.counters.Get(api::counters::kM3rGroup,
                                      api::counters::kShuffleOverflowSpills),
             0);
+}
+
+/// Folds the micro job's ascending keys onto eight duplicates per
+/// partition, all owned by the next place: key k of input file k mod 4
+/// becomes 4 * ((k / 4) mod 8) + (k + 1) mod 4, so every record crosses the
+/// wire and each key repeats with distinct values, in emission order.
+class DuplicateKeyMapper : public api::mapred::Mapper,
+                           public api::ImmutableOutput {
+ public:
+  static constexpr const char* kClassName = "DuplicateKeyMapper";
+  void Map(const api::WritablePtr& key, const api::WritablePtr& value,
+           api::OutputCollector& output, api::Reporter&) override {
+    const int64_t k = static_cast<const serialize::LongWritable&>(*key).Get();
+    output.Collect(std::make_shared<serialize::LongWritable>(
+                       4 * ((k / 4) % 8) + (k + 1) % 4),
+                   value);
+  }
+};
+M3R_REGISTER_CLASS_AS(api::mapred::Mapper, DuplicateKeyMapper,
+                      DuplicateKeyMapper)
+
+TEST(PipelineEquivalence, EqualKeysKeepTheirOrderAcrossSpilledRuns) {
+  // Each partition is fed by one lane (one place, one strand) that ships
+  // dozens of 4 KiB runs of the same eight keys. Under a 1 MiB budget the
+  // oldest runs spill while later ones stay resident, so the reduce-time
+  // merge interleaves reloaded and resident runs of one lane; equal keys
+  // must still come out in emission order, which only the runs' ordinals
+  // decide. Output records, in file order, must equal the barrier
+  // exchange's and the Hadoop engine's.
+  auto run = [](bool use_m3r, const char* flush_bytes, const char* budget_mb,
+                api::JobResult* result) {
+    auto fs = dfs::MakeSimDfs(4, 64 * 1024);
+    M3R_CHECK_OK(
+        workloads::GenerateMicroInput(*fs, "/in", 6000, 1024, 4, 3, false));
+    api::JobConf job = workloads::MakeMicroJob("/in", "/out", 4, 0.0, 1);
+    job.SetMapperClass(DuplicateKeyMapper::kClassName);
+    // One strand per place. With two, strand s runs every other task of
+    // its place and M3R orders equal keys by lane, while Hadoop orders
+    // them by map task index, so the Hadoop comparison would not hold.
+    job.Set(api::conf::kPlaceWorkers, "1");
+    job.Set(api::conf::kShuffleFlushBytes, flush_bytes);
+    if (budget_mb != nullptr) {
+      job.Set(api::conf::kShufflePartitionBudgetMb, budget_mb);
+    }
+    std::unique_ptr<api::Engine> engine;
+    if (use_m3r) {
+      engine = std::make_unique<engine::M3REngine>(
+          fs, engine::M3REngineOptions{TestCluster()});
+    } else {
+      engine = std::make_unique<hadoop::HadoopEngine>(
+          fs, hadoop::HadoopEngineOptions{TestCluster(), 0});
+    }
+    *result = engine->Submit(job);
+    M3R_CHECK(result->ok()) << result->status.ToString();
+    std::vector<std::string> records;
+    for (int p = 0; p < 4; ++p) {
+      auto pairs = api::ReadSequenceFile(
+          *fs, "/out/" + api::file_output::PartFileName(p));
+      M3R_CHECK(pairs.ok()) << pairs.status().ToString();
+      for (const auto& [k, v] : *pairs) {
+        records.push_back(serialize::SerializeToString(*k) +
+                          serialize::SerializeToString(*v));
+      }
+    }
+    return records;
+  };
+
+  api::JobResult barrier, spilled, hadoop_result;
+  const auto truth = run(true, "0", nullptr, &barrier);
+  ASSERT_EQ(truth.size(), 6000u);
+  EXPECT_EQ(barrier.metrics.at("shuffle_overflow_spills"), 0);
+  EXPECT_EQ(run(true, "4096", "1", &spilled), truth);
+  EXPECT_EQ(run(false, "4096", "1", &hadoop_result), truth);
+
+  // Every record crossed the wire, in many runs per lane (one lane per
+  // partition: at least twelve runs each), and the budget spilled some.
+  EXPECT_EQ(spilled.metrics.at("shuffle_local_pairs"), 0);
+  EXPECT_GE(spilled.metrics.at("shuffle_runs_shipped"), 4 * 12);
+  EXPECT_GT(spilled.metrics.at("shuffle_overflow_spills"), 0);
+  EXPECT_GT(spilled.metrics.at("shuffle_max_partition_run_bytes"),
+            int64_t{1} << 20);
 }
 
 // --- Integrity repair mode: corruption at any boundary, same bytes out ---

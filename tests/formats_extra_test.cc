@@ -1,12 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <set>
+#include <string>
+#include <string_view>
 
 #include "api/kv_text_format.h"
 #include "api/sequence_file.h"
 #include "dfs/local_fs.h"
 #include "dfs/sim_dfs.h"
 #include "serialize/extra_writables.h"
+#include "serialize/io.h"
 
 namespace m3r {
 namespace {
@@ -161,6 +165,72 @@ TEST_P(SeqFileSplitTest, EveryRecordExactlyOnce) {
 
 INSTANTIATE_TEST_SUITE_P(SplitCounts, SeqFileSplitTest,
                          ::testing::Values(1, 2, 3, 7, 16, 61));
+
+/// The writer frames each chunk as a header plus the chunk's own buffer,
+/// handed to the DFS writer by move. The file layout must not change: for
+/// this fixed input the size, the chunk count and the record count are the
+/// numbers the copy-framing writer produced, and the file reads back.
+TEST(SequenceFileLayoutTest, FixedInputKeepsSizeChunksAndRecords) {
+  constexpr int kRecords = 1500;
+  auto write = [](dfs::FileSystem& fs) {
+    auto w = fs.Create("/fixed.seq", {});
+    ASSERT_TRUE(w.ok());
+    api::SequenceFileWriter writer(w.take(), IntWritable::kTypeName,
+                                   Text::kTypeName);
+    for (int i = 0; i < kRecords; ++i) {
+      IntWritable k(i);
+      Text v("value-" + std::to_string(i) + std::string(i % 97, 'x'));
+      ASSERT_TRUE(writer.Append(k, v).ok());
+    }
+    ASSERT_TRUE(writer.Close().ok());
+    EXPECT_EQ(writer.BytesWritten(), 92698u);
+  };
+  // LocalFs (one block) and a many-block SimDfs share the writer.
+  for (auto fs : {dfs::MakeLocalFs(), dfs::MakeSimDfs(3, 4096)}) {
+    write(*fs);
+    auto content = fs->ReadFile("/fixed.seq");
+    ASSERT_TRUE(content.ok());
+    EXPECT_EQ(content->size(), 92698u);
+
+    // Walk the frames: header, then (sync, records, bytes, payload)*.
+    serialize::DataInput in{std::string_view(*content)};
+    std::string magic;
+    for (size_t i = 0; i < std::strlen(api::seqfile::kMagic); ++i) {
+      magic.push_back(static_cast<char>(in.ReadByte()));
+    }
+    EXPECT_EQ(magic, api::seqfile::kMagic);
+    EXPECT_EQ(in.ReadStringView(), IntWritable::kTypeName);
+    EXPECT_EQ(in.ReadStringView(), Text::kTypeName);
+    std::string sync;
+    for (size_t i = 0; i < api::seqfile::kSyncSize; ++i) {
+      sync.push_back(static_cast<char>(in.ReadByte()));
+    }
+    uint64_t chunks = 0;
+    uint64_t records = 0;
+    while (!in.AtEnd()) {
+      std::string frame_sync;
+      for (size_t i = 0; i < api::seqfile::kSyncSize; ++i) {
+        frame_sync.push_back(static_cast<char>(in.ReadByte()));
+      }
+      EXPECT_EQ(frame_sync, sync) << "chunk " << chunks;
+      records += in.ReadVarU64();
+      const uint64_t bytes = in.ReadVarU64();
+      for (uint64_t i = 0; i < bytes; ++i) in.ReadByte();
+      ++chunks;
+    }
+    EXPECT_EQ(chunks, 23u);
+    EXPECT_EQ(records, static_cast<uint64_t>(kRecords));
+
+    auto pairs = api::ReadSequenceFile(*fs, "/fixed.seq");
+    ASSERT_TRUE(pairs.ok());
+    ASSERT_EQ(pairs->size(), static_cast<size_t>(kRecords));
+    for (int i = 0; i < kRecords; ++i) {
+      EXPECT_EQ(static_cast<IntWritable&>(*(*pairs)[i].first).Get(), i);
+      EXPECT_EQ(static_cast<Text&>(*(*pairs)[i].second).Get(),
+                "value-" + std::to_string(i) + std::string(i % 97, 'x'));
+    }
+  }
+}
 
 }  // namespace
 }  // namespace m3r

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 #include <string>
+#include <vector>
 
 #include "api/sequence_file.h"
 #include "common/logging.h"
@@ -71,6 +73,68 @@ TEST(M3REngineTest, TemporaryOutputReadableByNextJob) {
   EXPECT_GT(result.metrics.at("cache_hit_splits"), 0);
   EXPECT_EQ(result.metrics.at("cache_miss_splits"), 0);
   EXPECT_TRUE(fs->Exists("/final/_SUCCESS"));
+}
+
+TEST(M3REngineTest, IdentityReducerChainAliasesAndMatchesHadoop) {
+  // The identity reducer forwards engine-built objects only, so it carries
+  // the ImmutableOutput promise; the identity mapper forwards its runner's
+  // objects and does not.
+  api::mapred::IdentityReducer reducer;
+  api::mapred::IdentityMapper mapper;
+  EXPECT_TRUE(api::IsImmutableOutput(&reducer));
+  EXPECT_FALSE(api::IsImmutableOutput(&mapper));
+
+  // The two-job chain above, with binary formats so both engines feed the
+  // second job the same pairs: WordCount into a temporary output, then an
+  // identity pass over it. Every final part file must match byte for byte
+  // once decoded (sync markers are random per file).
+  auto run = [](bool use_m3r, api::JobResult* second) {
+    auto fs = dfs::MakeSimDfs(4, 8 * 1024);
+    M3R_CHECK_OK(workloads::GenerateText(*fs, "/in", 32 * 1024, 2, 5));
+    std::unique_ptr<api::Engine> engine;
+    if (use_m3r) {
+      engine = std::make_unique<M3REngine>(fs, DefaultOptions());
+    } else {
+      engine = std::make_unique<hadoop::HadoopEngine>(
+          fs, hadoop::HadoopEngineOptions{SmallCluster(), 0});
+    }
+    api::JobConf job1 =
+        workloads::MakeWordCountJob("/in", "/temp-x", 2, true);
+    job1.SetOutputFormatClass(api::SequenceFileOutputFormat::kClassName);
+    M3R_CHECK(engine->Submit(job1).ok());
+    api::JobConf job2;
+    job2.SetJobName("consume-temp");
+    job2.AddInputPath("/temp-x");
+    job2.SetOutputPath("/final");
+    job2.SetInputFormatClass(api::SequenceFileInputFormat::kClassName);
+    job2.SetOutputFormatClass(api::SequenceFileOutputFormat::kClassName);
+    job2.SetMapperClass(api::mapred::IdentityMapper::kClassName);
+    job2.SetReducerClass(api::mapred::IdentityReducer::kClassName);
+    job2.SetNumReduceTasks(2);
+    job2.SetOutputKeyClass(serialize::Text::kTypeName);
+    job2.SetOutputValueClass(serialize::IntWritable::kTypeName);
+    *second = engine->Submit(job2);
+    M3R_CHECK(second->ok()) << second->status.ToString();
+    std::vector<std::string> parts;
+    for (int p = 0; p < 2; ++p) {
+      auto pairs = api::ReadSequenceFile(
+          *fs, "/final/" + api::file_output::PartFileName(p));
+      M3R_CHECK(pairs.ok()) << pairs.status().ToString();
+      std::string bytes;
+      for (const auto& [k, v] : *pairs) {
+        bytes += serialize::SerializeToString(*k) +
+                 serialize::SerializeToString(*v);
+      }
+      parts.push_back(std::move(bytes));
+    }
+    return parts;
+  };
+  api::JobResult hadoop_result, m3r_result;
+  const std::vector<std::string> hadoop_parts = run(false, &hadoop_result);
+  const std::vector<std::string> m3r_parts = run(true, &m3r_result);
+  ASSERT_FALSE(hadoop_parts[0].empty());
+  EXPECT_EQ(m3r_parts, hadoop_parts);
+  EXPECT_GT(m3r_result.metrics.at("cache_hit_splits"), 0);
 }
 
 TEST(M3REngineTest, ExplicitTempPathsListRespected) {
@@ -461,7 +525,7 @@ const ExitCase kExitCases[] = {
       "hdfs_write_bytes map_tasks place_workers reduce_tasks "
       "shuffle_local_pairs shuffle_max_partition_run_bytes "
       "shuffle_overflow_spills shuffle_pool_peak_bytes shuffle_remote_pairs "
-      "shuffle_runs_compacted shuffle_runs_shipped shuffle_wire_bytes "
+      "shuffle_runs_shipped shuffle_wire_bytes "
       "time_to_first_reduce_ms\n"
       "counters: FileSystemCounters/HDFS_BYTES_READ "
       "FileSystemCounters/HDFS_BYTES_WRITTEN M3R/ALIASED_PAIRS "
@@ -560,7 +624,7 @@ const ExitCase kExitCases[] = {
       "partition_map_version place_crashes place_workers "
       "recovered_map_tasks recovery_millis reduce_tasks shuffle_local_pairs "
       "shuffle_max_partition_run_bytes shuffle_overflow_spills "
-      "shuffle_pool_peak_bytes shuffle_remote_pairs shuffle_runs_compacted "
+      "shuffle_pool_peak_bytes shuffle_remote_pairs "
       "shuffle_runs_shipped shuffle_wire_bytes time_to_first_reduce_ms\n"
       "counters: FileSystemCounters/HDFS_BYTES_READ "
       "FileSystemCounters/HDFS_BYTES_WRITTEN M3R/ALIASED_PAIRS "
@@ -620,7 +684,7 @@ const ExitCase kExitCases[] = {
       "hdfs_write_bytes injected_faults map_tasks place_workers "
       "shuffle_local_pairs shuffle_max_partition_run_bytes "
       "shuffle_overflow_spills shuffle_pool_peak_bytes shuffle_remote_pairs "
-      "shuffle_runs_compacted shuffle_runs_shipped shuffle_wire_bytes "
+      "shuffle_runs_shipped shuffle_wire_bytes "
       "time_to_first_reduce_ms\n"
       "counters: FileSystemCounters/HDFS_BYTES_READ M3R/ALIASED_PAIRS "
       "M3R/CACHE_ABORTED_EVICTIONS M3R/CACHE_BYTES_RESIDENT "
@@ -669,7 +733,7 @@ const ExitCase kExitCases[] = {
       "recovered_map_tasks shuffle_local_pairs "
       "shuffle_max_partition_run_bytes shuffle_overflow_spills "
       "shuffle_pool_peak_bytes shuffle_remote_pairs "
-      "shuffle_runs_compacted shuffle_runs_shipped shuffle_wire_bytes "
+      "shuffle_runs_shipped shuffle_wire_bytes "
       "time_to_first_reduce_ms\n"
       "counters: FileSystemCounters/HDFS_BYTES_READ M3R/ALIASED_PAIRS "
       "M3R/CACHE_ABORTED_EVICTIONS M3R/CACHE_BYTES_RESIDENT "

@@ -1,6 +1,6 @@
 // Stress + protocol tests for the streaming shuffle (DESIGN.md §15):
 // concurrent emit strands trigger early run flushes on their own threads
-// while other strands append/compact/spill runs into the same partitions,
+// while other strands append and spill runs into the same partitions,
 // then concurrent barrier drains seal the residuals. The delivered record
 // multiset must match the emission plan and a barrier exchange
 // (flush_bytes = 0) run over the same plan, the merged drain must be
@@ -178,7 +178,7 @@ std::vector<std::string> PipelinedView(ShuffleExchange* shuffle,
 
 TEST(PipelinedShuffleTest, ConcurrentPipelineMatchesBarrierExchange) {
   // Tiny flush threshold: every strand seals many runs mid-emit, so the
-  // emit / flush / append / compact interleaving is exercised for real.
+  // emit / flush / append interleaving is exercised for real.
   ShuffleExchange pipelined(kPlaces, PipelinedOptions(/*flush_bytes=*/512));
   RunPlan(&pipelined, /*concurrent=*/true);
   ASSERT_TRUE(pipelined.status().ok());

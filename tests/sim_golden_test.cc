@@ -3,8 +3,11 @@
 // charge is counted work (sim::CostModel::Cpu), never a stopwatch. These
 // pins make any change to a cost, a count or a packing order show up as a
 // reviewed diff, and each arm runs twice to show the doubles repeat.
-// Memory-budget arms are left out on purpose: there the background
-// evictor's timing legitimately changes which blocks hit.
+// Cache memory-budget arms are left out on purpose: there the background
+// evictor's timing legitimately changes which blocks hit. A shuffle
+// partition budget is pinned: which runs spill depends on timing, but the
+// reduce task merges every run the same way whether it stayed resident or
+// was reloaded, so the sim does not.
 #include <gtest/gtest.h>
 
 #include <iomanip>
@@ -29,6 +32,7 @@ enum class Arm {
   kM3RWordCountHashCombine,
   kM3RMicroBarrier,
   kM3RMicroPipelined,
+  kM3RMicroBudget,
   kHadoopWordCount,
   kM3RMapOnly,
 };
@@ -52,6 +56,14 @@ api::JobResult RunArm(Arm arm) {
     // lane at this scale (the 256 KiB default would ship none early).
     job.SetInt(api::conf::kShuffleFlushBytes,
                arm == Arm::kM3RMicroBarrier ? 0 : 8192);
+  } else if (arm == Arm::kM3RMicroBudget) {
+    // All-remote 1 KiB values into two partitions of about 1.5 MiB each,
+    // over a 1 MiB partition budget: runs spill while strands still ship.
+    M3R_CHECK_OK(workloads::GenerateMicroInput(*fs, "/in", 3000, 1024, 2, 5,
+                                               /*hadoop_placement=*/false));
+    job = workloads::MakeMicroJob("/in", "/out", 2, 1.0, 1);
+    job.SetInt(api::conf::kShuffleFlushBytes, 8192);
+    job.SetInt(api::conf::kShufflePartitionBudgetMb, 1);
   } else {
     M3R_CHECK_OK(workloads::GenerateText(*fs, "/in", 64 * 1024, 4, 11));
     job = workloads::MakeWordCountJob(
@@ -77,6 +89,10 @@ struct Golden {
   double sim_seconds;
   std::map<std::string, double> time_breakdown;
 };
+
+// gtest's default printer dumps the struct's bytes, pointers included, so
+// the listed test names (ctest's among them) changed with every process.
+void PrintTo(const Golden& g, std::ostream* os) { *os << g.name; }
 
 // Regenerate an entry from the failure message (it prints the actual
 // values in this layout) only for a deliberate cost change.
@@ -117,6 +133,14 @@ const Golden kGoldens[] = {
       {"reduce_phase", 0.11819172349264961},
       {"shuffle", 0.020765132526495728},
       {"sort", 0.0013384}}},
+    {"m3r-micro-budget",
+     Arm::kM3RMicroBudget,
+     4.3047691281777771,
+     {{"exit_barrier", 0.01},
+      {"job_overhead", 0.34999999999999998},
+      {"map_phase", 1.5154744035555527},
+      {"reduce_phase", 2.2236467364102563},
+      {"shuffle", 0.20564798821196853}}},
     {"hadoop-wordcount",
      Arm::kHadoopWordCount,
      15.68358966990222,
@@ -144,6 +168,11 @@ TEST_P(SimGoldenTest, SimSecondsArePinnedAndRepeat) {
 
   EXPECT_EQ(first.sim_seconds, second.sim_seconds);
   EXPECT_EQ(first.time_breakdown, second.time_breakdown);
+  if (g.arm == Arm::kM3RMicroBudget) {
+    // The budget bit in both runs.
+    EXPECT_GT(first.metrics.at("shuffle_overflow_spills"), 0);
+    EXPECT_GT(second.metrics.at("shuffle_overflow_spills"), 0);
+  }
 
   // On a mismatch, the actual values in the table's own layout.
   std::ostringstream actual;

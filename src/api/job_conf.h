@@ -144,8 +144,8 @@ inline constexpr char kMemoryBudgetMb[] = "m3r.memory.budget.mb";
 /// the total binds). Set on every submission; the serving front end clamps
 /// it to the dispatching tenant's quota.
 inline constexpr char kMemoryShareCache[] = "m3r.memory.share.cache";
-/// Watermarks (fractions of the cache's share) driving background
-/// eviction: crossing `high` wakes the evictor, which evicts to `low`.
+/// Watermarks (fractions of the cache's share) applied at admission: a
+/// fill that would lift residency over `high` first evicts down to `low`.
 inline constexpr char kMemoryHighWatermark[] = "m3r.memory.high.watermark";
 inline constexpr char kMemoryLowWatermark[] = "m3r.memory.low.watermark";
 /// Cache eviction policy under a budget: lru (default) | lfu | cost
@@ -168,6 +168,11 @@ inline constexpr char kCacheL2VNodes[] = "m3r.cache.l2.vnodes";
 inline constexpr char kCacheReuse[] = "m3r.cache.reuse";
 /// Deterministic seed shared by the fault injector and retry jitter.
 inline constexpr char kFaultSeed[] = "m3r.fault.seed";
+/// Per-site fault injection, one key family per attribute; <site> is one
+/// of kFaultSites (common/fault_injector.h). Read with knobs::FaultSites.
+inline constexpr char kFaultProb[] = "m3r.fault.<site>.prob";
+inline constexpr char kFaultNth[] = "m3r.fault.<site>.nth";
+inline constexpr char kFaultLimit[] = "m3r.fault.<site>.limit";
 
 // --- Serving front end (m3r::engine::JobServer; DESIGN.md §12) ---
 /// Conf-key fallbacks for the typed Submission fields, read by

@@ -49,9 +49,9 @@ constexpr Knob kTable[] = {
     {conf::kCacheReuse, Type::kEnum, "off", 0, 0, "off|exact"},
     {conf::kFaultSeed, Type::kUint64, "1"},
     // <site> is one of kFaultSites.
-    {"m3r.fault.<site>.prob", Type::kDouble, "0", 0, 1},
-    {"m3r.fault.<site>.nth", Type::kInt, "0", 0, kInf},
-    {"m3r.fault.<site>.limit", Type::kInt, "-1", -1, kInf},
+    {conf::kFaultProb, Type::kDouble, "0", 0, 1},
+    {conf::kFaultNth, Type::kInt, "0", 0, kInf},
+    {conf::kFaultLimit, Type::kInt, "-1", -1, kInf},
     {conf::kSubmissionTenant, Type::kString, "default"},
     {conf::kSubmissionPriority, Type::kInt, "0", -1000, 1000},
     {conf::kSubmissionDeadlineHint, Type::kDouble, "0", 0, kInf},
@@ -141,6 +141,11 @@ const Knob* Find(std::string_view key, std::string_view* site) {
   return nullptr;
 }
 
+bool IsFaultSite(std::string_view site) {
+  return std::find(std::begin(kFaultSites), std::end(kFaultSites), site) !=
+         std::end(kFaultSites);
+}
+
 template <typename Names>
 std::string Nearest(std::string_view s, const Names& names) {
   std::string_view best;
@@ -177,8 +182,7 @@ Status CheckKey(const std::string& key, const std::string& value) {
                                    "; nearest declared key: " +
                                    Nearest(key, live));
   }
-  if (!site.empty() && std::find(std::begin(kFaultSites), std::end(kFaultSites),
-                                 site) == std::end(kFaultSites)) {
+  if (!site.empty() && !IsFaultSite(site)) {
     return Status::InvalidArgument(key + " names no fault site; nearest: " +
                                    Nearest(site, kFaultSites));
   }
@@ -263,6 +267,28 @@ std::vector<std::string> List(const Configuration& conf, const char* key) {
   Configuration one;
   one.Set(key, std::string(Text(conf, key, Type::kList)));
   return one.GetStrings(key);
+}
+
+std::map<std::string, FaultInjector::SiteConfig> FaultSites(
+    const Configuration& conf) {
+  std::map<std::string, FaultInjector::SiteConfig> sites;
+  for (const auto& [key, value] : conf.raw()) {
+    std::string_view site;
+    const Knob* row = Find(key, &site);
+    if (row == nullptr || site.empty() || !IsFaultSite(site)) continue;
+    const std::string_view text =
+        Valid(*row, value) ? std::string_view(value) : row->def;
+    FaultInjector::SiteConfig& config = sites[std::string(site)];
+    const std::string_view family = row->key;
+    if (family == api::conf::kFaultProb) {
+      Parse(text, &config.probability);
+    } else if (family == api::conf::kFaultNth) {
+      Parse(text, &config.nth);
+    } else {
+      Parse(text, &config.limit);
+    }
+  }
+  return sites;
 }
 
 }  // namespace m3r::api::knobs

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "api/configuration.h"
+#include "common/fault_injector.h"
 #include "common/status.h"
 
 /// The one declared table of `m3r.*` knobs (DESIGN.md §17). Each key, or
@@ -54,6 +55,13 @@ std::string String(const Configuration& conf, const char* key);
 std::vector<std::string> List(const Configuration& conf, const char* key);
 /// Place -> map tasks it starts before it crashes.
 std::map<int, int> CrashScript(const Configuration& conf, const char* key);
+
+/// The m3r.fault.<site>.{prob,nth,limit} family rows: every fault site the
+/// conf sets a member of, with all three values (an unset member, or one
+/// ValidateKnobs rejects, reads as its row's default). Empty when no site
+/// is set.
+std::map<std::string, FaultInjector::SiteConfig> FaultSites(
+    const Configuration& conf);
 
 }  // namespace m3r::api::knobs
 

@@ -70,6 +70,8 @@ constexpr Metric kTable[] = {
     {metric::kSpeculativeMapTasks, "speculative_map_tasks", kCount, kSet},
     {metric::kSpeculativeReduceTasks, "speculative_reduce_tasks", kCount,
      kSet},
+    {metric::kSpeculativeMapWins, "speculative_map_wins", kCount, kSet},
+    {metric::kSpeculativeReduceWins, "speculative_reduce_wins", kCount, kSet},
     {metric::kInjectedFaults, "injected_faults", kCount, kSet},
 
     {metric::kPlaceCrashes, "place_crashes", kCount, kSum, c::kM3rGroup,

@@ -33,7 +33,8 @@ enum Id : int {
   kRecoveredBytes,
   // Task retries and injected faults.
   kMapTaskFailures, kReduceTaskFailures, kBlacklistedNodes,
-  kSpeculativeMapTasks, kSpeculativeReduceTasks, kInjectedFaults,
+  kSpeculativeMapTasks, kSpeculativeReduceTasks, kSpeculativeMapWins,
+  kSpeculativeReduceWins, kInjectedFaults,
   // Place-failure recovery.
   kPlaceCrashes, kCacheEvictedByCrashBlocks, kRecoveredMapTasks,
   kRecoveryMillis, kMembershipEpoch, kPartitionMapVersion,

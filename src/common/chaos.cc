@@ -125,9 +125,10 @@ std::vector<std::pair<std::string, std::string>> ChaosSchedule::JobOverrides(
   out.emplace_back("m3r.job.max.attempts", "2");
   out.emplace_back("m3r.job.retry.backoff.ms", "1");
 
-  // Memory pressure: a small budget with twitchy watermarks keeps the
-  // background evictor racing fills and reads — the regime the lease/epoch
-  // protocol exists for. Policy rotates so all three score functions soak.
+  // Memory pressure: a small budget with twitchy watermarks keeps
+  // admissions on concurrent places evicting while others fill and read —
+  // the regime the lease/epoch protocol exists for. Policy rotates so all
+  // three score functions soak.
   if (static_cast<double>(Mix(job, 2) % 1000) / 1000.0 <
       0.35 + 0.6 * options_.intensity) {
     static const char* const kBudgetsMb[] = {"1", "2", "4"};

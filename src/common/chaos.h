@@ -45,7 +45,7 @@ class ChaosSchedule {
   /// have a clean attempt left), repair-mode integrity whenever a
   /// corruption site is armed, a job retry budget, and — intensity
   /// permitting — a small memory budget with aggressive watermarks and a
-  /// rotating eviction policy to keep the background evictor busy.
+  /// rotating eviction policy to keep admissions evicting.
   std::vector<std::pair<std::string, std::string>> JobOverrides(
       int job_index) const;
 

@@ -1,7 +1,5 @@
 #include "common/fault_injector.h"
 
-#include <cstdlib>
-
 namespace m3r {
 
 namespace {
@@ -115,35 +113,11 @@ int64_t FaultInjector::InjectedCount(const std::string& site) const {
   return it == sites_.end() ? 0 : it->second.injected;
 }
 
-std::shared_ptr<FaultInjector> FaultInjector::FromConf(
-    const std::map<std::string, std::string>& raw) {
-  static constexpr char kPrefix[] = "m3r.fault.";
-  const size_t prefix_len = sizeof(kPrefix) - 1;
-  uint64_t seed = 1;
-  std::map<std::string, FaultInjector::SiteConfig> configs;
-  for (const auto& [key, value] : raw) {
-    if (key.compare(0, prefix_len, kPrefix) != 0) continue;
-    std::string rest = key.substr(prefix_len);
-    if (rest == "seed") {
-      seed = static_cast<uint64_t>(std::strtoull(value.c_str(), nullptr, 10));
-      continue;
-    }
-    size_t dot = rest.rfind('.');
-    if (dot == std::string::npos || dot == 0) continue;
-    std::string site = rest.substr(0, dot);
-    std::string attr = rest.substr(dot + 1);
-    SiteConfig& config = configs[site];
-    if (attr == "prob") {
-      config.probability = std::strtod(value.c_str(), nullptr);
-    } else if (attr == "nth") {
-      config.nth = std::strtoll(value.c_str(), nullptr, 10);
-    } else if (attr == "limit") {
-      config.limit = std::strtoll(value.c_str(), nullptr, 10);
-    }
-  }
-  if (configs.empty()) return nullptr;
+std::shared_ptr<FaultInjector> FaultInjector::FromSites(
+    uint64_t seed, const std::map<std::string, SiteConfig>& sites) {
+  if (sites.empty()) return nullptr;
   auto injector = std::make_shared<FaultInjector>(seed);
-  for (auto& [site, config] : configs) injector->Configure(site, config);
+  for (const auto& [site, config] : sites) injector->Configure(site, config);
   return injector;
 }
 

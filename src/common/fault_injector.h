@@ -34,7 +34,8 @@ inline constexpr const char* kFaultSites[] = {
 /// site and fires on the nth one, which is deterministic wherever a site is
 /// evaluated in a fixed order (e.g. per-place checks).
 ///
-/// Configuration comes from JobConf keys:
+/// Configuration comes from JobConf keys (rows of the knob table,
+/// api/knobs.h, read with knobs::Uint64 and knobs::FaultSites):
 ///   m3r.fault.seed           uint64 seed (default 1)
 ///   m3r.fault.<site>.prob    per-evaluation failure probability in [0,1]
 ///   m3r.fault.<site>.nth     1-based: the nth evaluation fails (once)
@@ -93,11 +94,11 @@ class FaultInjector {
   int64_t InjectedCount() const;
   int64_t InjectedCount(const std::string& site) const;
 
-  /// Builds an injector from a raw key/value configuration map (a
-  /// JobConf's raw() view), scanning for "m3r.fault." keys. Returns null
-  /// when no fault keys are present, so the common case stays free.
-  static std::shared_ptr<FaultInjector> FromConf(
-      const std::map<std::string, std::string>& raw);
+  /// Builds an injector over `sites` (api::knobs::FaultSites of a job's
+  /// conf). Returns null when no site is configured, so the common case
+  /// stays free.
+  static std::shared_ptr<FaultInjector> FromSites(
+      uint64_t seed, const std::map<std::string, SiteConfig>& sites);
 
  private:
   struct SiteState {

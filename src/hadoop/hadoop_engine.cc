@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <numeric>
 #include <vector>
 
 #include "api/distributed_cache.h"
@@ -44,6 +45,17 @@ api::JobResult Fail(Status status) {
   return r;
 }
 
+/// Task indices by finish time, latest first (ties in index order): the
+/// order in which stragglers get speculative slots.
+std::vector<size_t> LatestFirst(const std::vector<double>& finishes) {
+  std::vector<size_t> order(finishes.size());
+  std::iota(order.begin(), order.end(), size_t{0});
+  std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    return finishes[a] > finishes[b];
+  });
+  return order;
+}
+
 }  // namespace
 
 HadoopEngine::HadoopEngine(std::shared_ptr<dfs::FileSystem> fs,
@@ -84,7 +96,9 @@ api::JobResult HadoopEngine::Submit(const api::JobConf& submitted_conf) {
   // Per-job deterministic fault injection: installed on the file system
   // (dfs.read / dfs.write sites) and handed to tasks (hadoop.map /
   // hadoop.reduce sites). Cleared on every exit path.
-  std::shared_ptr<FaultInjector> fault = FaultInjector::FromConf(conf.raw());
+  std::shared_ptr<FaultInjector> fault = FaultInjector::FromSites(
+      api::knobs::Uint64(conf, api::conf::kFaultSeed),
+      api::knobs::FaultSites(conf));
   // End-to-end integrity context (m3r.integrity.mode): installed on the
   // file system (block checksums) and handed to tasks (spill/fetch
   // checksums) for the duration of the submission, like the injector.
@@ -227,6 +241,7 @@ api::JobResult HadoopEngine::Submit(const api::JobConf& submitted_conf) {
   std::vector<int> node_failures(static_cast<size_t>(spec.num_nodes), 0);
   std::vector<int> blacklisted;
   std::vector<double> map_finishes(splits.size(), map_start);
+  std::vector<double> map_first_starts(splits.size(), map_start);
   std::vector<double> map_durations(splits.size(), 0);
   int64_t local_maps = 0;
   int64_t map_task_failures = 0;
@@ -259,6 +274,7 @@ api::JobResult HadoopEngine::Submit(const api::JobConf& submitted_conf) {
       sim::ScheduledTask sched =
           map_phase.Add(map_duration_fn(&mr), splits[i]->GetLocations(),
                         &local, ready, avoid);
+      if (a == 0) map_first_starts[i] = sched.start_s;
       if (!mr.status.ok()) {
         ++map_task_failures;
         failed_on.push_back(sched.node);
@@ -289,26 +305,31 @@ api::JobResult HadoopEngine::Submit(const api::JobConf& submitted_conf) {
         static_cast<int64_t>(mr.spill_write_bytes + mr.merge_bytes));
   }
 
-  // Speculative execution: a task whose completion lags well behind the
-  // mean (typically because it is a retry chain) gets a backup copy
-  // launched once the lag is evident; the task finishes when the first of
-  // the two copies does.
+  // Speculative execution: a task still running well past the mean
+  // attempt duration since its own first attempt started (typically a
+  // retry chain; time queued for a slot does not count) gets a backup copy
+  // launched once the lag is evident. Backups are booked after every
+  // task's own attempts, as a jobtracker serves pending tasks first, so
+  // they never delay one; as in LATE, the task that would finish last
+  // gets the first free slot. The task finishes when the first copy does.
   int64_t speculative_maps = 0;
+  int64_t speculative_map_wins = 0;
   if (speculative && splits.size() > 1) {
     double mean = 0;
     for (double d : map_durations) mean += d;
     mean /= static_cast<double>(splits.size());
-    for (size_t i = 0; i < splits.size(); ++i) {
-      if (map_finishes[i] - map_start <= slow_threshold * mean) continue;
+    for (size_t i : LatestFirst(map_finishes)) {
+      const double launch = map_first_starts[i] + slow_threshold * mean;
+      if (map_finishes[i] <= launch) continue;
       const MapTaskResult& mr = map_attempts[i].back();
       sim::ScheduledTask backup =
           map_phase.Add(map_duration_fn(&mr), splits[i]->GetLocations(),
-                        nullptr, map_start + slow_threshold * mean,
-                        blacklisted);
+                        nullptr, launch, blacklisted);
       ++speculative_maps;
       if (backup.finish_s < map_finishes[i]) {
         map_finishes[i] = backup.finish_s;
         map_nodes[i] = backup.node;
+        ++speculative_map_wins;
       }
     }
   }
@@ -321,6 +342,7 @@ api::JobResult HadoopEngine::Submit(const api::JobConf& submitted_conf) {
 
   int64_t reduce_task_failures = 0;
   int64_t speculative_reduces = 0;
+  int64_t speculative_reduce_wins = 0;
 
   // --- Reduce phase ---
   if (num_reduce > 0) {
@@ -380,6 +402,8 @@ api::JobResult HadoopEngine::Submit(const api::JobConf& submitted_conf) {
     std::vector<double> reduce_finishes(static_cast<size_t>(num_reduce),
                                         map_done);
     std::vector<double> reduce_durations(static_cast<size_t>(num_reduce), 0);
+    std::vector<double> reduce_first_starts(static_cast<size_t>(num_reduce),
+                                            map_done);
     auto reduce_duration_fn = [&](const ReduceTaskResult* rr, int p) {
       return [&, rr, p](bool, int node) {
         double d = spec.task_jvm_start_s;
@@ -412,6 +436,7 @@ api::JobResult HadoopEngine::Submit(const api::JobConf& submitted_conf) {
         sim::ScheduledTask sched =
             reduce_phase.Add(reduce_duration_fn(&rr, p), {}, nullptr, ready,
                              avoid);
+        if (a == 0) reduce_first_starts[static_cast<size_t>(p)] = sched.start_s;
         if (!rr.status.ok()) {
           ++reduce_task_failures;
           failed_on.push_back(sched.node);
@@ -440,19 +465,19 @@ api::JobResult HadoopEngine::Submit(const api::JobConf& submitted_conf) {
       double mean = 0;
       for (double d : reduce_durations) mean += d;
       mean /= static_cast<double>(num_reduce);
-      for (int p = 0; p < num_reduce; ++p) {
-        if (reduce_finishes[static_cast<size_t>(p)] - map_done <=
-            slow_threshold * mean) {
-          continue;
-        }
-        const ReduceTaskResult& rr =
-            reduce_attempts[static_cast<size_t>(p)].back();
-        sim::ScheduledTask backup = reduce_phase.Add(
-            reduce_duration_fn(&rr, p), {}, nullptr,
-            map_done + slow_threshold * mean, blacklisted);
+      for (size_t p : LatestFirst(reduce_finishes)) {
+        double& finish = reduce_finishes[p];
+        const double launch = reduce_first_starts[p] + slow_threshold * mean;
+        if (finish <= launch) continue;
+        const ReduceTaskResult& rr = reduce_attempts[p].back();
+        sim::ScheduledTask backup =
+            reduce_phase.Add(reduce_duration_fn(&rr, static_cast<int>(p)), {},
+                             nullptr, launch, blacklisted);
         ++speculative_reduces;
-        reduce_finishes[static_cast<size_t>(p)] = std::min(
-            reduce_finishes[static_cast<size_t>(p)], backup.finish_s);
+        if (backup.finish_s < finish) {
+          finish = backup.finish_s;
+          ++speculative_reduce_wins;
+        }
       }
     }
 
@@ -476,6 +501,9 @@ api::JobResult HadoopEngine::Submit(const api::JobConf& submitted_conf) {
     metrics::Set(&result, metric::kSpeculativeMapTasks, speculative_maps);
     metrics::Set(&result, metric::kSpeculativeReduceTasks,
                  speculative_reduces);
+    metrics::Set(&result, metric::kSpeculativeMapWins, speculative_map_wins);
+    metrics::Set(&result, metric::kSpeculativeReduceWins,
+                 speculative_reduce_wins);
   }
   if (fault != nullptr) {
     metrics::Set(&result, metric::kInjectedFaults, fault->InjectedCount());

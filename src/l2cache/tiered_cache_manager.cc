@@ -19,12 +19,6 @@ TieredCacheManager::TieredCacheManager(memgov::MemoryGovernor* governor,
     : memgov::CacheManager(governor, std::move(hooks)),
       l2_hooks_(std::move(l2_hooks)) {}
 
-TieredCacheManager::~TieredCacheManager() {
-  // Join the background evictor before tier state unwinds: its in-flight
-  // eviction would otherwise dispatch PreserveVictim into a dead subclass.
-  StopBackground();
-}
-
 void TieredCacheManager::ConfigureL2(bool enabled,
                                      const std::vector<int>& places,
                                      int vnodes, uint64_t l2_budget_bytes) {
@@ -429,7 +423,7 @@ void TieredCacheManager::DropAllLocked(bool spill_unbacked) {
 void TieredCacheManager::EvictToBudget() {
   memgov::CacheManager::EvictToBudget();
   // Satellite determinism contract: the settle sweep is a quiesce point,
-  // so in-flight demotions (claimed by the background evictor before the
+  // so in-flight demotions (claimed by a concurrent admission before the
   // sweep) must land or abort before it returns — a spill observer then
   // sees a settled tier, with governance on or off.
   std::unique_lock<std::mutex> lock(l2_mu_);

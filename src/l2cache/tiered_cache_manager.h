@@ -32,7 +32,8 @@ struct BlockPayload {
 /// never touches cache pairs or the DFS — mirroring the L1 Hooks design.
 struct L2Hooks {
   /// Serializes every cached block of `path` into payloads (the demotion
-  /// freeze; runs on the evictor thread with the victim claimed).
+  /// freeze; runs on the evicting thread — an admitting filler or the
+  /// job-boundary sweep — with the victim claimed).
   std::function<Status(const std::string& path,
                        std::vector<BlockPayload>* out)>
       freeze;
@@ -91,7 +92,6 @@ class TieredCacheManager : public memgov::CacheManager {
  public:
   TieredCacheManager(memgov::MemoryGovernor* governor, Hooks hooks,
                      L2Hooks l2_hooks);
-  ~TieredCacheManager() override;
 
   /// (Re)configures the tier per job submission: `l2_budget_bytes` is the
   /// ring-wide capacity (each place's donation times the ring size), split

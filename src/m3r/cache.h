@@ -139,7 +139,7 @@ class Cache {
 
   /// Drops `path` from the cache like Delete but KEEPS its directory's
   /// manifest entry: eviction is a residency change, not a deletion — the
-  /// data still logically exists (the evictor spilled it to the
+  /// data still logically exists (the eviction spilled it to the
   /// checkpoint first), and the surviving manifest is what lets
   /// ManifestMissing/the CacheFS heal hook notice the gap and restore it
   /// instead of silently serving the survivors (DESIGN.md §13).

@@ -66,7 +66,7 @@ class M3RFileSystem : public dfs::FileSystem, public CacheFS {
 
   /// Restores a directory's spill-evicted cache-only files from the
   /// checkpoint (the engine installs RestoreDirFromCheckpoint). Without
-  /// it, a cache-only output file the background evictor spilled between
+  /// it, a cache-only output file another job's admission spilled between
   /// the producing job's end and a client's read would simply vanish from
   /// the union view — the bytes are safe on disk, but ListStatus and
   /// GetCacheRecordReader would silently serve the survivors.

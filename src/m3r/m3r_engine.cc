@@ -526,9 +526,9 @@ struct FaultGuard {
   }
 };
 
-/// Pins the job's input and output subtrees for the submission: the
-/// background evictor must never spill the data a running job is mapping
-/// over or publishing (pins also shield the reuse registry entries rooted
+/// Pins the job's input and output subtrees for the submission: no
+/// admission may evict the data a running job is mapping over or
+/// publishing (pins also shield the reuse registry entries rooted
 /// under them).
 struct PinGuard {
   memgov::CacheManager* mgr;
@@ -697,8 +697,8 @@ M3REngine::M3REngine(std::shared_ptr<dfs::FileSystem> base_fs,
   });
   // Clients read cache-only outputs through fs_ (ListStatus union,
   // GetCacheRecordReader) without going through job submission, so the
-  // FS must be able to restore what the background evictor spilled — from
-  // the L2 tier first (a move back into L1), then from the checkpoint.
+  // FS must be able to restore what a later job's admissions spilled —
+  // from the L2 tier first (a move back into L1), then from the checkpoint.
   fs_->SetHealHook([this](const std::string& dir) {
     tiered_->PromoteUnder(dir, /*only_unbacked=*/true, nullptr);
     return RestoreDirFromCheckpoint(dir, /*only_missing=*/true, nullptr,
@@ -720,7 +720,7 @@ M3REngine::M3REngine(std::shared_ptr<dfs::FileSystem> base_fs,
 M3REngine::~M3REngine() {
   WaitForCheckpoints();
   cache_.SetManager(nullptr);
-  cache_manager_.reset();  // joins the background evictor
+  cache_manager_.reset();
 }
 
 void M3REngine::WaitForCheckpoints() {
@@ -1071,7 +1071,9 @@ class M3REngine::JobRun {
     // (m3r.integrity.mode) is installed on the base file system (block
     // checksums) and the cache (block fingerprints), and carried by the
     // shuffle for its frames. Both are cleared when the job leaves.
-    fault_ = FaultInjector::FromConf(conf_.raw());
+    fault_ = FaultInjector::FromSites(
+        api::knobs::Uint64(conf_, api::conf::kFaultSeed),
+        api::knobs::FaultSites(conf_));
     integrity_ = IntegrityContext::ForJob(
         static_cast<IntegrityMode>(
             api::knobs::Choice(conf_, api::conf::kIntegrityMode)),
@@ -1139,9 +1141,9 @@ class M3REngine::JobRun {
     if (!src) return false;
     // An identical output path is already in place. Same lineage under a new
     // temporary name: clone the registered output's cached blocks to the new
-    // path, leasing the source directory for the whole clone so the
-    // background evictor cannot claim one of its files between LookupReuse
-    // and the copy.
+    // path, leasing the source directory for the whole clone so a
+    // concurrent admission cannot claim one of its files between
+    // LookupReuse and the copy.
     if (*src != out) {
       if (!temporary_ || e_.fs_->Exists(out)) return false;
       memgov::CacheManager::ReadLease reuse_lease = e_.cache_.LeaseRead(*src);

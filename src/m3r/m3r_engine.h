@@ -177,8 +177,7 @@ class M3REngine : public api::Engine {
   /// the governor as the "hashcombine" consumer.
   std::atomic<int64_t> hash_combine_bytes_{0};
   memgov::MemoryGovernor governor_;
-  /// Declared after every subsystem its hooks touch (cache_, base_fs_):
-  /// reverse destruction order joins its background evictor first.
+  /// Declared after every subsystem its hooks touch (cache_, base_fs_).
   std::unique_ptr<memgov::CacheManager> cache_manager_;
   /// Non-owning view of cache_manager_ as the tiered subclass it is.
   l2cache::TieredCacheManager* tiered_ = nullptr;

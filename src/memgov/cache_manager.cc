@@ -30,33 +30,14 @@ const char* EvictionPolicyName(EvictionPolicy policy) {
 }
 
 CacheManager::CacheManager(MemoryGovernor* governor, Hooks hooks)
-    : governor_(governor), hooks_(std::move(hooks)) {
-  background_ = std::thread([this] { BackgroundLoop(); });
-}
-
-CacheManager::~CacheManager() { StopBackground(); }
-
-void CacheManager::StopBackground() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stop_ = true;
-  }
-  evict_cv_.notify_all();
-  if (background_.joinable()) background_.join();
-}
+    : governor_(governor), hooks_(std::move(hooks)) {}
 
 void CacheManager::Configure(EvictionPolicy policy, double high_watermark,
                              double low_watermark) {
-  bool wake = false;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    policy_ = policy;
-    high_watermark_ = std::clamp(high_watermark, 0.0, 1.0);
-    low_watermark_ = std::clamp(low_watermark, 0.0, high_watermark_);
-    // A lower watermark may put the cache over the trigger retroactively.
-    wake = EligibilityEventLocked();
-  }
-  if (wake) evict_cv_.notify_one();
+  std::lock_guard<std::mutex> lock(mu_);
+  policy_ = policy;
+  high_watermark_ = std::clamp(high_watermark, 0.0, 1.0);
+  low_watermark_ = std::clamp(low_watermark, 0.0, high_watermark_);
 }
 
 EvictionPolicy CacheManager::policy() const {
@@ -113,18 +94,13 @@ CacheManager::ReadLease CacheManager::AcquireRead(const std::string& path) {
 }
 
 void CacheManager::ReleaseRead(const std::string& path) {
-  bool wake = false;
   {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = leases_.find(path);
-    if (it != leases_.end() && --it->second <= 0) {
-      leases_.erase(it);
-      wake = EligibilityEventLocked();
-    }
+    if (it != leases_.end() && --it->second <= 0) leases_.erase(it);
     if (leases_active_ > 0) leases_active_ -= 1;
   }
   evict_done_cv_.notify_all();
-  if (wake) evict_cv_.notify_one();
 }
 
 void CacheManager::ReadLease::Release() {
@@ -146,18 +122,13 @@ void CacheManager::BeginFill(const std::string& path) {
 }
 
 void CacheManager::EndFill(const std::string& path) {
-  bool wake = false;
   {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = fills_.find(path);
-    if (it != fills_.end() && --it->second <= 0) {
-      fills_.erase(it);
-      wake = EligibilityEventLocked();
-    }
+    if (it != fills_.end() && --it->second <= 0) fills_.erase(it);
     if (leases_active_ > 0) leases_active_ -= 1;
   }
   evict_done_cv_.notify_all();
-  if (wake) evict_cv_.notify_one();
 }
 
 uint64_t CacheManager::LeasesActive() const {
@@ -168,21 +139,6 @@ uint64_t CacheManager::LeasesActive() const {
 uint64_t CacheManager::EvictorInflight() const {
   std::lock_guard<std::mutex> lock(mu_);
   return evictor_inflight_;
-}
-
-bool CacheManager::OverHighWatermarkLocked() const {
-  uint64_t cache_budget = governor_->ConsumerBudget(kConsumer);
-  if (!governor_->governed() ||
-      cache_budget == std::numeric_limits<uint64_t>::max()) {
-    return false;
-  }
-  return static_cast<double>(resident_bytes_) >
-         high_watermark_ * static_cast<double>(cache_budget);
-}
-
-bool CacheManager::EligibilityEventLocked() {
-  eligibility_gen_ += 1;
-  return OverHighWatermarkLocked();
 }
 
 uint64_t CacheManager::OverageLocked(uint64_t add_bytes) const {
@@ -275,7 +231,6 @@ bool CacheManager::EvictOneVictim(std::vector<std::string>* skip) {
   uint64_t claim_epoch = 0;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    counters_.victim_scans += 1;
     victim = PickVictimLocked(*skip);
     if (victim.empty()) return false;
     Entry& e = entries_[victim];
@@ -293,19 +248,15 @@ bool CacheManager::EvictOneVictim(std::vector<std::string>* skip) {
   bool need_spill = false;
   Status preserved = PreserveVictim(victim, backed, &need_spill);
   if (!preserved.ok()) {
-    bool wake = false;
     {
       std::lock_guard<std::mutex> lock(mu_);
       auto it = entries_.find(victim);
       if (it != entries_.end()) it->second.evicting = false;
       skip->push_back(victim);  // unevictable this round, try the next one
       if (evictor_inflight_ > 0) evictor_inflight_ -= 1;
-      // The released claim is claimable again by any other evicting thread.
-      wake = EligibilityEventLocked();
     }
     --evictor_depth_;
     evict_done_cv_.notify_all();
-    if (wake) evict_cv_.notify_one();
     return true;
   }
   // Revalidate the claim before publishing the eviction: the preserve step
@@ -315,7 +266,6 @@ bool CacheManager::EvictOneVictim(std::vector<std::string>* skip) {
   // deleting anyway is exactly the lost-block race behind the historical
   // bench_cache SpMV divergence.
   bool valid = false;
-  bool wake = false;
   {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = entries_.find(victim);
@@ -326,7 +276,6 @@ bool CacheManager::EvictOneVictim(std::vector<std::string>* skip) {
       skip->push_back(victim);
       counters_.aborted_evictions += 1;
       if (evictor_inflight_ > 0) evictor_inflight_ -= 1;
-      wake = EligibilityEventLocked();
     }
   }
   if (!valid) {
@@ -335,7 +284,6 @@ bool CacheManager::EvictOneVictim(std::vector<std::string>* skip) {
     OnEvictionAborted(victim);
     --evictor_depth_;
     evict_done_cv_.notify_all();
-    if (wake) evict_cv_.notify_one();
     return true;
   }
   if (hooks_.evict) (void)hooks_.evict(victim);
@@ -361,19 +309,26 @@ bool CacheManager::EvictOneVictim(std::vector<std::string>* skip) {
   return true;
 }
 
-bool CacheManager::EvictUntilFits(uint64_t add_bytes) {
+bool CacheManager::EvictUntilFits(uint64_t add_bytes, uint64_t drain_to) {
+  // One skip list for the whole loop: a victim whose preserve failed or
+  // whose eviction aborted is not claimed (or spilled) a second time.
   std::vector<std::string> skip;
   for (;;) {
     {
       std::lock_guard<std::mutex> lock(mu_);
-      if (OverageLocked(add_bytes) == 0) return true;
+      if (OverageLocked(add_bytes) == 0 &&
+          resident_bytes_ + add_bytes <= drain_to) {
+        return true;
+      }
     }
     if (EvictOneVictim(&skip)) continue;
-    // No victim is eligible right now. If another thread (typically the
-    // background evictor) has entries claimed mid-eviction, wait for it to
-    // finish and re-evaluate rather than under-reporting eviction capacity.
+    // No victim is eligible right now; the watermark drain stops here. If
+    // the fill does not fit yet and another thread has entries claimed
+    // mid-eviction, wait for it to finish and re-evaluate rather than
+    // under-reporting eviction capacity.
     std::unique_lock<std::mutex> lock(mu_);
-    if (evictor_inflight_ == 0) return OverageLocked(add_bytes) == 0;
+    if (OverageLocked(add_bytes) == 0) return true;
+    if (evictor_inflight_ == 0) return false;
     evict_done_cv_.wait_for(lock, std::chrono::milliseconds(50));
   }
 }
@@ -381,12 +336,20 @@ bool CacheManager::EvictUntilFits(uint64_t add_bytes) {
 bool CacheManager::AdmitFill(const std::string& path, uint64_t add_bytes,
                              bool required) {
   if (!governor_->governed()) return true;
+  uint64_t drain_to = std::numeric_limits<uint64_t>::max();
   {
+    std::lock_guard<std::mutex> lock(mu_);
     // Growing an already-cached file in place (block-by-block fills) must
     // not race its own eviction: a partially published file is treated as
     // required for its remaining blocks.
-    std::lock_guard<std::mutex> lock(mu_);
     if (entries_.count(path) > 0) required = true;
+    // Watermarks: a fill that would lift residency over `high` first
+    // drains the cache so that it lands at or under `low`.
+    double share = static_cast<double>(governor_->ConsumerBudget(kConsumer));
+    if (static_cast<double>(resident_bytes_ + add_bytes) >
+        high_watermark_ * share) {
+      drain_to = static_cast<uint64_t>(low_watermark_ * share);
+    }
   }
   if (add_bytes > governor_->ConsumerBudget(kConsumer)) {
     // The fill alone exceeds the cache's whole share: evicting everyone
@@ -401,7 +364,7 @@ bool CacheManager::AdmitFill(const std::string& path, uint64_t add_bytes,
     counters_.rejected_fills += 1;
     return false;
   }
-  if (EvictUntilFits(add_bytes)) return true;
+  if (EvictUntilFits(add_bytes, drain_to)) return true;
   std::lock_guard<std::mutex> lock(mu_);
   if (required) {
     counters_.forced_fills += 1;
@@ -413,19 +376,14 @@ bool CacheManager::AdmitFill(const std::string& path, uint64_t add_bytes,
 
 void CacheManager::OnFill(const std::string& path, uint64_t add_bytes,
                           double fill_seconds) {
-  bool over_high = false;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    Entry& e = entries_[path];
-    e.bytes += add_bytes;
-    e.fill_seconds += fill_seconds;
-    e.last_tick = ++tick_;
-    e.fill_epoch += 1;
-    resident_bytes_ += add_bytes;
-    governor_->AddUsage(kConsumer, static_cast<int64_t>(add_bytes));
-    over_high = EligibilityEventLocked();
-  }
-  if (over_high) evict_cv_.notify_one();
+  std::lock_guard<std::mutex> lock(mu_);
+  Entry& e = entries_[path];
+  e.bytes += add_bytes;
+  e.fill_seconds += fill_seconds;
+  e.last_tick = ++tick_;
+  e.fill_epoch += 1;
+  resident_bytes_ += add_bytes;
+  governor_->AddUsage(kConsumer, static_cast<int64_t>(add_bytes));
 }
 
 void CacheManager::OnAccess(const std::string& path) {
@@ -452,8 +410,6 @@ void CacheManager::OnRename(const std::string& src, const std::string& dst) {
   }
   for (auto& [path, entry] : moved) entries_[path] = std::move(entry);
   InvalidateReuseLocked(src);
-  // Moved entries may have left a pinned or leased subtree.
-  if (!moved.empty() && EligibilityEventLocked()) evict_cv_.notify_one();
 }
 
 void CacheManager::Pin(const std::string& path) {
@@ -469,17 +425,10 @@ void CacheManager::Pin(const std::string& path) {
 }
 
 void CacheManager::Unpin(const std::string& path) {
-  bool wake = false;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = pins_.find(path);
-    if (it == pins_.end()) return;
-    if (--it->second <= 0) {
-      pins_.erase(it);
-      wake = EligibilityEventLocked();
-    }
-  }
-  if (wake) evict_cv_.notify_one();
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = pins_.find(path);
+  if (it == pins_.end()) return;
+  if (--it->second <= 0) pins_.erase(it);
 }
 
 bool CacheManager::IsPinned(const std::string& path) const {
@@ -510,7 +459,9 @@ std::optional<std::string> CacheManager::LookupReuse(
   return it->second.output_dir;
 }
 
-void CacheManager::EvictToBudget() { (void)EvictUntilFits(0); }
+void CacheManager::EvictToBudget() {
+  (void)EvictUntilFits(0, std::numeric_limits<uint64_t>::max());
+}
 
 void CacheManager::Reconcile(
     const std::function<uint64_t(const std::string&)>& bytes_of) {
@@ -578,45 +529,6 @@ void CacheManager::InvalidateReuseLocked(const std::string& path) {
       }
     }
     it = dead ? reuse_.erase(it) : ++it;
-  }
-}
-
-void CacheManager::BackgroundLoop() {
-  // After a round whose last pick found nothing claimable, the loop sleeps
-  // until an eligibility event moves the generation past `idle_gen`, the
-  // value read under the lock that preceded that pick — so an event that
-  // lands between the pick and the sleep still wakes it.
-  bool idle = false;
-  uint64_t idle_gen = 0;
-  for (;;) {
-    uint64_t target = 0;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      evict_cv_.wait(lock, [&] {
-        if (stop_) return true;
-        if (!OverHighWatermarkLocked()) return false;
-        return !idle || eligibility_gen_ != idle_gen;
-      });
-      if (stop_) return;
-      uint64_t cache_budget = governor_->ConsumerBudget(kConsumer);
-      target = static_cast<uint64_t>(
-          low_watermark_ * static_cast<double>(cache_budget));
-    }
-    idle = false;
-    std::vector<std::string> skip;
-    for (;;) {
-      uint64_t gen = 0;
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        if (stop_ || resident_bytes_ <= target) break;
-        gen = eligibility_gen_;
-      }
-      if (!EvictOneVictim(&skip)) {
-        idle = true;
-        idle_gen = gen;
-        break;
-      }
-    }
   }
 }
 

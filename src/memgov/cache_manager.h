@@ -8,7 +8,6 @@
 #include <mutex>
 #include <optional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/status.h"
@@ -68,14 +67,10 @@ class CacheManager {
     /// revalidation found the victim pinned, leased, or refilled — the
     /// lease/epoch protocol turning a would-be lost block into a no-op.
     uint64_t aborted_evictions = 0;
-    /// Victim scans (passes over the entry table looking for a claimable
-    /// entry) by any evicting thread. Tests use it to check that an idle
-    /// background evictor does not rescan an unchanged table.
-    uint64_t victim_scans = 0;
   };
 
   CacheManager(MemoryGovernor* governor, Hooks hooks);
-  virtual ~CacheManager();
+  virtual ~CacheManager() = default;
 
   CacheManager(const CacheManager&) = delete;
   CacheManager& operator=(const CacheManager&) = delete;
@@ -140,22 +135,22 @@ class CacheManager {
   static constexpr const char* kConsumer = "cache";
 
   /// (Re)configures policy and watermarks; called per job submission. The
-  /// watermarks are fractions of the cache's consumer budget: crossing
-  /// `high` wakes the background evictor, which evicts down to `low`. A
-  /// round that runs out of claimable victims first puts the evictor to
-  /// sleep until an entry may have become claimable (an eligibility
-  /// event: last unpin, last lease release, EndFill, a fill, a rename,
-  /// an aborted eviction, or Configure).
+  /// watermarks are fractions of the cache's consumer budget and act at
+  /// admission (see AdmitFill).
   void Configure(EvictionPolicy policy, double high_watermark,
                  double low_watermark);
   EvictionPolicy policy() const;
 
   /// Admission decision for a fill of `add_bytes` into `path`, taken
-  /// before the block is published. Synchronously evicts unpinned victims
-  /// when over budget. Returns false only for droppable (!required) fills
-  /// that still do not fit — the caller then bypasses the cache. Required
-  /// fills (outputs with no DFS backing, checkpoint heals of in-flight
-  /// inputs) are always admitted, counted as forced when over budget.
+  /// before the block is published. Eviction runs here, on the filling
+  /// thread (EvictToBudget is the only other caller): when the fill would
+  /// lift residency over `high`, one eviction loop drains toward `low`
+  /// (fewer bytes if not enough is claimable), and in any case evicts
+  /// until the fill fits the budget. Returns false only for droppable
+  /// (!required) fills that still do not fit — the caller then bypasses
+  /// the cache. Required fills (outputs with no DFS backing, checkpoint
+  /// heals of in-flight inputs) are always admitted, counted as forced
+  /// when over budget.
   bool AdmitFill(const std::string& path, uint64_t add_bytes, bool required);
 
   /// A block of `path` was published (`fill_seconds` = simulated cost of
@@ -209,7 +204,7 @@ class CacheManager {
   /// --- Extension points for tiered subclasses (src/l2cache) ---
   ///
   /// Preserves a claimed victim's data before the eviction deletes it from
-  /// the cache. Runs on the evictor thread, unlocked, between the claim
+  /// the cache. Runs on the evicting thread, unlocked, between the claim
   /// and the post-preserve revalidation; `backed` mirrors
   /// Hooks::has_backing. The base behavior spills unbacked victims through
   /// the checkpoint hook (`*spilled` reports whether a spill happened); a
@@ -219,7 +214,7 @@ class CacheManager {
   /// deleted.
   virtual Status PreserveVictim(const std::string& victim, bool backed,
                                 bool* spilled);
-  /// Called (unlocked, still on the evictor thread) when post-preserve
+  /// Called (unlocked, still on the evicting thread) when post-preserve
   /// revalidation aborted the eviction — a pin, lease, or refill arrived
   /// while PreserveVictim ran. A subclass drops whatever tier copy it just
   /// made: the entry stays live in L1, so the copy is redundant at best
@@ -236,10 +231,6 @@ class CacheManager {
   /// in-flight eviction) — i.e. another replica exists in this tier.
   bool ResidentEntry(const std::string& path) const;
   MemoryGovernor* governor() const { return governor_; }
-  /// Stops and joins the background evictor. Idempotent. Subclass
-  /// destructors call this first, so no in-flight eviction can dispatch a
-  /// virtual hook into a partially destroyed object.
-  void StopBackground();
 
  private:
   struct Entry {
@@ -269,32 +260,22 @@ class CacheManager {
   /// unsealed fills, in-flight evictions, and `skip` (paths whose spill
   /// failed or whose eviction aborted this round).
   std::string PickVictimLocked(const std::vector<std::string>& skip) const;
-  /// Evicts until OverageLocked(add_bytes) == 0 or no victims remain.
-  /// Returns true when the target was reached. Caller must NOT hold mu_.
-  bool EvictUntilFits(uint64_t add_bytes);
+  /// The one eviction loop: evicts until OverageLocked(add_bytes) == 0
+  /// and resident + add_bytes <= `drain_to`, or no victims remain. The
+  /// drain is best effort; returns true when the fill fits. Caller must
+  /// NOT hold mu_.
+  bool EvictUntilFits(uint64_t add_bytes, uint64_t drain_to);
   /// Evicts one victim (spilling first if unbacked). Returns false when
   /// nothing is evictable; paths whose spill failed are appended to `skip`
   /// and retried no further this round. Caller must NOT hold mu_.
   bool EvictOneVictim(std::vector<std::string>* skip);
   void EraseSubtreeLocked(const std::string& path);
   void InvalidateReuseLocked(const std::string& path);
-  /// True when resident bytes exceed the high watermark of a finite cache
-  /// budget — the background evictor's trigger.
-  bool OverHighWatermarkLocked() const;
-  /// Records an eligibility event: some entry may have become claimable.
-  /// Returns true when the caller should notify evict_cv_ (the cache is
-  /// over its high watermark, so an idle evictor has work to retry).
-  bool EligibilityEventLocked();
-  void BackgroundLoop();
 
   MemoryGovernor* const governor_;
   const Hooks hooks_;
 
   mutable std::mutex mu_;
-  std::condition_variable evict_cv_;
-  /// Bumped on every eligibility event. After a round that found nothing
-  /// claimable, the background evictor sleeps until this moves.
-  uint64_t eligibility_gen_ = 0;
   /// Signalled whenever an in-flight eviction completes (or backs off), so
   /// a concurrent EvictUntilFits can wait instead of giving up early.
   std::condition_variable evict_done_cv_;
@@ -321,8 +302,6 @@ class CacheManager {
   };
   std::map<std::string, ReuseEntry> reuse_;
   Counters counters_;
-  bool stop_ = false;
-  std::thread background_;
 };
 
 }  // namespace m3r::memgov

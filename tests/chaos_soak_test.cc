@@ -385,10 +385,10 @@ TEST(ChaosSoak, CrashSurvivorInputBlockIsNotMistakenForWholeFile) {
 }
 
 // ---------------------------------------------------------------------------
-// Spill-eviction lifecycle: the background evictor may spill a cache-only
-// temp output to the checkpoint and drop it AFTER the producing job ends
-// (the original bench_cache SpMV flake). The public FS view must notice
-// the manifest gap and heal from the checkpoint instead of silently
+// Spill-eviction lifecycle: a later admission or settle sweep may spill a
+// cache-only temp output to the checkpoint and drop it AFTER the producing
+// job ends (the original bench_cache SpMV flake). The public FS view must
+// notice the manifest gap and heal from the checkpoint instead of silently
 // serving a shrunken listing whose missing rows read as zeros.
 // ---------------------------------------------------------------------------
 
@@ -435,8 +435,8 @@ TEST(ChaosSoak, SpillEvictedTempOutputHealsThroughTheFsView) {
   ASSERT_FALSE(parts.empty());
   auto before = CachedPartContents(view, "/temp-wc");
 
-  // Deterministic stand-in for the background watermark evictor: squeeze
-  // the budget to one byte and settle. Every cache-only part file gets
+  // Deterministic stand-in for a later job's evictions: squeeze the budget
+  // to one byte and settle. Every cache-only part file gets
   // spilled to the checkpoint and dropped from the cache; the directory
   // manifest must survive the eviction (Cache::Evict, not Delete).
   m3r->governor().SetBudget(1);

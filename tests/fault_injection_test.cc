@@ -144,17 +144,31 @@ TEST(FaultInjectorTest, LimitCapsInjectionsSoRetriesSucceed) {
   EXPECT_EQ(inj.InjectedCount(), 2);
 }
 
+/// The job's injector as both engines build it: the seed knob and the
+/// m3r.fault.<site>.* family of a conf the knob table accepted.
+std::shared_ptr<FaultInjector> InjectorFromConf(
+    const std::map<std::string, std::string>& raw) {
+  api::JobConf conf;
+  for (const auto& [key, value] : raw) conf.Set(key, value);
+  Status valid = api::knobs::ValidateKnobs(conf);
+  EXPECT_TRUE(valid.ok()) << valid.ToString();
+  return FaultInjector::FromSites(
+      api::knobs::Uint64(conf, api::conf::kFaultSeed),
+      api::knobs::FaultSites(conf));
+}
+
 TEST(FaultInjectorTest, FromConfBuildsOnlyWhenFaultKeysPresent) {
-  EXPECT_EQ(FaultInjector::FromConf({}), nullptr);
-  EXPECT_EQ(FaultInjector::FromConf({{"mapred.reduce.tasks", "4"}}),
-            nullptr);
+  EXPECT_EQ(InjectorFromConf({}), nullptr);
+  EXPECT_EQ(InjectorFromConf({{"mapred.reduce.tasks", "4"}}), nullptr);
+  EXPECT_EQ(InjectorFromConf({{"m3r.fault.seed", "9"}}), nullptr);
 
   std::map<std::string, std::string> raw = {
       {"m3r.fault.seed", "9"},
       {"m3r.fault.dfs.read.prob", "1.0"},
   };
-  auto inj = FaultInjector::FromConf(raw);
+  auto inj = InjectorFromConf(raw);
   ASSERT_NE(inj, nullptr);
+  EXPECT_EQ(inj->seed(), 9u);
   EXPECT_TRUE(inj->Armed());
   Status st = inj->Check("dfs.read", "/some/path");
   EXPECT_TRUE(st.IsUnavailable()) << st.ToString();
@@ -228,12 +242,10 @@ TEST(IntegrityContextTest, FromConfBuildsOnlyWhenRelevant) {
   auto from_conf = [](const std::map<std::string, std::string>& raw) {
     api::JobConf conf;
     for (const auto& [key, value] : raw) conf.Set(key, value);
-    Status valid = api::knobs::ValidateKnobs(conf);
-    EXPECT_TRUE(valid.ok()) << valid.ToString();
     return IntegrityContext::ForJob(
         static_cast<IntegrityMode>(
             api::knobs::Choice(conf, api::conf::kIntegrityMode)),
-        FaultInjector::FromConf(raw));
+        InjectorFromConf(raw));
   };
   // No integrity keys, no corruption sites: the common case stays free.
   EXPECT_EQ(from_conf({}), nullptr);
@@ -398,17 +410,23 @@ INSTANTIATE_TEST_SUITE_P(
       return info.param.name;
     });
 
-TEST(HadoopFaultTest, SpeculationBeatsRetryChainOnStragglers) {
+/// One WordCount with `reducers` reducers under a 0.5 fault probability
+/// at `site`, with and without speculative execution; the two outputs must
+/// match. Both runs do the same counted work under the same deterministic
+/// fault schedule, so their sims differ only by what speculation changed.
+std::pair<api::JobResult, api::JobResult> RunWithAndWithoutSpeculation(
+    const std::string& site, int reducers) {
   auto fs = dfs::MakeSimDfs(4, 16 * 1024);
-  ASSERT_TRUE(workloads::GenerateText(*fs, "/in", 64 * 1024, 5, 17).ok());
-
+  EXPECT_TRUE(workloads::GenerateText(*fs, "/in", 64 * 1024, 5, 17).ok());
   auto run = [&](const char* out, bool speculative) {
     hadoop::HadoopEngine engine(
         fs, hadoop::HadoopEngineOptions{Cluster4x2(), 0});
-    api::JobConf job = workloads::MakeWordCountJob("/in", out, 3, true);
+    api::JobConf job =
+        workloads::MakeWordCountJob("/in", out, reducers, true);
     job.Set("m3r.fault.seed", "9");
-    job.Set("m3r.fault.hadoop.map.prob", "0.5");
+    job.Set("m3r.fault." + site + ".prob", "0.5");
     job.Set(api::conf::kMapMaxAttempts, "10");
+    job.Set(api::conf::kReduceMaxAttempts, "10");
     // Set in both runs: the job file's size enters the submit charge, so
     // the two confs differ only in this value.
     job.Set(api::conf::kSpeculativeExecution, speculative ? "true" : "false");
@@ -416,16 +434,34 @@ TEST(HadoopFaultTest, SpeculationBeatsRetryChainOnStragglers) {
   };
   auto plain = run("/out-plain", false);
   auto spec = run("/out-spec", true);
-  ASSERT_TRUE(plain.ok()) << plain.status.ToString();
-  ASSERT_TRUE(spec.ok()) << spec.status.ToString();
+  EXPECT_TRUE(plain.ok()) << plain.status.ToString();
+  EXPECT_TRUE(spec.ok()) << spec.status.ToString();
   EXPECT_EQ(ReadOutputLines(*fs, "/out-plain"),
             ReadOutputLines(*fs, "/out-spec"));
-  // Backup copies actually launched for the retry-delayed stragglers…
-  EXPECT_GE(spec.metrics.at("speculative_map_tasks"), 1);
-  // …and can only help the makespan. Both runs do the same counted work
-  // under the same deterministic fault schedule, so there is no noise to
-  // allow for.
+  // Backups are booked after every task's own attempts, so they can only
+  // help the makespan.
   EXPECT_LE(spec.sim_seconds, plain.sim_seconds);
+  return {std::move(plain), std::move(spec)};
+}
+
+TEST(HadoopFaultTest, SpeculationBeatsRetryChainOnStragglers) {
+  auto [plain, spec] = RunWithAndWithoutSpeculation("hadoop.map", 3);
+  // Backup copies actually launched for the retry-delayed stragglers,
+  // and one finished before its task's retry chain…
+  EXPECT_GE(spec.metrics.at("speculative_map_tasks"), 1);
+  EXPECT_GE(spec.metrics.at("speculative_map_wins"), 1);
+  EXPECT_EQ(plain.metrics.count("speculative_map_wins"), 0u);
+  // …which shortens the map phase.
+  EXPECT_LT(spec.time_breakdown.at("map_phase"),
+            plain.time_breakdown.at("map_phase"));
+}
+
+TEST(HadoopFaultTest, SpeculationBeatsRetryChainOnStragglingReducers) {
+  auto [plain, spec] = RunWithAndWithoutSpeculation("hadoop.reduce", 4);
+  EXPECT_GE(spec.metrics.at("speculative_reduce_tasks"), 1);
+  EXPECT_GE(spec.metrics.at("speculative_reduce_wins"), 1);
+  EXPECT_LT(spec.time_breakdown.at("reduce_phase"),
+            plain.time_breakdown.at("reduce_phase"));
 }
 
 // --- M3R place crash: graceful degradation ---

@@ -83,6 +83,40 @@ TEST(KnobsTest, GettersReadSetValues) {
             (std::map<int, int>{{1, 2}, {3, 0}}));
 }
 
+TEST(KnobsTest, FaultSitesReadTheFamilyRowsPerSite) {
+  EXPECT_TRUE(knobs::FaultSites(JobConf()).empty());
+  JobConf conf;
+  conf.Set(conf::kFaultSeed, "9");
+  conf.Set("m3r.fault.dfs.read.prob", "0.25");
+  conf.Set("m3r.fault.m3r.place.nth", "3");
+  conf.Set("m3r.fault.m3r.place.limit", "1");
+  conf.Set("m3r.fault.corrupt.spill.limit", "-1");
+  ASSERT_TRUE(knobs::ValidateKnobs(conf).ok());
+  const auto sites = knobs::FaultSites(conf);
+  ASSERT_EQ(sites.size(), 3u);
+  // A member left unset reads as its row's default.
+  const FaultInjector::SiteConfig& read = sites.at("dfs.read");
+  EXPECT_DOUBLE_EQ(read.probability, 0.25);
+  EXPECT_EQ(read.nth, 0);
+  EXPECT_EQ(read.limit, -1);
+  const FaultInjector::SiteConfig& place = sites.at("m3r.place");
+  EXPECT_DOUBLE_EQ(place.probability, 0.0);
+  EXPECT_EQ(place.nth, 3);
+  EXPECT_EQ(place.limit, 1);
+  // Setting only the default still arms the site (it never fires).
+  EXPECT_EQ(sites.count("corrupt.spill"), 1u);
+
+  // A value the table rejects reads as the default; a site outside
+  // kFaultSites is no member of the family.
+  JobConf bad;
+  bad.Set("m3r.fault.dfs.write.prob", "1.5");
+  bad.Set("m3r.fault.no.such.site.prob", "1");
+  ASSERT_FALSE(knobs::ValidateKnobs(bad).ok());
+  const auto bad_sites = knobs::FaultSites(bad);
+  ASSERT_EQ(bad_sites.size(), 1u);
+  EXPECT_DOUBLE_EQ(bad_sites.at("dfs.write").probability, 0.0);
+}
+
 TEST(KnobsTest, EnumValuesAreInTheirConsumersOrder) {
   using memgov::EvictionPolicy;
   for (EvictionPolicy p :

@@ -73,8 +73,9 @@ TEST(HashRing, RemovePlaceMovesOnlyTheDeadArcs) {
 /// Harness mirroring the engine's wiring: a mirror "store" of resident
 /// paths with per-path byte sizes, an L1 hook set whose evict drops from
 /// the mirror, and an L2 hook set whose freeze/thaw move fabricated
-/// payloads in and out. Hooks run on the background evictor thread too,
-/// so mirror state is mutex-guarded.
+/// payloads in and out. Hooks run on whichever thread admits a fill (the
+/// concurrency tests admit from several), so mirror state is
+/// mutex-guarded.
 struct Harness {
   memgov::MemoryGovernor gov;
   mutable std::mutex mu;

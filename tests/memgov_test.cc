@@ -5,14 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <functional>
 #include <limits>
 #include <memory>
 #include <mutex>
 #include <set>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "api/job_conf.h"
@@ -64,8 +62,8 @@ TEST(EvictionPolicyNames, ParseAndPrint) {
 
 /// Harness: a manager over a mirror "store" (a set of resident paths).
 /// The evict hook drops the path from the mirror; every file is
-/// DFS-backed, so no spill is needed. The hooks run on the manager's
-/// background-evictor thread too, so the mirror state is mutex-guarded.
+/// DFS-backed, so no spill is needed. The hooks run on whichever thread
+/// admits a fill, so the mirror state is mutex-guarded.
 struct Harness {
   MemoryGovernor gov;
   mutable std::mutex mu;
@@ -101,9 +99,8 @@ struct Harness {
     };
     hooks.has_backing = [this](const std::string&) { return backed.load(); };
     mgr = std::make_unique<CacheManager>(&gov, hooks);
-    // Watermarks at the budget line: admission handles all eviction
-    // synchronously, keeping traces deterministic (the background evictor
-    // only acts on forced over-budget fills).
+    // Watermarks at the budget line: an admission evicts little more than
+    // its fill needs, so scripted traces evict one victim at a time.
     mgr->Configure(EvictionPolicy::kLru, 1.0, 0.99);
   }
 
@@ -309,88 +306,104 @@ TEST(CacheManager, ReconcileRederivesResidencyAfterExternalEviction) {
   EXPECT_EQ(h.gov.Usage(CacheManager::kConsumer), 150u);
 }
 
-TEST(CacheManager, BackgroundEvictorHonorsWatermarks) {
-  Harness h(100);
-  for (const char* p : {"/w/a", "/w/b"}) {
-    ASSERT_TRUE(h.mgr->AdmitFill(p, 40, false));
-    h.mgr->OnFill(p, 40, 0.1);
-    h.Insert(p);
-  }
-  EXPECT_EQ(h.mgr->ResidentBytes(), 80u);
-  // Tightening the watermarks puts the cache over the trigger (80 > 60);
-  // the background evictor must bring it to the low watermark (50)
-  // unaided.
-  h.mgr->Configure(EvictionPolicy::kLru, 0.6, 0.5);
-  for (int i = 0; i < 500 && h.mgr->ResidentBytes() > 50; ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-  EXPECT_LE(h.mgr->ResidentBytes(), 50u);
-}
-
-/// Fills /w/a and /w/b (40 bytes each of a 100-byte budget), lets `shield`
-/// make both unclaimable, then tightens the watermarks so the cache sits
-/// over the trigger (80 > 60) with nothing the evictor may take.
-void FillShieldedOverHighWatermark(Harness& h,
-                                   const std::function<void()>& shield) {
-  shield();
+/// Fills /w/a and /w/b (40 bytes each of a 100-byte budget) with the
+/// harness's watermarks at the budget line, then tightens them to 0.6 and
+/// 0.5. Nothing evicts yet: watermarks act only at the next admission.
+void FillThenTightenWatermarks(Harness& h) {
   for (const char* p : {"/w/a", "/w/b"}) {
     ASSERT_TRUE(h.mgr->AdmitFill(p, 40, false));
     h.mgr->OnFill(p, 40, 0.1);
     h.Insert(p);
   }
   h.mgr->Configure(EvictionPolicy::kLru, 0.6, 0.5);
-  // Give the evictor time for its fruitless round.
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
   ASSERT_EQ(h.mgr->ResidentBytes(), 80u);
   ASSERT_TRUE(h.Evicted().empty());
 }
 
-/// Polls until the idle background evictor reaches the low watermark (50).
-void ExpectEvictorReachesLowWatermark(Harness& h) {
-  for (int i = 0; i < 500 && h.mgr->ResidentBytes() > 50; ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
+/// Admits a 10-byte probe fill, which fits the budget (80 + 10 <= 100) but
+/// crosses the high watermark (90 > 60). The probe itself is not published,
+/// so residency afterwards is what the admission left behind.
+void AdmitProbe(Harness& h, const std::string& probe) {
+  ASSERT_TRUE(h.mgr->AdmitFill(probe, 10, false));
+}
+
+TEST(CacheManager, AdmissionOverHighWatermarkDrainsToLow) {
+  Harness h(100);
+  FillThenTightenWatermarks(h);
+  // Draining so that the probe lands at or under low (50): /w/a goes,
+  // leaving 40 + 10 = 50.
+  AdmitProbe(h, "/p");
+  EXPECT_EQ(h.Evicted(), std::vector<std::string>{"/w/a"});
+  EXPECT_EQ(h.mgr->ResidentBytes(), 40u);
+  h.mgr->OnFill("/p", 10, 0.1);
   EXPECT_LE(h.mgr->ResidentBytes(), 50u);
-  EXPECT_FALSE(h.Evicted().empty());
+  // An admission that stays under high (50 + 5 <= 60) evicts nothing.
+  ASSERT_TRUE(h.mgr->AdmitFill("/q", 5, false));
+  EXPECT_EQ(h.Evicted().size(), 1u);
 }
 
-TEST(CacheManager, IdleEvictorDoesNotRescanPinnedEntries) {
+TEST(CacheManager, AdmissionOverHighWatermarkSparesShieldedEntries) {
   Harness h(100);
-  FillShieldedOverHighWatermark(h, [&] { h.mgr->Pin("/w"); });
-  // Every entry is pinned above the high watermark: after its fruitless
-  // round the evictor must sleep, not rescan the table in a loop.
-  uint64_t before = h.mgr->counters().victim_scans;
-  std::this_thread::sleep_for(std::chrono::milliseconds(200));
-  uint64_t after = h.mgr->counters().victim_scans;
-  EXPECT_LE(after - before, 2u);
-  EXPECT_EQ(h.mgr->ResidentBytes(), 80u);
+  CacheManager::ReadLease lease = h.mgr->AcquireRead("/w/b");
+  h.mgr->Pin("/w/a");
+  h.mgr->BeginFill("/w/c");
+  for (const char* p : {"/w/a", "/w/b", "/w/c"}) {
+    ASSERT_TRUE(h.mgr->AdmitFill(p, 25, false));
+    h.mgr->OnFill(p, 25, 0.1);
+    h.Insert(p);
+  }
+  // Every entry is pinned, leased or mid-fill: the probe crosses high
+  // (85 > 60) but nothing is claimable, so it evicts nothing, and it is
+  // still admitted because it fits the budget.
+  h.mgr->Configure(EvictionPolicy::kLru, 0.6, 0.5);
+  AdmitProbe(h, "/p");
+  EXPECT_TRUE(h.Evicted().empty());
+  EXPECT_EQ(h.mgr->ResidentBytes(), 75u);
+  EXPECT_EQ(h.mgr->counters().aborted_evictions, 0u);
+  h.mgr->EndFill("/w/c");
 }
 
-TEST(CacheManager, UnpinWakesIdleEvictor) {
+/// Shields /w with `shield`, lets a crossing admission find nothing
+/// claimable, lifts the shield with `lift`, and expects the very next
+/// admission to drain to the low watermark.
+void ExpectNextAdmissionDrainsAfter(Harness& h,
+                                    const std::function<void()>& shield,
+                                    const std::function<void()>& lift) {
+  shield();
+  FillThenTightenWatermarks(h);
+  AdmitProbe(h, "/p");
+  ASSERT_TRUE(h.Evicted().empty());
+  lift();
+  AdmitProbe(h, "/q");
+  EXPECT_EQ(h.Evicted(), std::vector<std::string>{"/w/a"});
+  EXPECT_LE(h.mgr->ResidentBytes() + 10, 50u);
+}
+
+TEST(CacheManager, FirstAdmissionAfterUnpinDrains) {
   Harness h(100);
-  FillShieldedOverHighWatermark(h, [&] { h.mgr->Pin("/w"); });
-  h.mgr->Unpin("/w");
-  ExpectEvictorReachesLowWatermark(h);
+  ExpectNextAdmissionDrainsAfter(h, [&] { h.mgr->Pin("/w"); },
+                                 [&] { h.mgr->Unpin("/w"); });
 }
 
-TEST(CacheManager, LeaseReleaseWakesIdleEvictor) {
+TEST(CacheManager, FirstAdmissionAfterLeaseReleaseDrains) {
   Harness h(100);
   CacheManager::ReadLease lease;
-  FillShieldedOverHighWatermark(h,
-                                [&] { lease = h.mgr->AcquireRead("/w"); });
-  lease.Release();
-  ExpectEvictorReachesLowWatermark(h);
+  ExpectNextAdmissionDrainsAfter(
+      h, [&] { lease = h.mgr->AcquireRead("/w"); }, [&] { lease.Release(); });
 }
 
-TEST(CacheManager, EndFillWakesIdleEvictor) {
+TEST(CacheManager, FirstAdmissionAfterEndFillDrains) {
   Harness h(100);
-  FillShieldedOverHighWatermark(h, [&] {
-    h.mgr->BeginFill("/w/a");
-    h.mgr->BeginFill("/w/b");
-  });
-  h.mgr->EndFill("/w/a");
-  h.mgr->EndFill("/w/b");
-  ExpectEvictorReachesLowWatermark(h);
+  ExpectNextAdmissionDrainsAfter(
+      h,
+      [&] {
+        h.mgr->BeginFill("/w/a");
+        h.mgr->BeginFill("/w/b");
+      },
+      [&] {
+        h.mgr->EndFill("/w/a");
+        h.mgr->EndFill("/w/b");
+      });
 }
 
 /// Scripted trace: a hot file re-touched every round through a stream of

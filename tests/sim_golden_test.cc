@@ -3,11 +3,13 @@
 // charge is counted work (sim::CostModel::Cpu), never a stopwatch. These
 // pins make any change to a cost, a count or a packing order show up as a
 // reviewed diff, and each arm runs twice to show the doubles repeat.
-// Cache memory-budget arms are left out on purpose: there the background
-// evictor's timing legitimately changes which blocks hit. A shuffle
-// partition budget is pinned: which runs spill depends on timing, but the
-// reduce task merges every run the same way whether it stayed resident or
-// was reloaded, so the sim does not.
+// A cache memory budget has one arm, pinned in part (see RunBudgetSpmv):
+// eviction runs on the admitting thread, but places still admit fills in
+// host order, so which blocks hit, and with them the map phase, can still
+// change from run to run. A shuffle partition budget is pinned: which
+// runs spill depends on timing, but the reduce task merges every run the
+// same way whether it stayed resident or was reloaded, so the sim does
+// not.
 #include <gtest/gtest.h>
 
 #include <iomanip>
@@ -19,8 +21,10 @@
 #include "dfs/local_fs.h"
 #include "hadoop/hadoop_engine.h"
 #include "m3r/m3r_engine.h"
+#include "workloads/matrix_gen.h"
 #include "workloads/micro_gen.h"
 #include "workloads/shuffle_micro.h"
+#include "workloads/spmv.h"
 #include "workloads/text_gen.h"
 #include "workloads/wordcount.h"
 
@@ -200,6 +204,82 @@ INSTANTIATE_TEST_SUITE_P(
       }
       return name;
     });
+
+/// Sum over every job of the budget arm.
+struct BudgetRun {
+  std::map<std::string, double> time_breakdown;
+  int64_t evictions = 0;
+};
+
+/// The cache_governor_e2e_test SpMV shape (n = 3000 in 8 row blocks, ten
+/// iterations of two jobs each) on the same cluster and 2 strands per
+/// place, under a 1 MiB cache memory budget: the matrix alone is several
+/// times the budget, so every iteration evicts. Places admit concurrently,
+/// in host order, so residency is not a function of the input: 20
+/// in-process runs summed to 18 distinct sim_seconds in 9.55692-9.55772
+/// sim-s, with 171-184 evictions, and only map_phase moved. Every other
+/// phase repeats (60 runs, three processes at once) and is pinned;
+/// map_phase and sim_seconds stay unpinned until admission order is fixed.
+BudgetRun RunBudgetSpmv() {
+  auto fs = dfs::MakeSimDfs(4, 256 * 1024);
+  workloads::SpmvDataParams params;
+  params.n = 3000;
+  params.block = 375;
+  params.sparsity = 0.02;
+  params.num_partitions = 8;
+  M3R_CHECK_OK(workloads::GenerateSpmvData(*fs, "/spmv/g", "/spmv/v", params));
+  engine::M3REngine engine(fs, engine::M3REngineOptions{Cluster()});
+  BudgetRun run;
+  std::string v_in = "/spmv/v";
+  for (int it = 0; it < 10; ++it) {
+    const std::string v_out = "/spmv/temp-v" + std::to_string(it + 1);
+    for (api::JobConf& job : workloads::MakeSpmvIterationJobs(
+             "/spmv/g", v_in, "/spmv/temp-partial-" + std::to_string(it),
+             v_out, params.num_partitions, 8)) {
+      job.SetInt(api::conf::kMemoryBudgetMb, 1);
+      job.SetInt(api::conf::kPlaceWorkers, 2);
+      const api::JobResult r = engine.Submit(job);
+      M3R_CHECK(r.ok()) << r.status.ToString();
+      for (const auto& [phase, seconds] : r.time_breakdown) {
+        run.time_breakdown[phase] += seconds;
+      }
+      run.evictions += r.metrics.at("cache_evictions");
+    }
+    v_in = v_out;
+  }
+  return run;
+}
+
+TEST(SimGoldenBudgetTest, SpmvPhasesBesideTheMapPhaseArePinnedAndRepeat) {
+  const BudgetRun first = RunBudgetSpmv();
+  const BudgetRun second = RunBudgetSpmv();
+  // The budget bit in both runs.
+  EXPECT_GT(first.evictions, 0);
+  EXPECT_GT(second.evictions, 0);
+
+  const std::map<std::string, double> kPinned = {
+      {"exit_barrier", 0.20000000000000004},
+      {"job_overhead", 6.9999999999999973},
+      {"reduce_phase", 0.041208307200000238},
+      {"shuffle", 0.40894400492307692},
+      {"sort", 0.0011013120000000001},
+  };
+  std::ostringstream actual;
+  actual << std::setprecision(17);
+  for (const auto& [phase, seconds] : first.time_breakdown) {
+    actual << "{\"" << phase << "\", " << seconds << "},\n";
+  }
+  ASSERT_EQ(first.time_breakdown.size(), kPinned.size() + 1) << actual.str();
+  ASSERT_TRUE(first.time_breakdown.count("map_phase")) << actual.str();
+  for (const auto& [phase, seconds] : kPinned) {
+    ASSERT_TRUE(first.time_breakdown.count(phase))
+        << phase << "\n" << actual.str();
+    EXPECT_EQ(first.time_breakdown.at(phase), second.time_breakdown.at(phase))
+        << phase;
+    EXPECT_DOUBLE_EQ(first.time_breakdown.at(phase), seconds)
+        << phase << "\n" << actual.str();
+  }
+}
 
 }  // namespace
 }  // namespace m3r

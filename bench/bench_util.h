@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -37,21 +36,6 @@ inline sim::ClusterSpec PaperCluster() {
 /// splits-per-job shape.
 inline std::shared_ptr<dfs::FileSystem> PaperDfs() {
   return dfs::MakeSimDfs(PaperCluster().num_nodes, 64 * 1024, 3);
-}
-
-inline hadoop::HadoopEngineOptions HadoopOpts() {
-  return hadoop::HadoopEngineOptions{PaperCluster(), 0};
-}
-
-inline engine::M3REngineOptions M3ROpts() {
-  engine::M3REngineOptions opts;
-  opts.cluster = PaperCluster();
-  // Intra-place worker strands: default auto (hardware threads / places);
-  // override with M3R_PLACE_WORKERS=<n> to study host scaling.
-  if (const char* env = std::getenv("M3R_PLACE_WORKERS")) {
-    opts.workers_per_place = std::atoi(env);
-  }
-  return opts;
 }
 
 /// Fixed-width table printer for figure series.

@@ -130,14 +130,19 @@ void SimDfs::CommitLocked(const std::string& path, std::string data,
   node.content = std::make_shared<const std::string>(std::move(data));
   node.block_nodes.clear();
   node.block_crcs = std::move(block_crcs);
+  // Unpinned replicas walk the nodes from a start derived from the path and
+  // the block index, so where a file lands does not depend on the order in
+  // which concurrent writers commit.
+  const uint64_t walk_start = crc32c::Crc32c(path);
   for (uint64_t b = 0; b < num_blocks; ++b) {
+    uint64_t walk = walk_start + b;
     std::vector<int> replicas;
     // Preferred nodes wrap: callers may pass a partition index directly.
     int first = preferred_node >= 0 ? preferred_node % num_nodes_
-                                    : (next_node_rr_++ % num_nodes_);
+                                    : static_cast<int>(walk++ % num_nodes_);
     replicas.push_back(first);
     for (int r = 1; r < replication_; ++r) {
-      int candidate = next_node_rr_++ % num_nodes_;
+      int candidate = static_cast<int>(walk++ % num_nodes_);
       // Avoid placing two replicas of one block on the same node.
       while (std::find(replicas.begin(), replicas.end(), candidate) !=
              replicas.end()) {

@@ -13,7 +13,8 @@ namespace m3r::dfs {
 
 /// In-memory simulation of HDFS: a namenode metadata tree, files split into
 /// fixed-size blocks, and replica placement across `num_nodes` datanodes
-/// (first replica on the writing node, the rest round-robin). Block
+/// (first replica on the writing node, the rest on consecutive nodes from
+/// a start hashed from the path and block index). Block
 /// locations drive split locality in both engines, and replication factor
 /// drives output-write cost in the simulated-time ledger.
 class SimDfs : public FileSystem {
@@ -67,7 +68,6 @@ class SimDfs : public FileSystem {
 
   mutable std::mutex mu_;
   std::map<std::string, Inode> inodes_;  // canonical path -> inode
-  int next_node_rr_ = 0;
   int64_t mtime_counter_ = 0;
 };
 

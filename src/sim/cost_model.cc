@@ -11,9 +11,10 @@ namespace {
 /// sites that used to time it (the M3R map task, barrier decode stream,
 /// reduce task and partition sort; the Hadoop map task, spill sorts and
 /// reduce task). Samples: 90k tasks and streams from the three perfbench
-/// workloads (seed 7) and every run_bench arm, Release build, on a 4-vCPU
-/// Intel Xeon VM (load average about 1.5), 2026-10-18. Fit error by site,
-/// counted total against measured total (median per-sample error):
+/// workloads (seed 7) and every arm of the smoke rows of
+/// bench/m3r_experiments, Release build, on a 4-vCPU Intel Xeon VM (load
+/// average about 1.5), 2026-10-18. Fit error by site, counted total
+/// against measured total (median per-sample error):
 ///   M3R map +12.5% (22%), decode +35.7% (28%), reduce -6.6% (19%),
 ///   sort +66.3% (117%); Hadoop map -13.2% (23%), reduce +8.5% (30%),
 ///   sort +99.3% (98%).

@@ -2,6 +2,7 @@
 
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "dfs/local_fs.h"
 #include "dfs/sim_dfs.h"
@@ -53,6 +54,31 @@ TEST(SimDfsTest, BlocksAndReplication) {
     covered += b.length;
   }
   EXPECT_EQ(covered, data.size());
+}
+
+// Concurrent reduce writers commit in host-thread order, so placement must
+// follow the file alone, or the next job's split locality (and Hadoop's
+// sim) moves from run to run.
+TEST(SimDfsTest, PlacementDoesNotDependOnCommitOrder) {
+  const std::vector<std::string> paths = {"/out/part-00000", "/out/part-00001",
+                                          "/out/part-00002", "/in/big"};
+  auto locations = [&](const std::vector<size_t>& order) {
+    SimDfs fs(7, 3, 10);
+    for (size_t i : order) {
+      EXPECT_TRUE(fs.WriteFile(paths[i], std::string(25 + 10 * i, 'x')).ok());
+    }
+    std::vector<std::vector<int>> nodes;
+    for (const std::string& p : paths) {
+      auto locs = fs.GetBlockLocations(p);
+      EXPECT_TRUE(locs.ok()) << p;
+      for (const BlockLocation& b : *locs) nodes.push_back(b.nodes);
+    }
+    return nodes;
+  };
+  std::vector<std::vector<int>> forward = locations({0, 1, 2, 3});
+  EXPECT_EQ(forward.size(), 3u + 4u + 5u + 6u);
+  EXPECT_EQ(forward, locations({3, 2, 1, 0}));
+  EXPECT_EQ(forward, locations({2, 0, 3, 1}));
 }
 
 TEST(SimDfsTest, ReplicationCappedByNodeCount) {

@@ -289,8 +289,9 @@ TEST(PipelineEquivalence, WordCountMatrixUnderBothShuffleModes) {
     EXPECT_EQ(truth, ReadOutputLines(*fs, "/out"))
         << "flush.bytes=" << flush_bytes;
     // Both modes report first-reduce latency; the ordering between them is
-    // a perf property asserted by run_bench on a config sized to show it —
-    // at this scale the two are within wall-clock measurement noise.
+    // a perf property claimed by the fig6_smoke and fig8_smoke rows of
+    // bench/m3r_experiments on configs sized to show it — at this scale
+    // the two are within wall-clock measurement noise.
     ASSERT_EQ(mr.metrics.count("time_to_first_reduce_ms"), 1u) << flush_bytes;
     EXPECT_GT(mr.metrics.at("time_to_first_reduce_ms"), 0) << flush_bytes;
     // The barrier exchange ships each non-empty lane as one run at the

@@ -3,6 +3,8 @@
 // charge is counted work (sim::CostModel::Cpu), never a stopwatch. These
 // pins make any change to a cost, a count or a packing order show up as a
 // reviewed diff, and each arm runs twice to show the doubles repeat.
+// The Hadoop fault arms also pin the counts that show their retry,
+// blacklist and speculation bookings fired.
 // A cache memory budget has one arm, pinned in part (see RunBudgetSpmv):
 // eviction runs on the admitting thread, but places still admit fills in
 // host order, so which blocks hit, and with them the map phase, can still
@@ -39,7 +41,36 @@ enum class Arm {
   kM3RMicroBudget,
   kHadoopWordCount,
   kM3RMapOnly,
+  kHadoopMapRetries,
+  kHadoopMapSpeculation,
+  kHadoopReduceSpeculation,
+  kHadoopMapOnly,
 };
+
+bool IsHadoop(Arm arm) {
+  return arm == Arm::kHadoopWordCount || arm == Arm::kHadoopMapRetries ||
+         arm == Arm::kHadoopMapSpeculation ||
+         arm == Arm::kHadoopReduceSpeculation || arm == Arm::kHadoopMapOnly;
+}
+
+/// The Hadoop fault arms: a seeded injector at one task site, deep attempt
+/// budgets so every task survives, and (per arm) a low tracker-failure
+/// limit or speculative backups, so each retry, blacklist and speculation
+/// booking of both task phases is pinned.
+void SetHadoopFaults(Arm arm, api::JobConf* job) {
+  if (arm == Arm::kHadoopWordCount) return;
+  job->Set(api::conf::kFaultSeed, "9");
+  job->Set(arm == Arm::kHadoopReduceSpeculation
+               ? "m3r.fault.hadoop.reduce.prob"
+               : "m3r.fault.hadoop.map.prob",
+           "0.5");
+  job->Set(api::conf::kMapMaxAttempts, "10");
+  job->Set(api::conf::kReduceMaxAttempts, "10");
+  job->Set(api::conf::kMaxTrackerFailures, "3");
+  if (arm != Arm::kHadoopMapRetries) {
+    job->Set(api::conf::kSpeculativeExecution, "true");
+  }
+}
 
 sim::ClusterSpec Cluster() {
   sim::ClusterSpec spec;
@@ -70,13 +101,19 @@ api::JobResult RunArm(Arm arm) {
     job.SetInt(api::conf::kShufflePartitionBudgetMb, 1);
   } else {
     M3R_CHECK_OK(workloads::GenerateText(*fs, "/in", 64 * 1024, 4, 11));
-    job = workloads::MakeWordCountJob(
-        "/in", "/out", arm == Arm::kM3RMapOnly ? 0 : 2, true);
+    int reducers = 2;
+    if (arm == Arm::kM3RMapOnly || arm == Arm::kHadoopMapOnly) reducers = 0;
+    if (arm == Arm::kHadoopMapRetries || arm == Arm::kHadoopMapSpeculation) {
+      reducers = 3;
+    }
+    if (arm == Arm::kHadoopReduceSpeculation) reducers = 4;
+    job = workloads::MakeWordCountJob("/in", "/out", reducers, true);
     if (arm == Arm::kM3RWordCountHashCombine) {
       job.Set(api::conf::kMapHashCombine, "true");
     }
   }
-  if (arm == Arm::kHadoopWordCount) {
+  if (IsHadoop(arm)) {
+    SetHadoopFaults(arm, &job);
     return hadoop::HadoopEngine(fs, hadoop::HadoopEngineOptions{Cluster(), 0})
         .Submit(job);
   }
@@ -92,6 +129,9 @@ struct Golden {
   Arm arm;
   double sim_seconds;
   std::map<std::string, double> time_breakdown;
+  /// Metrics that show the arm's mechanism fired, each pinned to a
+  /// positive count in both runs.
+  std::map<std::string, int64_t> fired = {};
 };
 
 // gtest's default printer dumps the struct's bytes, pointers included, so
@@ -159,6 +199,40 @@ const Golden kGoldens[] = {
      {{"exit_barrier", 0.01},
       {"job_overhead", 0.34999999999999998},
       {"map_phase", 0.097261854041709395}}},
+    {"hadoop-map-retries",
+     Arm::kHadoopMapRetries,
+     31.248907737187011,
+     {{"commit", 3},
+      {"map_phase", 18.825905008278976},
+      {"reduce_phase", 3.3693549312875213},
+      {"sort", 0.0437568848},
+      {"submit", 6.0098909128205129}},
+     {{"blacklisted_nodes", 1}, {"map_task_failures", 8}}},
+    {"hadoop-map-speculation",
+     Arm::kHadoopMapSpeculation,
+     31.249013419238292,
+     {{"commit", 3},
+      {"map_phase", 18.825905008278976},
+      {"reduce_phase", 3.3693549312875213},
+      {"sort", 0.0437568848},
+      {"submit", 6.0099965948717946}},
+     {{"map_task_failures", 8}, {"speculative_map_wins", 1}}},
+    {"hadoop-reduce-speculation",
+     Arm::kHadoopReduceSpeculation,
+     20.157272248038289,
+     {{"commit", 3},
+      {"map_phase", 3.152557830328889},
+      {"reduce_phase", 7.9739030756786313},
+      {"sort", 0.020810972800000001},
+      {"submit", 6.0100003692307693}},
+     {{"reduce_task_failures", 4}, {"speculative_reduce_wins", 1}}},
+    {"hadoop-map-only",
+     Arm::kHadoopMapOnly,
+     27.586997054151112,
+     {{"commit", 3},
+      {"map_phase", 18.577000459279319},
+      {"submit", 6.0099965948717946}},
+     {{"map_task_failures", 8}, {"speculative_map_wins", 1}}},
 };
 
 class SimGoldenTest : public ::testing::TestWithParam<Golden> {};
@@ -176,6 +250,13 @@ TEST_P(SimGoldenTest, SimSecondsArePinnedAndRepeat) {
     // The budget bit in both runs.
     EXPECT_GT(first.metrics.at("shuffle_overflow_spills"), 0);
     EXPECT_GT(second.metrics.at("shuffle_overflow_spills"), 0);
+  }
+  for (const auto& [metric, count] : g.fired) {
+    ASSERT_GT(count, 0) << metric;
+    for (const api::JobResult* r : {&first, &second}) {
+      ASSERT_TRUE(r->metrics.count(metric)) << metric;
+      EXPECT_EQ(r->metrics.at(metric), count) << metric;
+    }
   }
 
   // On a mismatch, the actual values in the table's own layout.

@@ -25,9 +25,10 @@ struct HadoopEngineOptions {
 /// delay scheduling for data locality, per-task JVM start cost, map-side
 /// serialize/sort/combine/spill to local disk, shuffle fetch over disk and
 /// network, reduce-side out-of-core merge, and replicated DFS output
-/// through the commit protocol. Nothing is kept in memory between jobs —
-/// each job in a sequence re-reads its input from the DFS, which is
-/// exactly the overhead M3R eliminates.
+/// through the commit protocol. Map and reduce task attempts share one
+/// retry, tracker-blacklist and speculative-backup path. Nothing is kept
+/// in memory between jobs — each job in a sequence re-reads its input
+/// from the DFS, which is exactly the overhead M3R eliminates.
 class HadoopEngine : public api::Engine {
  public:
   explicit HadoopEngine(std::shared_ptr<dfs::FileSystem> fs,
@@ -40,6 +41,9 @@ class HadoopEngine : public api::Engine {
   const sim::ClusterSpec& cluster() const { return options_.cluster; }
 
  private:
+  /// One submission's state and phases (hadoop_engine.cc).
+  class JobRun;
+
   std::shared_ptr<dfs::FileSystem> fs_;
   HadoopEngineOptions options_;
   sim::CostModel cost_;

@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include "dfs/local_fs.h"
-#include "hadoop/scheduler.h"
 #include "m3r/cache.h"
 #include "m3r/cache_fs.h"
 #include "m3r/m3r_engine.h"
@@ -160,21 +159,6 @@ TEST(M3REngineMemoryTest, ExplicitDeleteReleasesCacheMemory) {
   ASSERT_TRUE(engine.Fs()->Delete("/temp-a", true).ok());
   ASSERT_TRUE(engine.Fs()->Delete("/in", true).ok());
   EXPECT_EQ(engine.cache().TotalBytes(), 0u);
-}
-
-TEST(PhaseSchedulerTest, HeartbeatDispatchDelaysEveryTask) {
-  sim::ClusterSpec spec;
-  spec.num_nodes = 1;
-  spec.slots_per_node = 1;
-  spec.heartbeat_interval_s = 2.0;
-  hadoop::PhaseScheduler scheduler(spec, 10.0);
-  auto t1 = scheduler.Add([](bool, int) { return 1.0; });
-  // Half the polling interval before the slot picks up the task.
-  EXPECT_DOUBLE_EQ(t1.start_s, 11.0);
-  EXPECT_DOUBLE_EQ(t1.finish_s, 12.0);
-  auto t2 = scheduler.Add([](bool, int) { return 1.0; });
-  EXPECT_DOUBLE_EQ(t2.start_s, 13.0);  // waits for slot + heartbeat
-  EXPECT_DOUBLE_EQ(scheduler.Makespan(), 14.0);
 }
 
 }  // namespace

@@ -45,7 +45,7 @@ enum class Exit {
   kRecoveredCrash,
   kUnrecoveredCrash,
   kReduceFault,
-  kMapFault,    // every map task fails: nothing charged, nothing reported
+  kMapFault,    // a map task fails: nothing charged, nothing reported
   kReduceCrash, // a place dies past the map barrier: the whole-job fallback
 };
 
@@ -123,6 +123,9 @@ inline api::JobResult RunExit(Exit exit) {
     case Exit::kMapFault: {
       api::JobConf j = job("/out", 2);
       j.Set("m3r.fault.m3r.map.prob", "1");
+      // One fault: a second place can reach the site before the first
+      // abort stops it, and the exit pins injected_faults=1.
+      j.Set("m3r.fault.m3r.map.limit", "1");
       return m3r.Submit(j);
     }
     case Exit::kReduceCrash: {
